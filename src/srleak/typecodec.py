@@ -217,41 +217,108 @@ class CoverCodebook:
         return self._assign.get(np.asarray(x, dtype=np.int8).tobytes())
 
 
+_CHUNK_CELLS = 250_000
+
+
+def _half_index(rows: np.ndarray, k: int) -> np.ndarray:
+    """Lexicographic index of each row among all sequences of its length over k symbols."""
+    index = np.zeros(rows.shape[0], dtype=np.int64)
+    for t in range(rows.shape[1]):
+        index *= k
+        index += rows[:, t]
+    return index
+
+
+def _half_table(dmat: np.ndarray, length: int) -> np.ndarray:
+    """Distortion sums over ``length`` positions, candidate-major: (kc^length, kx^length).
+
+    Rows and columns follow the lexicographic order of the half-sequences.
+    Each entry is summed position by position from zero, as the full sum is.
+    """
+    kx, kc = dmat.shape
+    table = np.zeros((1, 1))
+    for _ in range(length):
+        table = (table[:, None, :, None] + dmat.T[None, :, None, :]).reshape(
+            table.shape[0] * kc, table.shape[1] * kx
+        )
+    return table
+
+
 def _cover_matrix(
     members: np.ndarray, candidates: np.ndarray, dmat: np.ndarray, level: float, n: int
 ) -> np.ndarray:
-    """Boolean matrix: candidate c covers member m within average distortion."""
-    out = np.zeros((candidates.shape[0], members.shape[0]), dtype=bool)
-    chunk = max(1, int(2_000_000 // max(members.shape[0], 1)))
+    """Boolean matrix: candidate c covers member m within average distortion.
+
+    Meet in the middle: the distortion of a pair is the sum of two half-block
+    sums, each read from a table over all half-sequences.  Regrouping the sum
+    moves it by less than ``band``; cells that close to the budget are summed
+    again position by position, so every cell equals the comparison
+    ``sum_t d(x_t, c_t) <= level * n + 1e-9`` with the sum taken in order.
+    The matrix is stored member-major (Fortran order), the layout
+    :func:`_greedy_cover` reads.
+    """
+    dmat = np.ascontiguousarray(dmat, dtype=np.float64)
+    kx, kc = dmat.shape
+    h = n // 2
+    n_members = members.shape[0]
+    out = np.zeros((candidates.shape[0], n_members), dtype=bool, order="F")
     budget = level * n + 1e-9
+    # any summation order of n terms is within (n - 1) (eps / 2) n max|d| of
+    # the exact sum, so two orders differ by less than half of this band
+    band = 1e-12 + 2.0 * n * n * float(np.abs(dmat).max()) * np.finfo(np.float64).eps
+    # per half: rows indexed by candidate half, columns by member
+    left = np.take(_half_table(dmat, h), _half_index(members[:, :h], kx), axis=1)
+    right = np.take(_half_table(dmat, n - h), _half_index(members[:, h:], kx), axis=1)
+    cand_left = _half_index(candidates[:, :h], kc)
+    cand_right = _half_index(candidates[:, h:], kc)
+    chunk = max(1, _CHUNK_CELLS // max(n_members, 1))
+    rows = min(chunk, candidates.shape[0])
+    acc, part = np.empty((rows, n_members)), np.empty((rows, n_members))
+    sure_buf = np.empty((rows, n_members), dtype=bool)
+    near_buf = np.empty((rows, n_members), dtype=bool)
     for start in range(0, candidates.shape[0], chunk):
-        sl = slice(start, min(start + chunk, candidates.shape[0]))
-        acc = np.zeros((sl.stop - sl.start, members.shape[0]))
-        for t in range(n):
-            acc += dmat[members[:, t][None, :], candidates[sl, t][:, None]]
-        out[sl] = acc <= budget
+        stop = min(start + chunk, candidates.shape[0])
+        a, b = acc[: stop - start], part[: stop - start]
+        sure, near = sure_buf[: stop - start], near_buf[: stop - start]
+        # indices are in range by construction; "clip" skips a buffered copy
+        np.take(left, cand_left[start:stop], axis=0, out=a, mode="clip")
+        np.take(right, cand_right[start:stop], axis=0, out=b, mode="clip")
+        a += b
+        np.less_equal(a, budget - band, out=sure)
+        np.less_equal(a, budget + band, out=near)
+        if np.count_nonzero(near) != np.count_nonzero(sure):
+            ci, mi = np.nonzero(near ^ sure)
+            exact = np.zeros(ci.size)
+            for t in range(n):
+                exact += dmat[members[mi, t], candidates[start + ci, t]]
+            sure[ci, mi] = exact <= budget
+        out[start:stop] = sure
     return out
 
 
 def _greedy_cover(cover: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Maximum-coverage greedy selection.
+    """Maximum-coverage greedy selection (first index wins ties).
 
     Returns the selected candidate indices in chronological order and, per
     member, the chronological rank of the selection that first covered it.
+    Each candidate's gain, its count of uncovered members, is kept up to
+    date by subtracting the members each pick newly covers.
     """
     n_members = cover.shape[1]
+    by_member = np.ascontiguousarray(cover.T)  # no copy for a member-major cover
+    if not by_member.any(axis=1).all():
+        raise CodebookError("covering infeasible: a member has no candidate within budget")
     uncovered = np.ones(n_members, dtype=bool)
     selected: list[int] = []
     first_cover = np.full(n_members, -1, dtype=np.int64)
+    gains = np.count_nonzero(by_member, axis=0)
     while uncovered.any():
-        gains = cover[:, uncovered].sum(axis=1)
         best = int(np.argmax(gains))
-        if gains[best] == 0:
-            raise CodebookError("covering infeasible: a member has no candidate within budget")
-        newly = cover[best] & uncovered
+        newly = by_member[:, best] & uncovered
         first_cover[newly] = len(selected)
         selected.append(best)
-        uncovered &= ~cover[best]
+        uncovered &= ~newly
+        gains -= np.count_nonzero(by_member[newly], axis=0)
     return selected, first_cover
 
 
@@ -453,20 +520,25 @@ def encode(x: Iterable[int], keys: KeyPair, cb: CoverCodebook) -> tuple[Layer1Me
     return m1, m2
 
 
-def decode_layer1(m1: Layer1Message, keys: KeyPair, cb: CoverCodebook) -> tuple[np.ndarray, bool]:
-    """First-layer reconstruction alone; returns (sequence, erased flag)."""
-    if m1.erasure:
-        return np.zeros(cb.n, dtype=np.int8), True
+def _layer1_position(m1: Layer1Message, keys: KeyPair, cb: CoverCodebook) -> tuple[int, int]:
+    """Book index and codeword position named by a non-erasure layer-1 message."""
     k = cb._book_by_type_id.get(m1.type_id)
     if k is None:
         raise CodebookError(f"message names unknown type id {m1.type_id}")
-    b = cb.books[k]
     i = m1.bin_index
     if not 0 <= i < cb.y_nbins(k):
         raise CodebookError("layer-1 bin index out of range")
     size1 = cb.y_bin_size(k, i)
     j = (m1.cipher ^ _key_prefix(keys.k1, cb.bits1, m1.cipher_width)) % size1
-    return b.y_codes[i * cb.cap1 + j].copy(), False
+    return k, i * cb.cap1 + j
+
+
+def decode_layer1(m1: Layer1Message, keys: KeyPair, cb: CoverCodebook) -> tuple[np.ndarray, bool]:
+    """First-layer reconstruction alone; returns (sequence, erased flag)."""
+    if m1.erasure:
+        return np.zeros(cb.n, dtype=np.int8), True
+    k, ypos = _layer1_position(m1, keys, cb)
+    return cb.books[k].y_codes[ypos].copy(), False
 
 
 def decode(
@@ -482,24 +554,15 @@ def decode(
         return DecodeResult(
             np.zeros(cb.n, dtype=np.int8), np.zeros(cb.n, dtype=np.int8), True
         )
-    k = cb._book_by_type_id.get(m1.type_id)
-    if k is None:
-        raise CodebookError(f"message names unknown type id {m1.type_id}")
+    k, ypos = _layer1_position(m1, keys, cb)
     b = cb.books[k]
-    i = m1.bin_index
-    if not 0 <= i < cb.y_nbins(k):
-        raise CodebookError("layer-1 bin index out of range")
-    size1 = cb.y_bin_size(k, i)
-    j = (m1.cipher ^ _key_prefix(keys.k1, cb.bits1, m1.cipher_width)) % size1
-    ypos = i * cb.cap1 + j
-    y = b.y_codes[ypos]
     nbz = cb.z_nbins(k, ypos)
     u = m2.bin_index % nbz
     size2 = min(cb.cap2, len(b.z_codes[ypos]) - u * cb.cap2)
     s2 = cb.s2(k, ypos, u)
     v = (m2.cipher ^ _key_prefix(keys.k2, cb.bits2, s2)) % size2
     z = b.z_codes[ypos][u * cb.cap2 + v]
-    return DecodeResult(y.copy(), z.copy(), False)
+    return DecodeResult(b.y_codes[ypos].copy(), z.copy(), False)
 
 
 # ---------------------------------------------------------------------------

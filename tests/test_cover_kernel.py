@@ -1,0 +1,159 @@
+"""The meet-in-the-middle cover kernel and the incremental greedy against
+the straightforward implementations they replace.
+
+The oracles below sum distortions position by position and rescan the
+uncovered columns at every greedy step.  Both the cover matrix and the greedy
+selection must match them exactly, because codebooks (and every number
+derived from them) depend on each boolean and on the tie-break.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from srleak.errors import CodebookError
+from srleak.probcore import all_sequences
+from srleak.typecodec import _cover_matrix, _greedy_cover
+
+
+def loop_cover_matrix(members, candidates, dmat, level, n):
+    """Per-position accumulation: d(x_1, c_1) + d(x_2, c_2) + ... in order."""
+    out = np.zeros((candidates.shape[0], members.shape[0]), dtype=bool)
+    chunk = max(1, int(2_000_000 // max(members.shape[0], 1)))
+    budget = level * n + 1e-9
+    for start in range(0, candidates.shape[0], chunk):
+        sl = slice(start, min(start + chunk, candidates.shape[0]))
+        acc = np.zeros((sl.stop - sl.start, members.shape[0]))
+        for t in range(n):
+            acc += dmat[members[:, t][None, :], candidates[sl, t][:, None]]
+        out[sl] = acc <= budget
+    return out
+
+
+def rescan_greedy_cover(cover):
+    """Maximum-coverage greedy that recounts every gain at every step."""
+    n_members = cover.shape[1]
+    uncovered = np.ones(n_members, dtype=bool)
+    selected = []
+    first_cover = np.full(n_members, -1, dtype=np.int64)
+    while uncovered.any():
+        gains = cover[:, uncovered].sum(axis=1)
+        best = int(np.argmax(gains))
+        if gains[best] == 0:
+            raise CodebookError("covering infeasible: a member has no candidate within budget")
+        newly = cover[best] & uncovered
+        first_cover[newly] = len(selected)
+        selected.append(best)
+        uncovered &= ~cover[best]
+    return selected, first_cover
+
+
+# entries that are not dyadic, and entries around 1e6 whose sums need all 53 bits
+ENTRY = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0 / 3.0, 2.0 / 3.0, 1.0, 3.0]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal=False),
+    st.floats(min_value=1e6 - 1.0, max_value=1e6 + 1.0, allow_nan=False),
+)
+
+
+@st.composite
+def cover_cases(draw):
+    kx = draw(st.integers(2, 3))
+    kc = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 7))
+    dmat = np.array(draw(st.lists(ENTRY, min_size=kx * kc, max_size=kx * kc))).reshape(kx, kc)
+    seqs_x, seqs_c = all_sequences(kx, n), all_sequences(kc, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = seqs_x[rng.permutation(len(seqs_x))[: draw(st.integers(1, len(seqs_x)))]]
+    candidates = seqs_c[rng.permutation(len(seqs_c))[: draw(st.integers(1, len(seqs_c)))]]
+    # the budget level * n + 1e-9 lands on a pair's in-order sum s (up to
+    # rounding), or 1e-9 above it, as when a sum equals n * level exactly
+    m, c = members[rng.integers(len(members))], candidates[rng.integers(len(candidates))]
+    s = 0.0
+    for t in range(n):
+        s += dmat[m[t], c[t]]
+    level = draw(st.sampled_from([(s - 1e-9) / n, s / n, draw(st.floats(0.0, 2e6 / n))]))
+    return members, candidates, dmat, level, n
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cover_cases())
+def test_cover_matrix_equals_loop(case):
+    members, candidates, dmat, level, n = case
+    got = _cover_matrix(members, candidates, dmat, level, n)
+    want = loop_cover_matrix(members, candidates, dmat, level, n)
+    assert got.shape == want.shape and got.dtype == bool
+    assert np.array_equal(got, want)
+
+
+def test_cover_matrix_on_sums_at_the_budget():
+    # 0.1 is not dyadic, so the two half sums of these rows regroup to a
+    # different float than the in-order sum; budgets sit on the in-order sum
+    dmat = np.array([[0.0, 0.1, 0.7], [0.1, 0.0, 0.3], [0.7, 0.3, 0.0]])
+    n = 7
+    members = all_sequences(3, n)[::37]
+    candidates = all_sequences(3, n)[::-5]
+    sums = set()
+    for m in members[:20]:
+        for c in candidates[:20]:
+            s = 0.0
+            for t in range(n):
+                s += dmat[m[t], c[t]]
+            sums.add(s)
+    for s in sorted(sums):
+        level = (s - 1e-9) / n
+        assert np.array_equal(
+            _cover_matrix(members, candidates, dmat, level, n),
+            loop_cover_matrix(members, candidates, dmat, level, n),
+        ), s
+
+
+def test_cover_matrix_empty_inputs():
+    seqs = all_sequences(2, 4)
+    dmat = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert _cover_matrix(seqs[:0], seqs, dmat, 0.25, 4).shape == (16, 0)
+    assert _cover_matrix(seqs, seqs[:0], dmat, 0.25, 4).shape == (0, 16)
+
+
+@st.composite
+def feasible_covers(draw):
+    n_cand = draw(st.integers(1, 14))
+    n_members = draw(st.integers(0, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cover = rng.random((n_cand, n_members)) < draw(st.floats(0.05, 0.9))
+    # repeated rows and columns force ties between equal gains
+    if draw(st.booleans()):
+        cover = np.concatenate([cover, cover[rng.integers(n_cand, size=n_cand)]])
+    if n_members and draw(st.booleans()):
+        cover = np.concatenate([cover, cover[:, rng.integers(n_members, size=n_members)]], axis=1)
+    # every member needs one candidate
+    cover[rng.integers(cover.shape[0], size=cover.shape[1]), np.arange(cover.shape[1])] = True
+    if draw(st.booleans()):
+        cover = np.asfortranarray(cover)
+    return cover
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_covers())
+def test_greedy_equals_rescan(cover):
+    selected, first_cover = _greedy_cover(cover)
+    want_selected, want_first = rescan_greedy_cover(cover)
+    assert selected == want_selected
+    assert np.array_equal(first_cover, want_first)
+
+
+def test_greedy_tie_break_is_lowest_index():
+    cover = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0]], dtype=bool)
+    selected, first_cover = _greedy_cover(cover)
+    assert selected == [0, 1, 2] == rescan_greedy_cover(cover)[0]
+    assert first_cover.tolist() == [1, 0, 0, 2]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_greedy_uncoverable_member_raises(order):
+    cover = np.array([[1, 0, 1], [1, 0, 0]], dtype=bool, order=order)
+    with pytest.raises(CodebookError, match="covering infeasible"):
+        _greedy_cover(cover)
+    with pytest.raises(CodebookError, match="covering infeasible"):
+        rescan_greedy_cover(cover)

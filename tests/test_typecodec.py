@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -82,10 +83,10 @@ class TestBuild:
         exact = minimum_cover_size(cover)
         assert exact <= len(chrono)
         assert len(chrono) <= 2 * exact  # greedy stays in a sane band
-        # asymptotic-size sanity: the exponent bound is extremely loose here
-        q = 0.5
-        bound = 2 ** (8 * (1 - (-0.25 * math.log2(0.25) - 0.75 * math.log2(0.75))) + 25 * math.log2(8))
-        assert len(chrono) <= bound
+        # sphere covering: a codeword covers at most the largest ball, so
+        # every cover needs ceil(|members| / largest_ball) codewords (5 <= 6 here)
+        largest_ball = int(cover.sum(axis=1).max())
+        assert math.ceil(members.shape[0] / largest_ball) <= exact
 
     def test_rate_overflow_names_type(self):
         spec = make_spec(R1=0.31, R2=1.0, alpha=0.05)
@@ -101,6 +102,42 @@ class TestBuild:
         spec = make_spec()
         with pytest.raises(CapExceededError):
             build_codebook(spec, 8, delta=0.1, max_sequences=100)
+
+    def test_cover_cells_cap(self):
+        # in-ball types (7, 1), (6, 2), (5, 3), (4, 4) have 8, 28, 56 and 70
+        # members, each against 2^8 candidates
+        spec = make_spec()
+        with pytest.raises(CapExceededError, match=r"type \(6, 2\) exceeds 7167 cells"):
+            build_codebook(spec, 8, delta=0.1, max_cover_cells=28 * 256 - 1)
+        build_codebook(spec, 8, delta=0.1, max_cover_cells=70 * 256)
+
+
+# SHA-256 of the save_codebook bytes, recorded with the per-position cover
+# kernel and the rescanning greedy that the current ones replaced
+PINNED_CODEBOOKS = {
+    "binary-hamming": (
+        SystemSpec(Distribution.bernoulli(0.3), H2, H2, 0.2, 0.1, 1.0, 1.0, 0.25, 0.25, 0.12),
+        8, 0.2, "06d1385046d9b88f6e3b6f0000fefe38a9fefcfe907969c6474deba4f97dc98f",
+    ),
+    "binary-erasure-d1": (
+        SystemSpec(Distribution.bernoulli(0.35), DistortionMeasure([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]),
+                   H2, 0.3, 0.1, 1.6, 1.6, 0.125, 0.125, 0.1),
+        8, 0.05, "525866df7f2a57cd00571aa40c76520f1f947fb5d770ec7531674b2534fb1920",
+    ),
+    "ternary-hamming": (
+        SystemSpec(Distribution([0.4, 0.33, 0.27]), DistortionMeasure.hamming(3),
+                   DistortionMeasure.hamming(3), 0.3, 0.1, 1.6, 1.6, 0.17, 0.17, 0.1),
+        6, 0.05, "f95534a0afacdb155da03bc9aa56e42b53d22445af162f9eaace8d9e4ab433da",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CODEBOOKS))
+def test_codebook_bytes_pinned(name, tmp_path):
+    spec, n, delta, digest = PINNED_CODEBOOKS[name]
+    path = tmp_path / "book.srcb"
+    save_codebook(build_codebook(spec, n, delta), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestEncodeDecode:
