@@ -29,7 +29,13 @@ from .exponents import (
     rate_distortion_value,
     sum_rate_value,
 )
-from .probcore import Distribution, all_sequences, enumerate_types, kl_divergence
+from .probcore import (
+    Distribution,
+    all_sequences,
+    enumerate_types,
+    kl_divergence,
+    type_count_vectors,
+)
 from .typecodec import (
     CoverCodebook,
     KeyPair,
@@ -101,11 +107,27 @@ class GuessScheme:
 
 
 def _joint_counts(seqs: list[np.ndarray], sizes: list[int]) -> np.ndarray:
-    n = len(seqs[0])
-    counts = np.zeros(sizes, dtype=np.int64)
-    for t in range(n):
-        counts[tuple(int(s[t]) for s in seqs)] += 1
-    return counts
+    cells = np.ravel_multi_index([np.asarray(s, dtype=np.int64) for s in seqs], sizes)
+    return np.bincount(cells, minlength=math.prod(sizes)).reshape(sizes)
+
+
+def _candidate_joints(cands: np.ndarray, observed: list[np.ndarray], sizes: list[int]) -> np.ndarray:
+    """Joint counts of each candidate row with the observed sequences, flattened: (m, cells)."""
+    m = cands.shape[0]
+    cells = math.prod(sizes)
+    obs_cell = np.ravel_multi_index([np.asarray(o, dtype=np.int64) for o in observed], sizes[1:])
+    # cell of (candidate r, position t), offset by r * cells so one bincount counts every row
+    cell = cands.astype(np.int64) * (cells // sizes[0]) + obs_cell
+    cell += np.arange(m, dtype=np.int64)[:, None] * cells
+    return np.bincount(cell.ravel(), minlength=m * cells).reshape(m, cells)
+
+
+def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each int64 row occurs in ``table``, by exact byte comparison."""
+    def as_bytes(a: np.ndarray) -> np.ndarray:
+        a = np.ascontiguousarray(a, dtype=np.int64)
+        return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+    return np.isin(as_bytes(rows), as_bytes(table))
 
 
 def _avg_distortion(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -135,18 +157,17 @@ class _GuessContext:
         self.kx = spec.source.alphabet_size
         self.ka = spec.d1.cols
         self.kb = spec.d2.cols
-        self._joint_types: dict[tuple[int, int], list[np.ndarray]] = {}
+        self._joint_types: dict[tuple[int, int], np.ndarray] = {}
         self._rd1: dict[tuple[int, ...], float] = {}
         self._sum: dict[tuple[int, ...], float] = {}
-        self._feasible_g1: dict[bytes, list[np.ndarray]] = {}
-        self._feasible_g2: dict[bytes, list[np.ndarray]] = {}
+        self._feasible_g1: dict[bytes, np.ndarray] = {}
+        self._feasible_g2: dict[bytes, np.ndarray] = {}
 
-    def joint_types(self, n: int, cells: int) -> list[np.ndarray]:
+    def joint_types(self, n: int, cells: int) -> np.ndarray:
+        """All joint types as one (types, cells) array, in enumeration order."""
         key = (n, cells)
         if key not in self._joint_types:
-            self._joint_types[key] = [
-                np.asarray(t.counts, dtype=np.int64) for t in enumerate_types(n, cells)
-            ]
+            self._joint_types[key] = type_count_vectors(n, cells)
         return self._joint_types[key]
 
     def rd1(self, counts: np.ndarray, n: int) -> float:
@@ -165,46 +186,42 @@ class _GuessContext:
             )
         return self._sum[key]
 
-    def feasible_g1(self, xhat1: np.ndarray) -> list[np.ndarray]:
+    def feasible_g1(self, xhat1: np.ndarray) -> np.ndarray:
+        """Joint types (kx, ka) with the observed marginal that meet D1, in enumeration order."""
         n = len(xhat1)
         marg = np.bincount(xhat1, minlength=self.ka).astype(np.int64)
         key = marg.tobytes()
         if key in self._feasible_g1:
             return self._feasible_g1[key]
-        d1 = self.spec.d1.matrix
-        out = []
-        for flat in self.joint_types(n, self.kx * self.ka):
-            joint = flat.reshape(self.kx, self.ka)
-            if not np.array_equal(joint.sum(axis=0), marg):
-                continue
-            if float((joint * d1).sum()) > n * self.spec.D1 + 1e-9:
-                continue
-            out.append(joint)
-        self._feasible_g1[key] = out
-        return out
+        joints = self.joint_types(n, self.kx * self.ka).reshape(-1, self.kx, self.ka)
+        joints = joints[(joints.sum(axis=1) == marg).all(axis=1)]
+        joints = joints[_loads(joints, self.spec.d1.matrix) <= n * self.spec.D1 + 1e-9]
+        self._feasible_g1[key] = joints
+        return joints
 
-    def feasible_g2(self, xhat1: np.ndarray, xhat2: np.ndarray) -> list[np.ndarray]:
+    def feasible_g2(self, xhat1: np.ndarray, xhat2: np.ndarray) -> np.ndarray:
+        """Joint types (kx, ka, kb) with the observed pair type that meet D1, D2
+        and the layer-1 rate, in enumeration order."""
         n = len(xhat1)
         pair = _joint_counts([xhat1, xhat2], [self.ka, self.kb])
         key = pair.tobytes()
         if key in self._feasible_g2:
             return self._feasible_g2[key]
-        d1 = self.spec.d1.matrix
-        d2 = self.spec.d2.matrix
-        out = []
-        for flat in self.joint_types(n, self.kx * self.ka * self.kb):
-            joint = flat.reshape(self.kx, self.ka, self.kb)
-            if not np.array_equal(joint.sum(axis=0), pair):
-                continue
-            if float((joint.sum(axis=2) * d1).sum()) > n * self.spec.D1 + 1e-9:
-                continue
-            if float((joint.sum(axis=1) * d2).sum()) > n * self.spec.D2 + 1e-9:
-                continue
-            if self.rd1(joint.sum(axis=(1, 2)), n) > self.spec.R1 + 1e-9:
-                continue
-            out.append(joint)
-        self._feasible_g2[key] = out
-        return out
+        joints = self.joint_types(n, self.kx * self.ka * self.kb).reshape(
+            -1, self.kx, self.ka, self.kb
+        )
+        joints = joints[(joints.sum(axis=1) == pair).all(axis=(1, 2))]
+        joints = joints[_loads(joints.sum(axis=3), self.spec.d1.matrix) <= n * self.spec.D1 + 1e-9]
+        joints = joints[_loads(joints.sum(axis=2), self.spec.d2.matrix) <= n * self.spec.D2 + 1e-9]
+        rate_ok = [self.rd1(j.sum(axis=(1, 2)), n) <= self.spec.R1 + 1e-9 for j in joints]
+        joints = joints[np.array(rate_ok, dtype=bool)]
+        self._feasible_g2[key] = joints
+        return joints
+
+
+def _loads(joints: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Total distortion of each (kx, k) joint type: the sum of (joint * d), per joint."""
+    return (joints * d).reshape(len(joints), d.size).sum(axis=1)
 
 
 def g1_success_probability(
@@ -321,24 +338,21 @@ def end_to_end_guess_probability(
         if key in mass_cache:
             return mass_cache[key]
         if xhat2 is None:
-            feasible = ctx.feasible_g1(np.asarray(xhat1, dtype=np.int64))
-            arrays = [np.asarray(xhat1, dtype=np.int64)]
+            observed = [np.asarray(xhat1, dtype=np.int64)]
+            feasible = ctx.feasible_g1(observed[0])
             sizes = [ctx.kx, ctx.ka]
         else:
-            feasible = ctx.feasible_g2(
-                np.asarray(xhat1, dtype=np.int64), np.asarray(xhat2, dtype=np.int64)
-            )
-            arrays = [np.asarray(xhat1, dtype=np.int64), np.asarray(xhat2, dtype=np.int64)]
+            observed = [np.asarray(xhat1, dtype=np.int64), np.asarray(xhat2, dtype=np.int64)]
+            feasible = ctx.feasible_g2(*observed)
             sizes = [ctx.kx, ctx.ka, ctx.kb]
-        feas_keys = {f.tobytes() for f in feasible}
         out: dict[object, float] = {}
-        if feasible:
-            for cand in seqs:
-                joint = _joint_counts([np.asarray(cand, dtype=np.int64)] + arrays, sizes)
-                if joint.tobytes() not in feas_keys:
-                    continue
-                p = 1.0 / (len(feasible) * _conditional_class_size(joint))
-                u = scheme.target.apply(tuple(int(s) for s in cand))
+        if len(feasible):
+            joints = _candidate_joints(seqs, observed, sizes)
+            matched = _rows_in(joints, feasible.reshape(len(feasible), -1))
+            # only matched candidates contribute, in lexicographic order
+            for c in np.flatnonzero(matched):
+                p = 1.0 / (len(feasible) * _conditional_class_size(joints[c].reshape(sizes)))
+                u = scheme.target.apply(tuple(int(s) for s in seqs[c]))
                 out[u] = out.get(u, 0.0) + p
         mass_cache[key] = out
         return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -222,25 +222,15 @@ def expected_distortion(
     return float((source.probs[:, None] * w * d.matrix).sum())
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # lexicographically descending in the first coordinate, recursively
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def count_types(n: int, alphabet_size: int) -> int:
     """Number of length-n types over an alphabet of the given size."""
     return math.comb(n + alphabet_size - 1, alphabet_size - 1)
 
 
-def enumerate_types(
+def type_count_vectors(
     n: int, alphabet_size: int, max_types: int = DEFAULT_TYPE_CAP
-) -> list[TypeClass]:
-    """All length-n types over {0, ..., alphabet_size-1} in deterministic order.
+) -> np.ndarray:
+    """All length-n types as rows of counts, (types, alphabet_size) int64.
 
     The order is lexicographically descending on the count vector, so the
     all-mass-on-symbol-0 type comes first.  Raises CapExceededError when the
@@ -253,7 +243,25 @@ def enumerate_types(
     total = count_types(n, alphabet_size)
     if total > max_types:
         raise CapExceededError(f"{total} types exceed the cap of {max_types}")
-    return [TypeClass(n, c) for c in _compositions(n, alphabet_size)]
+    rows = np.zeros((1, 0), dtype=np.int64)
+    remaining = np.array([n], dtype=np.int64)
+    for _ in range(alphabet_size - 1):
+        # each row branches into next counts remaining, remaining - 1, ..., 0
+        parent = np.repeat(np.arange(len(rows)), remaining + 1)
+        start = np.repeat(np.cumsum(remaining + 1) - (remaining + 1), remaining + 1)
+        count = remaining[parent] - (np.arange(parent.size) - start)
+        rows = np.column_stack([rows[parent], count])
+        remaining = remaining[parent] - count
+    return np.column_stack([rows, remaining])
+
+
+def enumerate_types(
+    n: int, alphabet_size: int, max_types: int = DEFAULT_TYPE_CAP
+) -> list[TypeClass]:
+    """All length-n types over {0, ..., alphabet_size-1}, in the order of
+    :func:`type_count_vectors`."""
+    rows = type_count_vectors(n, alphabet_size, max_types)
+    return [TypeClass(n, tuple(c)) for c in rows.tolist()]
 
 
 def type_class_probability(t: TypeClass, p: Distribution) -> float:

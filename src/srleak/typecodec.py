@@ -118,8 +118,18 @@ def _ceil_log2(m: int) -> int:
     return (m - 1).bit_length() if m > 1 else 0
 
 
+def _ceil_log2_array(m: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`_ceil_log2`; frexp's exponent is the bit length,
+    exactly, for integers below 2^53."""
+    return np.frexp(np.maximum(m - 1, 0).astype(np.float64))[1].astype(np.int64)
+
+
 def _key_prefix(key: int, total_bits: int, width: int) -> int:
     return key >> (total_bits - width) if width < total_bits else key
+
+
+def _key_prefix_array(key: np.ndarray, total_bits: int, width: np.ndarray) -> np.ndarray:
+    return key >> np.maximum(total_bits - width, 0)
 
 
 @dataclass
@@ -131,11 +141,58 @@ class _TypeBook:
     member_assign: np.ndarray       # (m, 2) int64: y position, z position per member
 
 
+@dataclass
+class _Messages:
+    """Message fields of many encodings, one row per (sequence, key pair).
+
+    Row r holds the fields of the scalar ``encode`` messages: erasure rows
+    carry the fields of ``M0_LAYER1`` and ``M0_LAYER2``.
+    """
+
+    erasure: np.ndarray
+    type_id: np.ndarray
+    bin1: np.ndarray
+    cipher1: np.ndarray
+    width1: np.ndarray
+    bin2: np.ndarray
+    bin_width2: np.ndarray
+    cipher2: np.ndarray
+    width2: np.ndarray
+
+    def columns(self, which: Which) -> np.ndarray:
+        """One int64 row per message; equal rows are equal messages."""
+        cols = [self.erasure, self.type_id, self.bin1, self.cipher1, self.width1]
+        if which == "M1M2":
+            cols += [self.bin2, self.bin_width2, self.cipher2, self.width2]
+        return np.column_stack(cols).astype(np.int64)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
+
+
+def _stack(blocks: list[np.ndarray], n: int) -> np.ndarray:
+    return np.concatenate(blocks) if blocks else np.zeros((0, n), dtype=np.int8)
+
+
 class CoverCodebook:
-    """Built two-layer codebook with assignment maps and bin tables."""
+    """Built two-layer codebook with assignment tables and bin tables.
+
+    ``members`` holds, per book, the members of its type class in
+    lexicographic order (the rows ``member_assign`` refers to).  The codec
+    tables built from them are arrays:
+
+    * ``_seq_index``: sorted lexicographic indices of the in-ball sequences,
+      with ``_seq_book``, ``_seq_ypos`` and ``_seq_zpos`` aligned to it;
+    * ``_y_count``/``_y_offset``: layer-1 codewords per book and where they
+      start in the stacked ``_Y``;
+    * ``_z_count``/``_z_offset``: layer-2 codewords per layer-1 codeword
+      (indexed by its row in ``_Y``) and where they start in ``_Z``;
+    * ``_book_of_type``: type id to book index, -1 for out-of-ball types.
+    """
 
     def __init__(self, spec: SystemSpec, n: int, delta: float, books: list[_TypeBook],
-                 verified: bool) -> None:
+                 verified: bool, *, members: list[np.ndarray]) -> None:
         self.spec = spec
         self.n = n
         self.delta = delta
@@ -145,24 +202,66 @@ class CoverCodebook:
         self.bits2 = key_bits(n, spec.r2)
         self.cap1 = 1 << self.bits1
         self.cap2 = 1 << self.bits2
-        self.total_types = count_types(n, spec.source.alphabet_size)
+        kx = spec.source.alphabet_size
+        self.total_types = count_types(n, kx)
         self.type_field_bits = _ceil_log2(self.total_types)
         self.inball_type_ids = {b.type_id for b in books}
         self.has_out_of_ball = len(books) < self.total_types
-        self._book_by_type_id = {b.type_id: k for k, b in enumerate(books)}
-        self._assign: dict[bytes, tuple[int, int, int]] = {}
-        for k, b in enumerate(books):
-            members = type_class_members(TypeClass(n, b.counts))
-            for row, (ypos, zpos) in zip(members, b.member_assign):
-                self._assign[row.tobytes()] = (k, int(ypos), int(zpos))
-        # realized message structure per (book, layer-1 bin)
-        self._realized: dict[tuple[int, int], set[tuple[int, int, int]]] = {}
-        for k, ypos, zpos in self._assign.values():
-            b = self.books[k]
-            i = ypos // self.cap1
-            u = zpos // self.cap2
-            triple = (_ceil_log2(self._z_nbins(b, ypos)), u, self._s2(b, ypos, u))
-            self._realized.setdefault((k, i), set()).add(triple)
+        if kx**n > np.iinfo(np.int64).max:
+            raise CapExceededError(f"{kx}^{n} sequences exceed the int64 sequence index")
+
+        self._y_count = np.array([len(b.y_codes) for b in books], dtype=np.int64)
+        self._y_offset = _offsets(self._y_count)
+        self._Y = _stack([b.y_codes for b in books], n)
+        z_books = [z for b in books for z in b.z_codes]
+        self._z_count = np.array([len(z) for z in z_books], dtype=np.int64)
+        self._z_offset = _offsets(self._z_count)
+        self._Z = _stack(z_books, n)
+        self._book_type_id = np.array([b.type_id for b in books], dtype=np.int64)
+        if np.any((self._book_type_id < 0) | (self._book_type_id >= self.total_types)):
+            raise CodebookError("codebook names a type id outside the type count")
+        self._book_of_type = np.full(self.total_types, -1, dtype=np.int64)
+        self._book_of_type[self._book_type_id] = np.arange(len(books))
+
+        index = [np.zeros(0, dtype=np.int64)]
+        book = [np.zeros(0, dtype=np.int64)]
+        assign = [np.zeros((0, 2), dtype=np.int64)]
+        for k, (b, rows) in enumerate(zip(books, members)):
+            a = b.member_assign
+            if a.shape != (rows.shape[0], 2):
+                raise CodebookError(f"assignment table of type {b.counts} does not match its class")
+            if np.any((a[:, 0] < 0) | (a[:, 0] >= len(b.y_codes))):
+                raise CodebookError(f"assignment of type {b.counts} names a missing codeword")
+            if np.any((a[:, 1] < 0) | (a[:, 1] >= self._z_count[self._y_offset[k] + a[:, 0]])):
+                raise CodebookError(f"assignment of type {b.counts} names a missing codeword")
+            index.append(_lex_index(rows, kx))
+            book.append(np.full(rows.shape[0], k, dtype=np.int64))
+            assign.append(a)
+        index = np.concatenate(index)
+        order = np.argsort(index, kind="stable")
+        self._seq_index = index[order]
+        self._seq_book = np.concatenate(book)[order]
+        positions = np.ascontiguousarray(np.concatenate(assign)[order].T, dtype=np.int64)
+        self._seq_ypos, self._seq_zpos = positions
+
+        # realized message structure: layer-1 bins, and (bin, second-layer shape)
+        f = self._fields(self._seq_book, self._seq_ypos, self._seq_zpos)
+        self._realized_bins = len(np.unique(np.column_stack([self._seq_book, f["i"]]), axis=0))
+        self._realized_shapes = len(np.unique(
+            np.column_stack([self._seq_book, f["i"], f["wu"], f["u"], f["s2"]]), axis=0
+        ))
+
+    def _fields(self, k: np.ndarray, ypos: np.ndarray, zpos: np.ndarray) -> dict[str, np.ndarray]:
+        """Bin arithmetic of ``encode`` for many (book, y position, z position) rows."""
+        i, j = np.divmod(ypos, self.cap1)
+        nz = self._z_count[self._y_offset[k] + ypos]
+        u, v = np.divmod(zpos, self.cap2)
+        return {
+            "i": i, "j": j, "u": u, "v": v,
+            "s1": _ceil_log2_array(np.minimum(self.cap1, self._y_count[k] - i * self.cap1)),
+            "wu": _ceil_log2_array(-(-nz // self.cap2)),
+            "s2": _ceil_log2_array(np.minimum(self.cap2, nz - u * self.cap2)),
+        }
 
     # -- bin tables --------------------------------------------------------
 
@@ -213,14 +312,30 @@ class CoverCodebook:
     def total_z_codewords(self) -> int:
         return sum(sum(len(z) for z in b.z_codes) for b in self.books)
 
+    def _positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per sequence row: whether it is in the ball, and its row in the codec tables."""
+        kx = self.spec.source.alphabet_size
+        index = _lex_index(rows, kx)
+        pos = np.searchsorted(self._seq_index, index)
+        hit = (pos < self._seq_index.size) & ((rows >= 0) & (rows < kx)).all(axis=1)
+        hit[hit] = self._seq_index[pos[hit]] == index[hit]
+        return hit, pos
+
     def lookup(self, x: np.ndarray) -> tuple[int, int, int] | None:
-        return self._assign.get(np.asarray(x, dtype=np.int8).tobytes())
+        """(book, y position, z position) of an in-ball sequence, None outside the ball."""
+        hit, pos = self._positions(np.asarray(x, dtype=np.int8).reshape(1, -1))
+        if not hit[0]:
+            return None
+        p = int(pos[0])
+        return int(self._seq_book[p]), int(self._seq_ypos[p]), int(self._seq_zpos[p])
 
 
 _CHUNK_CELLS = 250_000
+# rows per batch of the array codec (Monte-Carlo draws, oracle, verification)
+_CODEC_CHUNK = 4096
 
 
-def _half_index(rows: np.ndarray, k: int) -> np.ndarray:
+def _lex_index(rows: np.ndarray, k: int) -> np.ndarray:
     """Lexicographic index of each row among all sequences of its length over k symbols."""
     index = np.zeros(rows.shape[0], dtype=np.int64)
     for t in range(rows.shape[1]):
@@ -267,10 +382,10 @@ def _cover_matrix(
     # the exact sum, so two orders differ by less than half of this band
     band = 1e-12 + 2.0 * n * n * float(np.abs(dmat).max()) * np.finfo(np.float64).eps
     # per half: rows indexed by candidate half, columns by member
-    left = np.take(_half_table(dmat, h), _half_index(members[:, :h], kx), axis=1)
-    right = np.take(_half_table(dmat, n - h), _half_index(members[:, h:], kx), axis=1)
-    cand_left = _half_index(candidates[:, :h], kc)
-    cand_right = _half_index(candidates[:, h:], kc)
+    left = np.take(_half_table(dmat, h), _lex_index(members[:, :h], kx), axis=1)
+    right = np.take(_half_table(dmat, n - h), _lex_index(members[:, h:], kx), axis=1)
+    cand_left = _lex_index(candidates[:, :h], kc)
+    cand_right = _lex_index(candidates[:, h:], kc)
     chunk = max(1, _CHUNK_CELLS // max(n_members, 1))
     rows = min(chunk, candidates.shape[0])
     acc, part = np.empty((rows, n_members)), np.empty((rows, n_members))
@@ -396,6 +511,7 @@ def build_codebook(
     cand_z = all_sequences(kb, n, max_sequences)
 
     books: list[_TypeBook] = []
+    book_members: list[np.ndarray] = []
     for type_id, t in enumerate(enumerate_types(n, kx)):
         emp = t.empirical()
         if kl_divergence(emp, spec.source) > threshold:
@@ -441,8 +557,9 @@ def build_codebook(
             assign[m, 0] = ypos
             assign[m, 1] = z_first[ypos][m]
         books.append(_TypeBook(type_id, t.counts, y_codes, z_codes, assign))
+        book_members.append(members)
 
-    cb = CoverCodebook(spec, n, delta, books, verified=False)
+    cb = CoverCodebook(spec, n, delta, books, verified=False, members=book_members)
     _check_budgets(cb)
     if verify:
         verify_covering(cb)
@@ -470,19 +587,30 @@ def _check_budgets(cb: CoverCodebook) -> None:
 
 
 def verify_covering(cb: CoverCodebook) -> None:
-    """Check both distortion guarantees for every assigned sequence."""
+    """Check both distortion guarantees for every assigned sequence.
+
+    On a violation, names the first offending sequence in (book, member)
+    order with the distortions a per-sequence sum gives.
+    """
     spec, n = cb.spec, cb.n
-    for b in cb.books:
-        members = type_class_members(TypeClass(n, b.counts))
-        for row, (ypos, zpos) in zip(members, b.member_assign):
-            y = b.y_codes[ypos]
-            z = b.z_codes[ypos][zpos]
-            dist1 = float(spec.d1.matrix[row, y].sum()) / n
-            dist2 = float(spec.d2.matrix[row, z].sum()) / n
-            if dist1 > spec.D1 + 1e-9 or dist2 > spec.D2 + 1e-9:
-                raise CodebookError(
-                    f"covering violated at type {b.counts}: distortions ({dist1}, {dist2})"
-                )
+    kx = spec.source.alphabet_size
+    weights = kx ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    bad: list[tuple[int, int, float, float]] = []
+    for start in range(0, cb._seq_index.size, _CODEC_CHUNK):
+        sl = slice(start, start + _CODEC_CHUNK)
+        # the sequences back from their lexicographic indices
+        rows = ((cb._seq_index[sl, None] // weights) % kx).astype(np.int8)
+        g = cb._y_offset[cb._seq_book[sl]] + cb._seq_ypos[sl]
+        dist1 = spec.d1.matrix[rows, cb._Y[g]].sum(axis=1) / n
+        dist2 = spec.d2.matrix[rows, cb._Z[cb._z_offset[g] + cb._seq_zpos[sl]]].sum(axis=1) / n
+        for r in np.flatnonzero((dist1 > spec.D1 + 1e-9) | (dist2 > spec.D2 + 1e-9)):
+            bad.append((int(cb._seq_book[start + r]), int(cb._seq_index[start + r]),
+                        float(dist1[r]), float(dist2[r])))
+    if bad:
+        k, _, dist1, dist2 = min(bad)
+        raise CodebookError(
+            f"covering violated at type {cb.books[k].counts}: distortions ({dist1}, {dist2})"
+        )
     cb.verified = True
 
 
@@ -522,8 +650,8 @@ def encode(x: Iterable[int], keys: KeyPair, cb: CoverCodebook) -> tuple[Layer1Me
 
 def _layer1_position(m1: Layer1Message, keys: KeyPair, cb: CoverCodebook) -> tuple[int, int]:
     """Book index and codeword position named by a non-erasure layer-1 message."""
-    k = cb._book_by_type_id.get(m1.type_id)
-    if k is None:
+    k = int(cb._book_of_type[m1.type_id]) if 0 <= m1.type_id < cb.total_types else -1
+    if k < 0:
         raise CodebookError(f"message names unknown type id {m1.type_id}")
     i = m1.bin_index
     if not 0 <= i < cb.y_nbins(k):
@@ -563,6 +691,63 @@ def decode(
     v = (m2.cipher ^ _key_prefix(keys.k2, cb.bits2, s2)) % size2
     z = b.z_codes[ypos][u * cb.cap2 + v]
     return DecodeResult(b.y_codes[ypos].copy(), z.copy(), False)
+
+
+def _encode_array(cb: CoverCodebook, seqs: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> _Messages:
+    """:func:`encode` of each row of ``seqs`` under the keys ``(k1[r], k2[r])``."""
+    m = seqs.shape[0]
+    hit, pos = cb._positions(seqs)
+    out = _Messages(
+        erasure=~hit, type_id=np.full(m, -1, dtype=np.int64),
+        bin1=np.zeros(m, np.int64), cipher1=np.zeros(m, np.int64), width1=np.zeros(m, np.int64),
+        bin2=np.full(m, -1, dtype=np.int64), bin_width2=np.zeros(m, np.int64),
+        cipher2=np.zeros(m, np.int64), width2=np.zeros(m, np.int64),
+    )
+    rows, pos = np.flatnonzero(hit), pos[hit]
+    k = cb._seq_book[pos]
+    f = cb._fields(k, cb._seq_ypos[pos], cb._seq_zpos[pos])
+    out.type_id[rows] = cb._book_type_id[k]
+    out.bin1[rows] = f["i"]
+    out.cipher1[rows] = f["j"] ^ _key_prefix_array(k1[rows], cb.bits1, f["s1"])
+    out.width1[rows] = f["s1"]
+    out.bin2[rows] = f["u"]
+    out.bin_width2[rows] = f["wu"]
+    out.cipher2[rows] = f["v"] ^ _key_prefix_array(k2[rows], cb.bits2, f["s2"])
+    out.width2[rows] = f["s2"]
+    return out
+
+
+def _decode_array(
+    cb: CoverCodebook, msgs: _Messages, k1: np.ndarray, k2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`decode` of each message row under the keys ``(k1[r], k2[r])``.
+
+    Returns the erased flags and both reconstructions (zeros where erased).
+    """
+    m, n = msgs.erasure.size, cb.n
+    xhat1 = np.zeros((m, n), dtype=np.int8)
+    xhat2 = np.zeros((m, n), dtype=np.int8)
+    rows = np.flatnonzero(~msgs.erasure)
+    type_id = msgs.type_id[rows]
+    known = (type_id >= 0) & (type_id < cb.total_types)
+    k = np.where(known, cb._book_of_type[np.where(known, type_id, 0)], -1)
+    if np.any(k < 0):
+        raise CodebookError(f"message names unknown type id {int(type_id[np.argmax(k < 0)])}")
+    i = msgs.bin1[rows]
+    ny = cb._y_count[k]
+    if np.any((i < 0) | (i >= -(-ny // cb.cap1))):
+        raise CodebookError("layer-1 bin index out of range")
+    size1 = np.minimum(cb.cap1, ny - i * cb.cap1)
+    j = (msgs.cipher1[rows] ^ _key_prefix_array(k1[rows], cb.bits1, msgs.width1[rows])) % size1
+    g = cb._y_offset[k] + i * cb.cap1 + j
+    nz = cb._z_count[g]
+    u = msgs.bin2[rows] % -(-nz // cb.cap2)
+    size2 = np.minimum(cb.cap2, nz - u * cb.cap2)
+    s2 = _ceil_log2_array(size2)
+    v = (msgs.cipher2[rows] ^ _key_prefix_array(k2[rows], cb.bits2, s2)) % size2
+    xhat1[rows] = cb._Y[g]
+    xhat2[rows] = cb._Z[cb._z_offset[g] + u * cb.cap2 + v]
+    return msgs.erasure, xhat1, xhat2
 
 
 # ---------------------------------------------------------------------------
@@ -610,21 +795,31 @@ def jep_exponent_threshold(alphabet_size: int, delta: float, n_cap: int = 1_000_
 
 
 def simulate_jep(cb: CoverCodebook, samples: int, rng: np.random.Generator) -> float:
-    """Monte-Carlo estimate of the end-to-end error rate of encode/decode."""
-    spec = cb.spec
-    seqs = rng.choice(spec.source.alphabet_size, size=(samples, cb.n), p=spec.source.probs)
+    """Monte-Carlo estimate of the end-to-end error rate of encode/decode.
+
+    Draws every source block first, then one key pair per block, which is
+    the order (and the generator stream) of a per-sample loop that draws its
+    keys with :func:`sample_keys`.  Each block is encoded with its keys,
+    decoded with the same keys, and counts as an error when erased or when
+    either reconstruction misses its distortion target.
+    """
+    if samples < 1:
+        raise ValueError(f"Monte-Carlo sample count must be positive, got {samples}")
+    spec, n = cb.spec, cb.n
+    seqs = np.empty((samples, n), dtype=np.int8)
+    for start in range(0, samples, _CODEC_CHUNK):
+        stop = min(start + _CODEC_CHUNK, samples)
+        seqs[start:stop] = rng.choice(
+            spec.source.alphabet_size, size=(stop - start, n), p=spec.source.probs
+        )
+    keys = rng.integers(0, [cb.cap1, cb.cap2], size=(samples, 2))
     errors = 0
-    for row in seqs.astype(np.int8):
-        keys = sample_keys(cb, rng)
-        m1, m2 = encode(row, keys, cb)
-        out = decode(m1, m2, keys, cb)
-        if out.erased:
-            errors += 1
-            continue
-        d1 = float(spec.d1.matrix[row, out.xhat1].sum()) / cb.n
-        d2 = float(spec.d2.matrix[row, out.xhat2].sum()) / cb.n
-        if d1 > spec.D1 + 1e-9 or d2 > spec.D2 + 1e-9:
-            errors += 1
+    for start in range(0, samples, _CODEC_CHUNK):
+        block, k1, k2 = seqs[start:start + _CODEC_CHUNK], *keys[start:start + _CODEC_CHUNK].T
+        erased, xhat1, xhat2 = _decode_array(cb, _encode_array(cb, block, k1, k2), k1, k2)
+        d1 = spec.d1.matrix[block, xhat1].sum(axis=1) / n
+        d2 = spec.d2.matrix[block, xhat2].sum(axis=1) / n
+        errors += int(np.count_nonzero(erased | (d1 > spec.D1 + 1e-9) | (d2 > spec.D2 + 1e-9)))
     return errors / samples
 
 
@@ -644,9 +839,9 @@ def leakage_exact(cb: CoverCodebook, which: Which) -> float:
     """
     count = 1 if cb.has_out_of_ball else 0
     if which == "M1":
-        count += len(cb._realized)
+        count += cb._realized_bins
     elif which == "M1M2":
-        count += sum(len(shapes) for shapes in cb._realized.values())
+        count += cb._realized_shapes
     else:
         raise ValueError(f"unknown leakage target {which!r}")
     return math.log2(count)
@@ -655,33 +850,48 @@ def leakage_exact(cb: CoverCodebook, which: Which) -> float:
 def leakage_oracle(cb: CoverCodebook, which: Which, *, max_enum: int = DEFAULT_ENUM_CAP) -> float:
     """Definitional maximal leakage: log2 of the sum over messages of the
     largest conditional probability, by exhaustive enumeration of sequences
-    and keys."""
+    and keys.
+
+    Each conditional probability is a count of keys over the key count, a
+    power of two, so every sum involved is exact and its order is free.
+    """
+    if which not in ("M1", "M1M2"):
+        raise ValueError(f"unknown leakage target {which!r}")
     spec, n = cb.spec, cb.n
     kx = spec.source.alphabet_size
-    keyspace = cb.cap1 * (cb.cap2 if which == "M1M2" else 1)
+    cap2 = cb.cap2 if which == "M1M2" else 1
+    keyspace = cb.cap1 * cap2
     if kx**n * keyspace > max_enum:
         raise CapExceededError(
             f"{kx}^{n} sequences times {keyspace} keys exceed the enumeration cap {max_enum}"
         )
-    best: dict[object, float] = {}
     seqs = all_sequences(kx, n, max_enum)
-    for row in seqs:
-        local: dict[object, float] = {}
-        if which == "M1":
-            p_each = 1.0 / cb.cap1
-            for k1 in range(cb.cap1):
-                m1, _ = encode(row, KeyPair(k1, 0, cb.bits1, cb.bits2), cb)
-                local[m1] = local.get(m1, 0.0) + p_each
-        else:
-            p_each = 1.0 / (cb.cap1 * cb.cap2)
-            for k1 in range(cb.cap1):
-                for k2 in range(cb.cap2):
-                    pair = encode(row, KeyPair(k1, k2, cb.bits1, cb.bits2), cb)
-                    local[pair] = local.get(pair, 0.0) + p_each
-        for msg, p in local.items():
-            if p > best.get(msg, 0.0):
-                best[msg] = p
-    return math.log2(sum(best.values()))
+    k1 = np.repeat(np.arange(cb.cap1, dtype=np.int64), cap2)
+    k2 = np.tile(np.arange(cap2, dtype=np.int64), cb.cap1)
+    step = max(1, _CODEC_CHUNK // keyspace)
+    msgs, tops = [], []
+    for start in range(0, seqs.shape[0], step):
+        block = seqs[start:start + step]
+        reps = len(block)
+        fields = _encode_array(
+            cb, np.repeat(block, keyspace, axis=0), np.tile(k1, reps), np.tile(k2, reps)
+        ).columns(which)
+        owner = np.repeat(np.arange(reps, dtype=np.int64), keyspace)
+        # keys per (sequence, message), then the largest count per message
+        local, counts = np.unique(np.column_stack([owner, fields]), axis=0, return_counts=True)
+        block_msgs, top = _max_by_row(local[:, 1:], counts)
+        msgs.append(block_msgs)
+        tops.append(top)
+    _, best = _max_by_row(np.concatenate(msgs), np.concatenate(tops))
+    return math.log2(int(best.sum()) / keyspace)
+
+
+def _max_by_row(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows and, per distinct row, the largest of its values."""
+    distinct, inv = np.unique(rows, axis=0, return_inverse=True)
+    top = np.zeros(len(distinct), dtype=values.dtype)
+    np.maximum.at(top, inv.ravel(), values)
+    return distinct, top
 
 
 @dataclass
@@ -768,6 +978,7 @@ def load_codebook(path: str, *, verify: bool = True) -> CoverCodebook:
     spec = SystemSpec(source, d1, d2, D1, D2, R1, R2, r1, r2, alpha)
     (n_books,) = struct.unpack("<I", take(4))
     books: list[_TypeBook] = []
+    members: list[np.ndarray] = []
     for _ in range(n_books):
         (type_id,) = struct.unpack("<I", take(4))
         counts = struct.unpack(f"<{kx}I", take(4 * kx))
@@ -782,7 +993,8 @@ def load_codebook(path: str, *, verify: bool = True) -> CoverCodebook:
         (m,) = struct.unpack("<I", take(4))
         assign = np.frombuffer(take(8 * m), dtype="<u4").reshape(m, 2).astype(np.int64)
         books.append(_TypeBook(int(type_id), tuple(int(c) for c in counts), y_codes, z_codes, assign))
-    cb = CoverCodebook(spec, n, delta, books, verified=False)
+        members.append(type_class_members(TypeClass(n, books[-1].counts)))
+    cb = CoverCodebook(spec, n, delta, books, verified=False, members=members)
     _check_budgets(cb)
     if verify:
         verify_covering(cb)

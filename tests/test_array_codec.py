@@ -1,0 +1,464 @@
+"""The exact layer's array paths against the per-sequence loops they replace.
+
+``simulate_jep``, ``leakage_oracle``, the guessers' feasible sets and the
+attack chain's guess distribution run on arrays.  The loops below are the
+straightforward versions, one scalar ``encode``/``decode`` or one joint type
+at a time; every array result must equal theirs exactly, including the
+state the random generator is left in.
+"""
+
+import functools
+import json
+import math
+
+import numpy as np
+import pytest
+
+import srleak.typecodec as typecodec
+from srleak.adversary import (
+    FIRST_SYMBOL_TARGET,
+    IDENTITY_TARGET,
+    GuessScheme,
+    _conditional_class_size,
+    _GuessContext,
+    _joint_counts,
+    end_to_end_guess_probability,
+)
+from srleak.cli import EXIT_SPEC, main
+from srleak.errors import CapExceededError, CodebookError
+from srleak.exponents import SystemSpec
+from srleak.probcore import Distribution, DistortionMeasure, all_sequences, enumerate_types
+from srleak.typecodec import (
+    CoverCodebook,
+    KeyPair,
+    Layer1Message,
+    Layer2Message,
+    _decode_array,
+    _encode_array,
+    build_codebook,
+    decode,
+    decode_layer1,
+    encode,
+    leakage_oracle,
+    load_codebook,
+    sample_keys,
+    save_codebook,
+    simulate_jep,
+)
+
+H2 = DistortionMeasure.hamming(2)
+H3 = DistortionMeasure.hamming(3)
+ERASURE_D1 = DistortionMeasure([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]])
+
+
+def binary(p=0.3, D1=0.2, D2=0.1, R1=1.6, R2=1.6, r1=0.0, r2=0.0, alpha=0.1, d1=H2):
+    return SystemSpec(Distribution.bernoulli(p), d1, H2, D1, D2, R1, R2, r1, r2, alpha)
+
+
+def ternary(r1=0.0, r2=0.0, alpha=0.1):
+    return SystemSpec(Distribution([0.4, 0.33, 0.27]), H3, H3, 0.3, 0.1, 1.6, 1.6, r1, r2, alpha)
+
+
+# (name, spec, n, delta): binary Hamming, the erasure d1 and ternary Hamming,
+# with 0, 1 and 2 key bits per layer; every one has out-of-ball types
+CODEBOOKS = [
+    ("binary-0-0", binary(), 8, 0.05),
+    ("binary-1-2", binary(r1=0.125, r2=0.25), 8, 0.1),
+    ("binary-2-2", binary(r1=0.25, r2=0.25, alpha=0.12), 8, 0.2),
+    ("binary-2-1", binary(r1=0.34, r2=0.17, alpha=0.2), 6, 0.25),
+    ("erasure-1-1", binary(p=0.35, D1=0.3, r1=0.125, r2=0.125, d1=ERASURE_D1), 8, 0.05),
+    ("erasure-2-0", binary(p=0.35, D1=0.3, r1=0.25, d1=ERASURE_D1), 8, 0.05),
+    ("ternary-0-1", ternary(r2=0.17), 6, 0.05),
+    ("ternary-1-1", ternary(r1=0.17, r2=0.17), 6, 0.05),
+]
+
+
+@pytest.fixture(scope="module", params=CODEBOOKS, ids=[c[0] for c in CODEBOOKS])
+def book(request):
+    _, spec, n, delta = request.param
+    cb = build_codebook(spec, n, delta)
+    assert cb.has_out_of_ball
+    return cb
+
+
+# ---------------------------------------------------------------------------
+# loop references
+# ---------------------------------------------------------------------------
+
+
+def loop_simulate_jep(cb, samples, rng):
+    """One sample at a time: draw every block, then per block its keys,
+    encode, decode and the two distortion checks."""
+    spec = cb.spec
+    seqs = rng.choice(spec.source.alphabet_size, size=(samples, cb.n), p=spec.source.probs)
+    errors = 0
+    for row in seqs.astype(np.int8):
+        keys = sample_keys(cb, rng)
+        m1, m2 = encode(row, keys, cb)
+        out = decode(m1, m2, keys, cb)
+        if out.erased:
+            errors += 1
+            continue
+        d1 = float(spec.d1.matrix[row, out.xhat1].sum()) / cb.n
+        d2 = float(spec.d2.matrix[row, out.xhat2].sum()) / cb.n
+        if d1 > spec.D1 + 1e-9 or d2 > spec.D2 + 1e-9:
+            errors += 1
+    return errors / samples
+
+
+def loop_leakage_oracle(cb, which):
+    """Per sequence, per key: accumulate each message's probability, keep
+    the largest per message over sequences."""
+    kx = cb.spec.source.alphabet_size
+    best = {}
+    for row in all_sequences(kx, cb.n):
+        local = {}
+        if which == "M1":
+            for k1 in range(cb.cap1):
+                m1, _ = encode(row, KeyPair(k1, 0, cb.bits1, cb.bits2), cb)
+                local[m1] = local.get(m1, 0.0) + 1.0 / cb.cap1
+        else:
+            for k1 in range(cb.cap1):
+                for k2 in range(cb.cap2):
+                    pair = encode(row, KeyPair(k1, k2, cb.bits1, cb.bits2), cb)
+                    local[pair] = local.get(pair, 0.0) + 1.0 / (cb.cap1 * cb.cap2)
+        for msg, p in local.items():
+            if p > best.get(msg, 0.0):
+                best[msg] = p
+    return math.log2(sum(best.values()))
+
+
+@functools.lru_cache(maxsize=None)
+def joint_type_list(n, cells):
+    return [np.asarray(t.counts, dtype=np.int64) for t in enumerate_types(n, cells)]
+
+
+def loop_feasible_g1(spec, xhat1):
+    kx, ka, n = spec.source.alphabet_size, spec.d1.cols, len(xhat1)
+    marg = np.bincount(xhat1, minlength=ka)
+    out = []
+    for flat in joint_type_list(n, kx * ka):
+        joint = flat.reshape(kx, ka)
+        if not np.array_equal(joint.sum(axis=0), marg):
+            continue
+        if float((joint * spec.d1.matrix).sum()) > n * spec.D1 + 1e-9:
+            continue
+        out.append(joint)
+    return out
+
+
+def loop_feasible_g2(spec, xhat1, xhat2, ctx):
+    kx, ka, kb, n = spec.source.alphabet_size, spec.d1.cols, spec.d2.cols, len(xhat1)
+    pair = _joint_counts([xhat1, xhat2], [ka, kb])
+    out = []
+    for flat in joint_type_list(n, kx * ka * kb):
+        joint = flat.reshape(kx, ka, kb)
+        if not np.array_equal(joint.sum(axis=0), pair):
+            continue
+        if float((joint.sum(axis=2) * spec.d1.matrix).sum()) > n * spec.D1 + 1e-9:
+            continue
+        if float((joint.sum(axis=1) * spec.d2.matrix).sum()) > n * spec.D2 + 1e-9:
+            continue
+        if ctx.rd1(joint.sum(axis=(1, 2)), n) > spec.R1 + 1e-9:
+            continue
+        out.append(joint)
+    return out
+
+
+def loop_end_to_end(spec, n, cb, scheme, loop_g2_sets=True):
+    """The attack chain with the guess distribution summed one candidate
+    joint type at a time against the loop feasible sets (or, where their
+    type loop is too slow, the sets ``test_feasible_sets_match_loops`` checks)."""
+    ctx = _GuessContext(spec)
+    kx, ka, kb = spec.source.alphabet_size, spec.d1.cols, spec.d2.cols
+    seqs = all_sequences(kx, n)
+    seq_prob = np.exp(np.log(np.maximum(spec.source.probs, 1e-300))[seqs].sum(axis=1))
+    key_prob = 1.0 / (cb.cap1 * cb.cap2)
+    cache, feasible_g2 = {}, {}
+
+    def loop_g2(xhat1, xhat2):
+        if not loop_g2_sets:
+            return list(ctx.feasible_g2(xhat1, xhat2))
+        key = _joint_counts([xhat1, xhat2], [ka, kb]).tobytes()
+        if key not in feasible_g2:
+            feasible_g2[key] = loop_feasible_g2(spec, xhat1, xhat2, ctx)
+        return feasible_g2[key]
+
+    def guess_mass(xhat1, xhat2):
+        key = xhat1.tobytes() + (xhat2.tobytes() if xhat2 is not None else b"|g1")
+        if key not in cache:
+            if xhat2 is None:
+                feasible = loop_feasible_g1(spec, xhat1.astype(np.int64))
+                arrays, sizes = [xhat1.astype(np.int64)], [kx, ka]
+            else:
+                feasible = loop_g2(xhat1.astype(np.int64), xhat2.astype(np.int64))
+                arrays, sizes = [xhat1.astype(np.int64), xhat2.astype(np.int64)], [kx, ka, kb]
+            feas_keys = {f.tobytes() for f in feasible}
+            out = {}
+            for cand in seqs:
+                joint = _joint_counts([cand.astype(np.int64)] + arrays, sizes)
+                if joint.tobytes() not in feas_keys:
+                    continue
+                p = 1.0 / (len(feasible) * _conditional_class_size(joint))
+                u = scheme.target.apply(tuple(int(s) for s in cand))
+                out[u] = out.get(u, 0.0) + p
+            cache[key] = out
+        return cache[key]
+
+    fallback = scheme.target.prior_guess(spec.source, n)
+    total = 0.0
+    for row, px in zip(seqs, seq_prob):
+        u_true = scheme.target.apply(tuple(int(s) for s in row))
+        row_total = 0.0
+        for k1 in range(cb.cap1):
+            for k2 in range(cb.cap2):
+                m1, m2 = encode(row, KeyPair(k1, k2, cb.bits1, cb.bits2), cb)
+                for g1k in range(cb.cap1):
+                    for g2k in range(cb.cap2):
+                        guessed = KeyPair(g1k, g2k, cb.bits1, cb.bits2)
+                        if scheme.guesser == "g1":
+                            xh1, erased = decode_layer1(m1, guessed, cb)
+                            mass = None if erased else guess_mass(xh1, None)
+                        else:
+                            out = decode(m1, m2, guessed, cb)
+                            mass = None if out.erased else guess_mass(out.xhat1, out.xhat2)
+                        if not mass:
+                            hit = 1.0 if fallback == u_true else 0.0
+                        else:
+                            hit = mass.get(u_true, 0.0)
+                        row_total += key_prob * key_prob * hit
+        total += float(px) * row_total
+    return total
+
+
+def message_row(msgs, r):
+    """Row r of the array encoder as the scalar message pair."""
+    f = {name: int(getattr(msgs, name)[r]) for name in vars(msgs) if name != "erasure"}
+    erased = bool(msgs.erasure[r])
+    return (
+        Layer1Message(f["type_id"], f["bin1"], f["cipher1"], f["width1"], erased),
+        Layer2Message(f["bin2"], f["bin_width2"], f["cipher2"], f["width2"], erased),
+    )
+
+
+# ---------------------------------------------------------------------------
+# array codec
+# ---------------------------------------------------------------------------
+
+
+def every_row_and_key_pair(cb):
+    """All sequences (in and out of the ball) times all key pairs."""
+    seqs = all_sequences(cb.spec.source.alphabet_size, cb.n)
+    k1, k2 = np.divmod(np.arange(cb.cap1 * cb.cap2), cb.cap2)
+    reps = len(k1)
+    return np.repeat(seqs, reps, axis=0), np.tile(k1, len(seqs)), np.tile(k2, len(seqs))
+
+
+def test_array_encode_matches_scalar(book):
+    rows, k1, k2 = every_row_and_key_pair(book)
+    msgs = _encode_array(book, rows, k1, k2)
+    assert msgs.erasure.any() and not msgs.erasure.all()
+    for r in range(len(rows)):
+        keys = KeyPair(int(k1[r]), int(k2[r]), book.bits1, book.bits2)
+        assert message_row(msgs, r) == encode(rows[r], keys, book), r
+
+
+def test_array_decode_with_wrong_keys_matches_scalar(book):
+    rows, k1, k2 = every_row_and_key_pair(book)
+    msgs = _encode_array(book, rows, k1, k2)
+    # decode each message under every key pair, the true one included
+    for shift in range(book.cap1 * book.cap2):
+        g1, g2 = np.divmod((k1 * book.cap2 + k2 + shift) % (book.cap1 * book.cap2), book.cap2)
+        erased, xhat1, xhat2 = _decode_array(book, msgs, g1, g2)
+        for r in range(len(rows)):
+            m1, m2 = message_row(msgs, r)
+            out = decode(m1, m2, KeyPair(int(g1[r]), int(g2[r]), book.bits1, book.bits2), book)
+            assert erased[r] == out.erased, r
+            assert np.array_equal(xhat1[r], out.xhat1) and np.array_equal(xhat2[r], out.xhat2), r
+
+
+def test_array_decode_rejects_bad_messages(book):
+    rows, k1, k2 = every_row_and_key_pair(book)
+    kept = np.flatnonzero(~_encode_array(book, rows, k1, k2).erasure)[:1]
+    msgs = _encode_array(book, rows[kept], k1[kept], k2[kept])
+    msgs.type_id[:] = book.total_types
+    with pytest.raises(CodebookError, match="unknown type id"):
+        _decode_array(book, msgs, k1[kept], k2[kept])
+    msgs = _encode_array(book, rows[kept], k1[kept], k2[kept])
+    msgs.bin1[:] = -1
+    with pytest.raises(CodebookError, match="bin index out of range"):
+        _decode_array(book, msgs, k1[kept], k2[kept])
+
+
+def test_lookup_rejects_symbols_outside_the_alphabet():
+    cb = build_codebook(binary(), 4, 0.3)
+    # [0, 0, 0, 2] shares its base-2 index with [0, 0, 1, 0]
+    assert cb.lookup(np.array([0, 0, 1, 0])) is not None
+    assert cb.lookup(np.array([0, 0, 0, 2])) is None
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("samples", [1, 700, typecodec._CODEC_CHUNK + 333])
+def test_simulate_jep_matches_per_sample_loop(book, samples):
+    for seed in (3, 29):
+        rng_loop, rng_batch = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert simulate_jep(book, samples, rng_batch) == loop_simulate_jep(book, samples, rng_loop)
+        # the generator is left where the loop leaves it
+        assert rng_batch.integers(0, 1 << 62) == rng_loop.integers(0, 1 << 62)
+
+
+def test_simulate_jep_counts_distortion_failures():
+    # a codebook whose layer-2 codewords are replaced by their negation
+    # decodes every in-ball block outside D2, so every sample errs
+    cb = build_codebook(binary(alpha=0.5), 6, 0.5)
+    cb._Z = 1 - cb._Z
+    assert simulate_jep(cb, 300, np.random.default_rng(1)) == 1.0
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_simulate_jep_rejects_nonpositive_samples(samples):
+    cb = build_codebook(binary(), 4, 0.3)
+    with pytest.raises(ValueError, match="sample count must be positive"):
+        simulate_jep(cb, samples, np.random.default_rng(0))
+
+
+def test_cli_rejects_negative_samples(tmp_path, capsys):
+    spec = {"source": [0.7, 0.3], "d1": {"hamming": True}, "d2": {"hamming": True},
+            "D1": 0.2, "D2": 0.1, "R1": 1.0, "R2": 1.0, "r1": 0.06, "r2": 0.1, "alpha": 0.1}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    args = ["simulate", "--spec", str(path), "--n", "6", "--delta", "0.3"]
+    assert main(args + ["--samples", "-5"]) == EXIT_SPEC
+    assert "sample count must be positive, got -5" in capsys.readouterr().err
+    out = tmp_path / "zero.json"
+    assert main(args + ["--samples", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["jep"]["monte_carlo"] is None
+
+
+# ---------------------------------------------------------------------------
+# leakage oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["M1", "M1M2"])
+def test_leakage_oracle_matches_per_key_loop(book, which):
+    assert leakage_oracle(book, which) == loop_leakage_oracle(book, which)
+
+
+def test_leakage_oracle_batches_agree(monkeypatch):
+    cb = build_codebook(binary(r1=0.25, r2=0.25, alpha=0.12), 8, 0.2)
+    whole = leakage_oracle(cb, "M1M2")
+    monkeypatch.setattr(typecodec, "_CODEC_CHUNK", 48)  # three sequences per batch
+    assert leakage_oracle(cb, "M1M2") == whole == loop_leakage_oracle(cb, "M1M2")
+
+
+def test_leakage_oracle_rejects_unknown_target():
+    cb = build_codebook(binary(), 4, 0.3)
+    with pytest.raises(ValueError, match="unknown leakage target 'bogus'"):
+        leakage_oracle(cb, "bogus")
+
+
+# ---------------------------------------------------------------------------
+# codec tables
+# ---------------------------------------------------------------------------
+
+
+def test_type_classes_enumerated_once(tmp_path, monkeypatch):
+    calls = []
+    original = typecodec.type_class_members
+    monkeypatch.setattr(typecodec, "type_class_members",
+                        lambda t, *a, **k: calls.append(t.counts) or original(t, *a, **k))
+    cb = build_codebook(ternary(r1=0.17, r2=0.17), 6, 0.05)
+    inball = [b.counts for b in cb.books]
+    assert calls == inball
+    path = str(tmp_path / "book.srcb")
+    save_codebook(cb, path)
+    calls.clear()
+    load_codebook(path)
+    assert calls == inball
+
+
+def test_verify_covering_names_first_violation():
+    cb = build_codebook(binary(r1=0.25, r2=0.25, alpha=0.12), 8, 0.2)
+    # flip every layer-1 codeword: the first book's first member fails first
+    cb._Y = 1 - cb._Y
+    first = typecodec.type_class_members(typecodec.TypeClass(8, cb.books[0].counts))[0]
+    ypos, zpos = cb.books[0].member_assign[0]
+    y = 1 - cb.books[0].y_codes[ypos]
+    z = cb.books[0].z_codes[ypos][zpos]
+    dist1 = float(H2.matrix[first, y].sum()) / 8
+    dist2 = float(H2.matrix[first, z].sum()) / 8
+    with pytest.raises(CodebookError) as err:
+        typecodec.verify_covering(cb)
+    assert str(err.value) == (
+        f"covering violated at type {cb.books[0].counts}: distortions ({dist1}, {dist2})"
+    )
+
+
+def test_load_rejects_assignment_to_missing_codeword(tmp_path):
+    cb = build_codebook(binary(), 6, 0.3)
+    cb.books[0].member_assign[0, 0] = len(cb.books[0].y_codes)
+    path = str(tmp_path / "book.srcb")
+    save_codebook(cb, path)
+    with pytest.raises(CodebookError, match="names a missing codeword"):
+        load_codebook(path)
+
+
+def test_sequence_index_must_fit_int64():
+    spec = binary()
+    with pytest.raises(CapExceededError, match="int64 sequence index"):
+        CoverCodebook(spec, 64, 0.1, [], False, members=[])
+
+
+# ---------------------------------------------------------------------------
+# guessing attack
+# ---------------------------------------------------------------------------
+
+
+def stacked(joints, shape):
+    return np.array(joints, dtype=np.int64).reshape((len(joints),) + shape)
+
+
+ATTACK_SPECS = [
+    ("binary", binary(D1=0.3, D2=0.15, R1=1.0, R2=1.0, r1=0.25, r2=0.25, alpha=1.7), 4),
+    # the first-symbol guess sums many unequal terms, so their order shows
+    ("binary-n6", binary(D1=0.3, D2=0.15, R1=1.0, R2=1.0, alpha=1.5), 6),
+    ("erasure", binary(p=0.35, D1=0.3, D2=0.2, R1=1.0, R2=1.0, alpha=1.5, d1=ERASURE_D1), 4),
+    # 27 joint cells at n = 5: (n + 1)^27 > 2^63, so no radix packing of joints fits int64
+    ("ternary", ternary(alpha=0.5), 5),
+]
+
+
+@pytest.mark.parametrize("name, spec, n", ATTACK_SPECS, ids=[a[0] for a in ATTACK_SPECS])
+def test_feasible_sets_match_loops(name, spec, n):
+    ctx = _GuessContext(spec)
+    kx, ka, kb = spec.source.alphabet_size, spec.d1.cols, spec.d2.cols
+    # codeword pairs of a built code, and pairs no source sequence explains
+    cb = build_codebook(spec, n, 0.5)
+    pairs = [(b.y_codes[0], b.z_codes[0][0]) for b in cb.books[:: max(1, len(cb.books) // 2)]]
+    pairs += [(np.zeros(n, np.int8), np.ones(n, np.int8)), (np.full(n, ka - 1), np.zeros(n))]
+    pairs = [(y.astype(np.int64), z.astype(np.int64)) for y, z in pairs]
+    nonempty = 0
+    for xhat1, xhat2 in pairs:
+        got = ctx.feasible_g1(xhat1)
+        assert np.array_equal(got, stacked(loop_feasible_g1(spec, xhat1), (kx, ka)))
+        got = ctx.feasible_g2(xhat1, xhat2)
+        assert np.array_equal(got, stacked(loop_feasible_g2(spec, xhat1, xhat2, ctx), (kx, ka, kb)))
+        nonempty += len(got) > 0
+    assert nonempty >= 2
+    if name == "ternary":
+        assert (n + 1) ** (kx * ka * kb) > 2**63
+
+
+@pytest.mark.parametrize("name, spec, n", ATTACK_SPECS, ids=[a[0] for a in ATTACK_SPECS])
+@pytest.mark.parametrize("guesser, target", [("g1", FIRST_SYMBOL_TARGET), ("g2", IDENTITY_TARGET)])
+def test_end_to_end_matches_loop(name, spec, n, guesser, target):
+    cb = build_codebook(spec, n, 0.5)
+    scheme = GuessScheme(guesser, target)
+    got = end_to_end_guess_probability(spec, n, cb, scheme).probability
+    assert got > 0.0
+    assert got == loop_end_to_end(spec, n, cb, scheme, loop_g2_sets=name != "ternary")

@@ -19,6 +19,7 @@ from srleak.probcore import (
     sequence_type,
     type_class_members,
     type_class_probability,
+    type_count_vectors,
 )
 
 
@@ -172,6 +173,20 @@ class TestTypes:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             enumerate_types(100, 6, max_types=1000)
+
+    def test_count_vectors_in_recursive_order(self):
+        def compositions(total, parts):
+            # descending in the first coordinate, then recursively
+            if parts == 1:
+                return [(total,)]
+            return [(first,) + rest for first in range(total, -1, -1)
+                    for rest in compositions(total - first, parts - 1)]
+
+        for n, k in [(1, 1), (5, 1), (1, 4), (6, 2), (4, 3), (5, 4), (3, 8)]:
+            rows = type_count_vectors(n, k)
+            assert rows.dtype == np.int64 and rows.shape == (count_types(n, k), k)
+            assert [tuple(r) for r in rows.tolist()] == compositions(n, k)
+            assert [t.counts for t in enumerate_types(n, k)] == compositions(n, k)
 
     def test_cardinality(self):
         t = TypeClass(4, (2, 2))
