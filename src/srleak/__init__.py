@@ -29,6 +29,7 @@ from .errors import (
     SrleakError,
 )
 from .exponents import (
+    RateModel,
     RegionBoundary,
     RegionPoint,
     SystemSpec,
@@ -42,10 +43,8 @@ from .exponents import (
     leakage_exponent_m1,
     leakage_plateau_thresholds,
     partial_secrecy_holds,
-    rate_distortion_value,
     region_boundary,
     region_check,
-    sum_rate_value,
 )
 from .probcore import (
     Distribution,
@@ -99,6 +98,7 @@ __all__ = [
     "DimensionError",
     "RateConditionError",
     "SrleakError",
+    "RateModel",
     "RegionBoundary",
     "RegionPoint",
     "SystemSpec",
@@ -112,10 +112,8 @@ __all__ = [
     "leakage_exponent_m1",
     "leakage_plateau_thresholds",
     "partial_secrecy_holds",
-    "rate_distortion_value",
     "region_boundary",
     "region_check",
-    "sum_rate_value",
     "Distribution",
     "DistortionMeasure",
     "TypeClass",

@@ -23,11 +23,10 @@ import numpy as np
 
 from .errors import CapExceededError
 from .exponents import (
+    RateModel,
     SystemSpec,
     leakage_exponent_joint_outer,
     leakage_exponent_m1,
-    rate_distortion_value,
-    sum_rate_value,
 )
 from .probcore import (
     Distribution,
@@ -154,37 +153,23 @@ class _GuessContext:
 
     def __init__(self, spec: SystemSpec) -> None:
         self.spec = spec
+        self.model = RateModel(spec)
         self.kx = spec.source.alphabet_size
         self.ka = spec.d1.cols
         self.kb = spec.d2.cols
-        self._joint_types: dict[tuple[int, int], np.ndarray] = {}
-        self._rd1: dict[tuple[int, ...], float] = {}
-        self._sum: dict[tuple[int, ...], float] = {}
+        self._joint_types: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._feasible_g1: dict[bytes, np.ndarray] = {}
         self._feasible_g2: dict[bytes, np.ndarray] = {}
 
-    def joint_types(self, n: int, cells: int) -> np.ndarray:
-        """All joint types as one (types, cells) array, in enumeration order."""
+    def joint_types(self, n: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
+        """All joint types as one (types, cells) array, in enumeration order,
+        with each type's marginal over the reconstruction cells (summed over x)."""
         key = (n, cells)
         if key not in self._joint_types:
-            self._joint_types[key] = type_count_vectors(n, cells)
+            joints = type_count_vectors(n, cells)
+            marginals = joints.reshape(len(joints), self.kx, cells // self.kx).sum(axis=1)
+            self._joint_types[key] = joints, marginals
         return self._joint_types[key]
-
-    def rd1(self, counts: np.ndarray, n: int) -> float:
-        key = tuple(int(c) for c in counts)
-        if key not in self._rd1:
-            self._rd1[key] = rate_distortion_value(
-                self.spec, Distribution(np.asarray(key, dtype=np.float64) / n), 1
-            )
-        return self._rd1[key]
-
-    def sum_rate(self, counts: np.ndarray, n: int) -> float:
-        key = tuple(int(c) for c in counts)
-        if key not in self._sum:
-            self._sum[key] = sum_rate_value(
-                self.spec, Distribution(np.asarray(key, dtype=np.float64) / n)
-            )
-        return self._sum[key]
 
     def feasible_g1(self, xhat1: np.ndarray) -> np.ndarray:
         """Joint types (kx, ka) with the observed marginal that meet D1, in enumeration order."""
@@ -193,8 +178,8 @@ class _GuessContext:
         key = marg.tobytes()
         if key in self._feasible_g1:
             return self._feasible_g1[key]
-        joints = self.joint_types(n, self.kx * self.ka).reshape(-1, self.kx, self.ka)
-        joints = joints[(joints.sum(axis=1) == marg).all(axis=1)]
+        joints, marginals = self.joint_types(n, self.kx * self.ka)
+        joints = joints[(marginals == marg).all(axis=1)].reshape(-1, self.kx, self.ka)
         joints = joints[_loads(joints, self.spec.d1.matrix) <= n * self.spec.D1 + 1e-9]
         self._feasible_g1[key] = joints
         return joints
@@ -207,14 +192,16 @@ class _GuessContext:
         key = pair.tobytes()
         if key in self._feasible_g2:
             return self._feasible_g2[key]
-        joints = self.joint_types(n, self.kx * self.ka * self.kb).reshape(
+        joints, marginals = self.joint_types(n, self.kx * self.ka * self.kb)
+        joints = joints[(marginals == pair.ravel()).all(axis=1)].reshape(
             -1, self.kx, self.ka, self.kb
         )
-        joints = joints[(joints.sum(axis=1) == pair).all(axis=(1, 2))]
         joints = joints[_loads(joints.sum(axis=3), self.spec.d1.matrix) <= n * self.spec.D1 + 1e-9]
         joints = joints[_loads(joints.sum(axis=2), self.spec.d2.matrix) <= n * self.spec.D2 + 1e-9]
-        rate_ok = [self.rd1(j.sum(axis=(1, 2)), n) <= self.spec.R1 + 1e-9 for j in joints]
-        joints = joints[np.array(rate_ok, dtype=bool)]
+        # the layer-1 rate depends on the x-type alone: rate each distinct one once
+        x_types, which = np.unique(joints.sum(axis=(2, 3)), axis=0, return_inverse=True)
+        rate_ok = [self.model.rd(Distribution(t / n), 1) <= self.spec.R1 + 1e-9 for t in x_types]
+        joints = joints[np.array(rate_ok, dtype=bool)[which.reshape(-1)]]
         self._feasible_g2[key] = joints
         return joints
 
@@ -255,7 +242,7 @@ def g2_success_probability(
     if _avg_distortion(spec.d2.matrix, x, xhat2) > spec.D2 + 1e-9:
         raise ValueError("g2 guarantee requires the second layer to meet D2")
     q_x = Distribution(np.bincount(x, minlength=ctx.kx).astype(np.float64) / n)
-    if rate_distortion_value(spec, q_x, 1) > spec.R1 + 1e-9:
+    if ctx.model.rd(q_x, 1) > spec.R1 + 1e-9:
         raise ValueError("g2 guarantee requires R1 to cover the rate of the observed type")
     feasible = ctx.feasible_g2(xhat1, xhat2)
     true_joint = _joint_counts([x, xhat1, xhat2], [ctx.kx, ctx.ka, ctx.kb])
@@ -278,7 +265,7 @@ def g1_lower_bound(x, spec: SystemSpec) -> float:
     counts = np.bincount(x, minlength=kx).astype(np.int64)
     q = Distribution(counts.astype(np.float64) / n)
     b1 = (n + 1.0) ** (-(kx * ka * (kx + 1)))
-    return b1 * 2.0 ** (-n * (_entropy_of_counts(counts, n) - rate_distortion_value(spec, q, 1)))
+    return b1 * 2.0 ** (-n * (_entropy_of_counts(counts, n) - RateModel(spec).rd(q, 1)))
 
 
 def g2_lower_bound(x, spec: SystemSpec) -> float:
@@ -289,7 +276,7 @@ def g2_lower_bound(x, spec: SystemSpec) -> float:
     counts = np.bincount(x, minlength=kx).astype(np.int64)
     q = Distribution(counts.astype(np.float64) / n)
     b2 = (n + 1.0) ** (-(kx * ka * kb))
-    return b2 * 2.0 ** (-n * (_entropy_of_counts(counts, n) - sum_rate_value(spec, q)))
+    return b2 * 2.0 ** (-n * (_entropy_of_counts(counts, n) - RateModel(spec).sum_rate(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +407,8 @@ def end_to_end_lower_bound(
     jep_ok = jep <= 2.0 ** (-n * spec.alpha) + 1e-15
     if not candidates:
         return ChainBound(0.0, False, {"nonempty": False, "half_ok": half_ok, "jep_ok": jep_ok})
-    best = max(
-        sum_rate_value(spec, t.empirical()) for t in candidates
-    )
+    model = RateModel(spec)
+    best = max(model.sum_rate(t.empirical()) for t in candidates)
     value = 0.5 * b4 * p_star * 2.0 ** (n * (best - spec.r1 - spec.r2))
     return ChainBound(
         value,

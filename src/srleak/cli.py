@@ -20,6 +20,7 @@ stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -38,6 +39,7 @@ from .adversary import (
 )
 from .errors import CapExceededError, SrleakError
 from .exponents import (
+    RateModel,
     RegionPoint,
     SystemSpec,
     binary_plateau_alpha,
@@ -48,14 +50,13 @@ from .exponents import (
     leakage_exponent_m1,
     leakage_plateau_thresholds,
     partial_secrecy_holds,
-    rate_distortion_value,
     region_boundary,
     region_check,
-    sum_rate_value,
 )
 from .probcore import Distribution, DistortionMeasure, binary_entropy
 from .typecodec import (
     build_codebook,
+    default_delta,
     jep_exact,
     jep_exponent_threshold,
     jep_type_count_bound,
@@ -100,6 +101,15 @@ def load_system_spec(path: str) -> SystemSpec:
     """
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("operating-point file must hold a JSON object")
+
+    def number(name: str) -> float:
+        value = raw[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"operating-point field {name!r} must be a number, got {value!r}")
+        return float(value)
+
     try:
         source = Distribution(raw["source"])
 
@@ -114,16 +124,12 @@ def load_system_spec(path: str) -> SystemSpec:
             source=source,
             d1=measure(raw["d1"]),
             d2=measure(raw["d2"]),
-            D1=float(raw["D1"]),
-            D2=float(raw["D2"]),
-            R1=float(raw["R1"]),
-            R2=float(raw["R2"]),
-            r1=float(raw["r1"]),
-            r2=float(raw["r2"]),
-            alpha=float(raw["alpha"]),
+            **{name: number(name) for name in ("D1", "D2", "R1", "R2", "r1", "r2", "alpha")},
         )
     except KeyError as exc:
         raise ValueError(f"operating-point file is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed operating-point file: {exc}") from exc
 
 
 def _write(out_path: str | None, text: str) -> None:
@@ -153,10 +159,11 @@ def _json_dump(obj) -> str:
 
 def cmd_rd(args) -> int:
     spec = load_system_spec(args.spec)
+    model = RateModel(spec)
     out = {
-        "rd_at_D1": rate_distortion_value(spec, spec.source, 1),
-        "rd_at_D2": rate_distortion_value(spec, spec.source, 2),
-        "two_layer_sum_rate": sum_rate_value(spec, spec.source),
+        "rd_at_D1": model.rd(spec.source, 1),
+        "rd_at_D2": model.rd(spec.source, 2),
+        "two_layer_sum_rate": model.sum_rate(spec.source),
     }
     _write(args.out, _json_dump(out))
     return EXIT_OK
@@ -217,7 +224,7 @@ def cmd_region(args) -> int:
     point = RegionPoint(args.L1, args.L2)
     b = region_boundary(spec, args.criterion)
     out = {
-        "verdict": region_check(spec, point, args.criterion),
+        "verdict": region_check(b, point),
         "boundary": {
             "lambda1": b.lambda1,
             "lambda2_in": b.lambda2_in,
@@ -229,12 +236,26 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
+def _require_cache_matches(cb, spec: SystemSpec, n: int, delta: float | None, path: str) -> None:
+    """Refuse a cached codebook built for another operating point, n or delta."""
+    if delta is None:
+        delta = default_delta(RateModel(spec))
+    checks = [(f.name, getattr(cb.spec, f.name), getattr(spec, f.name))
+              for f in dataclasses.fields(spec)]
+    checks += [("n", cb.n, n), ("delta", cb.delta, delta)]
+    for name, cached, wanted in checks:
+        if cached != wanted:
+            raise ValueError(f"codebook cache {path} was built for {name} = {cached!r}, "
+                             f"not {wanted!r}")
+
+
 def cmd_simulate(args) -> int:
     spec = load_system_spec(args.spec)
     rng = np.random.default_rng(args.seed)
     t0 = time.perf_counter()
     if args.cache and os.path.exists(args.cache):
         cb = load_codebook(args.cache)
+        _require_cache_matches(cb, spec, args.n, args.delta, args.cache)
     else:
         cb = build_codebook(
             spec, args.n, args.delta,
@@ -420,9 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_spec=True):
         if needs_spec:
             p.add_argument("--spec", required=True, help="operating-point JSON file")
-        p.add_argument("--seed", type=int, default=0, help="seed for every randomized path")
+        p.add_argument(
+            "--seed", type=int, default=0,
+            help="seed of simulate's Monte-Carlo samples and sample key "
+                 "(every other command is deterministic)",
+        )
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="output format hint")
 
     p = sub.add_parser("rd", help="rate-distortion quantities at the operating point")
     common(p)

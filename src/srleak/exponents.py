@@ -35,10 +35,9 @@ from .probcore import (
     binary_kl,
     kl_divergence,
 )
-from .rdsolver import min_sum_rate, rd_binary_hamming, rd_function
+from .rdsolver import binary_hamming_sum_rate, min_sum_rate, rd_binary_hamming, rd_function
 
 Criterion = Literal["jep", "expected"]
-Method = Literal["auto", "closed_form", "solver"]
 
 VERDICT_INSIDE = "inside_inner"
 VERDICT_BETWEEN = "between"
@@ -63,6 +62,9 @@ class SystemSpec:
     def __post_init__(self) -> None:
         if self.d1.rows != self.source.alphabet_size or self.d2.rows != self.source.alphabet_size:
             raise ValueError("distortion matrices must match the source alphabet")
+        scalars = (self.D1, self.D2, self.R1, self.R2, self.r1, self.r2, self.alpha)
+        if not all(math.isfinite(v) for v in scalars):
+            raise ValueError("distortion levels, rates and alpha must be finite")
         if not self.D2 < self.D1:
             raise ValueError("the refinement target D2 must be strictly below D1")
         if min(self.D2, self.R1, self.R2, self.r1, self.r2) < 0:
@@ -337,132 +339,112 @@ def kl_ball_minimize(
 
 
 # ---------------------------------------------------------------------------
-# rate-function backends
+# the rate model of an operating point
 # ---------------------------------------------------------------------------
 
 
-class _RateBackend:
-    """Evaluates R(Q, D) and the two-layer sum rate, closed form or solver."""
+class RateModel:
+    """R(Q, D1), R(Q, D2) and the two-layer sum rate R(Q, R1, D1, D2) of one spec.
 
-    def __init__(self, spec: SystemSpec, method: Method) -> None:
-        if method == "auto":
-            method = "closed_form" if spec.is_binary_hamming else "solver"
-        if method == "closed_form" and not spec.is_binary_hamming:
-            raise ValueError("closed-form backend requires a binary source with Hamming measures")
-        self.method = method
+    A binary source under Hamming measures uses the closed forms; any other
+    spec calls the solvers, once per candidate law.  The model also holds
+    the ball-search settings that suit the cost of one evaluation.
+    """
+
+    def __init__(self, spec: SystemSpec) -> None:
         self.spec = spec
-        self._rd_cache: dict[tuple[bytes, int], float] = {}
-        self._sum_cache: dict[bytes, float] = {}
+        self.closed_form = spec.is_binary_hamming
+        # closed-form rate objectives are monotone in the binary entropy, so
+        # the four-candidate fast path is exact; the solvers pay milliseconds
+        # per evaluation and get a coarse scan instead
+        self.ball_kwargs = (
+            {"entropy_monotone": True} if self.closed_form
+            else {"grid_points": 41, "starts": 6, "ascent_steps": 12, "grid_resolution": 12}
+        )
+        self._rd: dict[tuple[bytes, int], float] = {}
+        self._sum: dict[bytes, float] = {}
 
     def rd(self, q: Distribution, layer: int) -> float:
-        D = self.spec.D1 if layer == 1 else self.spec.D2
-        if self.method == "closed_form":
+        """R(Q, D_layer) under the spec's measure for that layer."""
+        spec = self.spec
+        D = spec.D1 if layer == 1 else spec.D2
+        if self.closed_form:
             return rd_binary_hamming(float(q.probs[1]), D)
         key = (q.probs.tobytes(), layer)
-        if key not in self._rd_cache:
-            d = self.spec.d1 if layer == 1 else self.spec.d2
-            self._rd_cache[key] = rd_function(q, d, D).value
-        return self._rd_cache[key]
+        if key not in self._rd:
+            self._rd[key] = rd_function(q, spec.d1 if layer == 1 else spec.d2, D).value
+        return self._rd[key]
 
     def sum_rate(self, q: Distribution) -> float:
-        if self.method == "closed_form":
-            # a Bernoulli source under Hamming measures is successively
-            # refinable, so the two-layer optimum equals the one-shot rate
-            # at the finer target whenever the layer-1 cap is feasible
-            need = rd_binary_hamming(float(q.probs[1]), self.spec.D1)
-            if self.spec.R1 < need - 1e-12:
-                return math.inf
-            return rd_binary_hamming(float(q.probs[1]), self.spec.D2)
+        """Two-layer minimum sum rate; inf when R1 is below R(Q, D1)."""
+        spec = self.spec
+        if self.closed_form:
+            return binary_hamming_sum_rate(float(q.probs[1]), spec.R1, spec.D1, spec.D2)
         key = q.probs.tobytes()
-        if key not in self._sum_cache:
-            sol = min_sum_rate(
-                q, self.spec.d1, self.spec.d2, self.spec.R1, self.spec.D1, self.spec.D2
-            )
-            self._sum_cache[key] = sol.value
-        return self._sum_cache[key]
+        if key not in self._sum:
+            self._sum[key] = min_sum_rate(q, spec.d1, spec.d2, spec.R1, spec.D1, spec.D2).value
+        return self._sum[key]
+
+    def ball_max(self, objective: Callable[[Distribution], float]) -> float:
+        return kl_ball_maximize(self.spec.source, self.spec.alpha, objective, **self.ball_kwargs).value
+
+    def ball_min(self, objective: Callable[[Distribution], float]) -> float:
+        return kl_ball_minimize(self.spec.source, self.spec.alpha, objective, **self.ball_kwargs).value
 
 
-def rate_distortion_value(spec: SystemSpec, q: Distribution, layer: int, method: Method = "auto") -> float:
-    """R(Q, D_layer) for a candidate source law, using the spec's measures."""
-    return _RateBackend(spec, method).rd(q, layer)
-
-
-def sum_rate_value(spec: SystemSpec, q: Distribution, method: Method = "auto") -> float:
-    """Two-layer minimum sum rate for a candidate source law under the spec."""
-    return _RateBackend(spec, method).sum_rate(q)
-
-
-def _ball_kwargs(method: Method) -> dict:
-    # closed-form rate objectives are monotone in the binary entropy, so the
-    # four-candidate fast path is exact; the solver backend pays milliseconds
-    # per evaluation and gets a coarse scan instead
-    if method == "solver":
-        return {"grid_points": 41, "starts": 6, "ascent_steps": 12, "grid_resolution": 12}
-    return {"entropy_monotone": True}
-
-
-def max_rd_over_ball(spec: SystemSpec, method: Method = "auto") -> float:
+def max_rd_over_ball(model: RateModel) -> float:
     """Largest layer-1 rate-distortion value over the divergence ball."""
-    backend = _RateBackend(spec, method)
-    return kl_ball_maximize(
-        spec.source, spec.alpha, lambda q: backend.rd(q, 1), **_ball_kwargs(backend.method)
-    ).value
+    return model.ball_max(lambda q: model.rd(q, 1))
 
 
-def _require_layer1_rate(spec: SystemSpec, backend: _RateBackend) -> None:
-    ball_max = kl_ball_maximize(
-        spec.source, spec.alpha, lambda q: backend.rd(q, 1), **_ball_kwargs(backend.method)
-    ).value
-    if not spec.R1 > ball_max - 1e-12:
+def _require_layer1_rate(model: RateModel) -> None:
+    ball_max = max_rd_over_ball(model)
+    if not model.spec.R1 > ball_max - 1e-12:
         raise RateConditionError(
-            f"layer-1 rate {spec.R1} must strictly exceed the ball maximum "
+            f"layer-1 rate {model.spec.R1} must strictly exceed the ball maximum "
             f"of the rate-distortion function ({ball_max:.6f})"
         )
 
 
-def leakage_exponent_m1(spec: SystemSpec, method: Method = "auto") -> float:
+def leakage_exponent_m1(spec: SystemSpec) -> float:
     """Normalized maximal-leakage exponent of the first message."""
-    backend = _RateBackend(spec, method)
-    obj = lambda q: _pos(backend.rd(q, 1) - spec.r1)
-    return kl_ball_maximize(spec.source, spec.alpha, obj, **_ball_kwargs(backend.method)).value
+    model = RateModel(spec)
+    return model.ball_max(lambda q: _pos(model.rd(q, 1) - spec.r1))
 
 
-def leakage_exponent_joint(spec: SystemSpec, method: Method = "auto") -> float:
+def leakage_exponent_joint(spec: SystemSpec) -> float:
     """Inner-bound exponent for the leakage of both messages together."""
-    backend = _RateBackend(spec, method)
-    _require_layer1_rate(spec, backend)
+    model = RateModel(spec)
+    _require_layer1_rate(model)
 
     def obj(q: Distribution) -> float:
-        rd1 = backend.rd(q, 1)
-        return _pos(rd1 - spec.r1) + _pos(backend.sum_rate(q) - rd1 - spec.r2)
+        rd1 = model.rd(q, 1)
+        return _pos(rd1 - spec.r1) + _pos(model.sum_rate(q) - rd1 - spec.r2)
 
-    return kl_ball_maximize(spec.source, spec.alpha, obj, **_ball_kwargs(backend.method)).value
+    return model.ball_max(obj)
 
 
-def leakage_exponent_joint_outer(spec: SystemSpec, method: Method = "auto") -> float:
+def leakage_exponent_joint_outer(spec: SystemSpec) -> float:
     """Outer-bound exponent for the leakage of both messages together."""
-    backend = _RateBackend(spec, method)
-    _require_layer1_rate(spec, backend)
-    obj = lambda q: _pos(backend.sum_rate(q) - spec.r1 - spec.r2)
-    return kl_ball_maximize(spec.source, spec.alpha, obj, **_ball_kwargs(backend.method)).value
+    model = RateModel(spec)
+    _require_layer1_rate(model)
+    return model.ball_max(lambda q: _pos(model.sum_rate(q) - spec.r1 - spec.r2))
 
 
-def expected_distortion_exponents(
-    spec: SystemSpec, method: Method = "auto"
-) -> tuple[float, float, float]:
+def expected_distortion_exponents(spec: SystemSpec) -> tuple[float, float, float]:
     """The three leakage exponents under the expected-distortion criterion.
 
     These are the same clamped expressions evaluated at the source itself
     (no divergence ball).  Requires the strict rate margins of the
     expected-distortion regime.
     """
-    backend = _RateBackend(spec, method)
-    rd1 = backend.rd(spec.source, 1)
+    model = RateModel(spec)
+    rd1 = model.rd(spec.source, 1)
     if not spec.R1 > rd1 - 1e-12:
         raise RateConditionError(
             f"layer-1 rate {spec.R1} must strictly exceed R(P, D1) = {rd1:.6f}"
         )
-    total = backend.sum_rate(spec.source)
+    total = model.sum_rate(spec.source)
     if not spec.R1 + spec.R2 > total - 1e-12:
         raise RateConditionError(
             f"sum rate {spec.R1 + spec.R2} must strictly exceed the two-layer minimum {total:.6f}"
@@ -480,7 +462,6 @@ def divergence_ball_cap(p: Distribution) -> float:
 
 def leakage_plateau_thresholds(
     spec: SystemSpec,
-    method: Method = "auto",
     *,
     scan_points: int = 200,
     tol: float = 1e-8,
@@ -499,7 +480,7 @@ def leakage_plateau_thresholds(
     cap = divergence_ball_cap(spec.source)
     out = []
     for fn in (leakage_exponent_m1, leakage_exponent_joint):
-        f = lambda a: fn(spec.with_alpha(a), method)
+        f = lambda a: fn(spec.with_alpha(a))
         plateau = f(cap)
         eps = value_eps * max(1.0, abs(plateau))
         if f(0.0) >= plateau - eps:
@@ -529,60 +510,48 @@ def binary_plateau_alpha(p: float) -> float:
     return binary_kl(0.5, p)
 
 
-def region_boundary(spec: SystemSpec, criterion: Criterion, method: Method = "auto") -> RegionBoundary:
+def region_boundary(spec: SystemSpec, criterion: Criterion) -> RegionBoundary:
     """The two-threshold boundary of the achievable leakage region."""
     if criterion == "jep":
-        l1 = leakage_exponent_m1(spec, method)
-        l2_in = leakage_exponent_joint(spec, method)
-        l2_out = leakage_exponent_joint_outer(spec, method)
+        l1 = leakage_exponent_m1(spec)
+        l2_in = leakage_exponent_joint(spec)
+        l2_out = leakage_exponent_joint_outer(spec)
     elif criterion == "expected":
-        l1, l2_in, l2_out = expected_distortion_exponents(spec, method)
+        l1, l2_in, l2_out = expected_distortion_exponents(spec)
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
     return RegionBoundary(l1, l2_in, l2_out, matched=abs(l2_in - l2_out) <= 1e-9)
 
 
-def region_check(
-    spec: SystemSpec, point: RegionPoint, criterion: Criterion, method: Method = "auto"
-) -> str:
+def region_check(boundary: RegionBoundary, point: RegionPoint) -> str:
     """Classify a leakage pair against the inner and outer region bounds."""
-    b = region_boundary(spec, criterion, method)
     eps = 1e-12
-    if point.L1 >= b.lambda1 - eps and point.L2 >= b.lambda2_in - eps:
+    if point.L1 >= boundary.lambda1 - eps and point.L2 >= boundary.lambda2_in - eps:
         return VERDICT_INSIDE
-    if point.L1 >= b.lambda1 - eps and point.L2 >= b.lambda2_out - eps:
+    if point.L1 >= boundary.lambda1 - eps and point.L2 >= boundary.lambda2_out - eps:
         return VERDICT_BETWEEN
     return VERDICT_OUTSIDE
 
 
-def partial_secrecy_holds(spec: SystemSpec, criterion: Criterion, method: Method = "auto") -> bool:
+def partial_secrecy_holds(spec: SystemSpec, criterion: Criterion) -> bool:
     """True when the key rates are small enough that inner and outer bounds match.
 
     Under the joint-excess-distortion criterion this requires, for every Q in
     the divergence ball, r1 <= R(Q, D1) and r2 <= R(Q, R1, D1, D2) - R(Q, D1);
-    the expected-distortion criterion checks the same conditions at P alone.
+    the expected-distortion criterion checks the same conditions at P alone,
+    which is the ball of radius zero.
     """
-    backend = _RateBackend(spec, method)
     if criterion == "expected":
-        rd1 = backend.rd(spec.source, 1)
-        diff = backend.sum_rate(spec.source) - rd1
-        return spec.r1 <= rd1 + 1e-12 and spec.r2 <= diff + 1e-12
-    if criterion != "jep":
+        spec = spec.with_alpha(0.0)
+    elif criterion != "jep":
         raise ValueError(f"unknown criterion {criterion!r}")
-    kw = _ball_kwargs(backend.method)
-    min_rd1 = kl_ball_minimize(spec.source, spec.alpha, lambda q: backend.rd(q, 1), **kw).value
-    min_diff = kl_ball_minimize(
-        spec.source, spec.alpha, lambda q: backend.sum_rate(q) - backend.rd(q, 1), **kw
-    ).value
-    return spec.r1 <= min_rd1 + 1e-12 and spec.r2 <= min_diff + 1e-12
+    t1, t2 = key_rate_thresholds(spec)
+    return spec.r1 <= t1 + 1e-12 and spec.r2 <= t2 + 1e-12
 
 
-def key_rate_thresholds(spec: SystemSpec, method: Method = "auto") -> tuple[float, float]:
+def key_rate_thresholds(spec: SystemSpec) -> tuple[float, float]:
     """Largest key rates for which the inner and outer regions coincide."""
-    backend = _RateBackend(spec, method)
-    kw = _ball_kwargs(backend.method)
-    t1 = kl_ball_minimize(spec.source, spec.alpha, lambda q: backend.rd(q, 1), **kw).value
-    t2 = kl_ball_minimize(
-        spec.source, spec.alpha, lambda q: backend.sum_rate(q) - backend.rd(q, 1), **kw
-    ).value
+    model = RateModel(spec)
+    t1 = model.ball_min(lambda q: model.rd(q, 1))
+    t2 = model.ball_min(lambda q: model.sum_rate(q) - model.rd(q, 1))
     return t1, t2

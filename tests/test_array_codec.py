@@ -7,6 +7,7 @@ at a time; every array result must equal theirs exactly, including the
 state the random generator is left in.
 """
 
+import dataclasses
 import functools
 import json
 import math
@@ -159,7 +160,7 @@ def loop_feasible_g2(spec, xhat1, xhat2, ctx):
             continue
         if float((joint.sum(axis=1) * spec.d2.matrix).sum()) > n * spec.D2 + 1e-9:
             continue
-        if ctx.rd1(joint.sum(axis=(1, 2)), n) > spec.R1 + 1e-9:
+        if ctx.model.rd(Distribution(joint.sum(axis=(1, 2)) / n), 1) > spec.R1 + 1e-9:
             continue
         out.append(joint)
     return out
@@ -452,6 +453,27 @@ def test_feasible_sets_match_loops(name, spec, n):
     assert nonempty >= 2
     if name == "ternary":
         assert (n + 1) ** (kx * ka * kb) > 2**63
+
+
+# layer-1 rate caps that some x-types exceed, so the refined guesser's rate filter bites
+RATE_CAPPED = [
+    ("binary", binary(D1=0.25, D2=0.1, R1=0.1, R2=1.0), 5),
+    ("erasure", binary(p=0.35, D1=0.3, D2=0.2, R1=0.05, R2=1.0, d1=ERASURE_D1), 5),
+]
+
+
+@pytest.mark.parametrize("name, spec, n", RATE_CAPPED, ids=[a[0] for a in RATE_CAPPED])
+def test_feasible_g2_rate_filter_matches_loop(name, spec, n):
+    ctx = _GuessContext(spec)
+    uncapped = _GuessContext(dataclasses.replace(spec, R1=1.6))
+    pairs = [(y, z) for y in all_sequences(spec.d1.cols, n)[::17]
+             for z in all_sequences(spec.d2.cols, n)[::3]]
+    removed = 0
+    for xhat1, xhat2 in pairs:
+        got = ctx.feasible_g2(xhat1, xhat2)
+        assert np.array_equal(got, stacked(loop_feasible_g2(spec, xhat1, xhat2, ctx), got.shape[1:]))
+        removed += len(uncapped.feasible_g2(xhat1, xhat2)) - len(got)
+    assert removed > 0
 
 
 @pytest.mark.parametrize("name, spec, n", ATTACK_SPECS, ids=[a[0] for a in ATTACK_SPECS])

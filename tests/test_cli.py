@@ -59,6 +59,26 @@ class TestSpecLoading:
         assert run(["rd", "--spec", str(path)]) == EXIT_SPEC
 
 
+MALFORMED_SPECS = {
+    "null rate": json.dumps(dict(FIG_SPEC, R1=None)),
+    "top-level list": json.dumps([FIG_SPEC]),
+    "string cols": json.dumps(dict(FIG_SPEC, d1={"hamming": True, "cols": "3"})),
+    "NaN alpha": json.dumps(FIG_SPEC).replace('"alpha": 0.1', '"alpha": NaN'),
+    "infinite alpha": json.dumps(FIG_SPEC).replace('"alpha": 0.1', '"alpha": Infinity'),
+    "boolean D1": json.dumps(dict(FIG_SPEC, D1=True)),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS)
+def test_malformed_spec_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["rd", "--spec", str(path)]) == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 class TestCommands:
     def test_rd(self, spec_file, tmp_path, capsys):
         out = tmp_path / "rd.json"
@@ -131,6 +151,35 @@ class TestCommands:
             "--cache", str(cache), "--out", str(out2),
         ]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("field, asked", [
+        ("source", {"--spec": "other.json"}),
+        ("n", {"--n": "8"}),
+        ("delta", {"--delta": "0.25"}),
+        ("delta", {"--delta": None}),  # the default delta of this spec is not 0.3
+    ])
+    def test_simulate_refuses_a_stale_cache(self, spec_file, tmp_path, capsys, field, asked):
+        cache = tmp_path / "book.srcb"
+        (tmp_path / "other.json").write_text(json.dumps(dict(FIG_SPEC, source=[0.6, 0.4])))
+        args = {"--spec": spec_file, "--n": "6", "--delta": "0.3", "--cache": str(cache)}
+        assert run(["simulate", *[a for kv in args.items() for a in kv]]) == EXIT_OK
+        for flag, value in asked.items():
+            if value is None:
+                del args[flag]
+            else:
+                args[flag] = str(tmp_path / value) if flag == "--spec" else value
+        capsys.readouterr()
+        assert run(["simulate", *[a for kv in args.items() for a in kv]]) == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: codebook cache {cache} was built for {field} = ")
+
+    def test_simulate_default_delta_cache_matches_build(self, spec_file, tmp_path):
+        cache = tmp_path / "book.srcb"
+        outs = [tmp_path / "built.json", tmp_path / "cached.json"]
+        for out in outs:
+            assert run(["simulate", "--spec", spec_file, "--n", "6", "--samples", "300",
+                        "--cache", str(cache), "--out", str(out)]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_simulate_cap_exit(self, spec_file, tmp_path, monkeypatch):
         monkeypatch.setenv("SRLEAK_MAX_SEQUENCES", "4")

@@ -5,6 +5,7 @@ import pytest
 
 from srleak.errors import RateConditionError
 from srleak.exponents import (
+    RateModel,
     RegionPoint,
     SystemSpec,
     binary_ball_interval,
@@ -22,6 +23,7 @@ from srleak.exponents import (
     region_check,
 )
 from srleak.probcore import Distribution, DistortionMeasure, binary_entropy, binary_kl
+from srleak.rdsolver import binary_hamming_sum_rate, min_sum_rate, rd_function
 
 
 def hb(p):
@@ -54,6 +56,33 @@ class TestSystemSpec:
 
     def test_binary_hamming_detection(self):
         assert FIG_SPEC.is_binary_hamming
+
+
+class TestRateModel:
+    # the layer-1 feasibility cut of the binary closed form is the solver's
+    # 1e-9, so all three routes give the same sum rate on either side of it
+    @pytest.mark.parametrize("shortfall, finite", [(5e-10, True), (2e-9, False)])
+    def test_sum_rate_feasibility_cut(self, shortfall, finite):
+        p, D1, D2 = 0.3, 0.2, 0.1
+        R1 = hb(p) - hb(D1) - shortfall
+        model = RateModel(make_spec(p=p, D1=D1, D2=D2, R1=R1, r1=0.0, r2=0.0))
+        q = Distribution.bernoulli(p)
+        closed = binary_hamming_sum_rate(p, R1, D1, D2)
+        solver = min_sum_rate(q, H2, H2, R1, D1, D2).value
+        if finite:
+            assert model.sum_rate(q) == closed == pytest.approx(0.41230, abs=1e-5)
+            assert solver == pytest.approx(0.41230, abs=1e-5)
+        else:
+            assert math.isinf(model.sum_rate(q)) and math.isinf(closed) and math.isinf(solver)
+
+    def test_solver_values_are_cached_per_law(self, monkeypatch):
+        d3 = DistortionMeasure.hamming(3)
+        spec = SystemSpec(Distribution([0.5, 0.3, 0.2]), d3, d3, 0.3, 0.1, 1.5, 1.5, 0.0, 0.0, 0.1)
+        model = RateModel(spec)
+        first = model.rd(spec.source, 1)
+        monkeypatch.setattr("srleak.exponents.rd_function", None)
+        assert model.rd(Distribution([0.5, 0.3, 0.2]), 1) == first
+        assert not model.closed_form
 
 
 class TestBallMaximize:
@@ -104,7 +133,7 @@ class TestBallMaximize:
             D1=0.3, D2=0.1, R1=1.5, R2=1.5, r1=0.0, r2=0.0, alpha=3.0,
         )
         expect = math.log2(3) - hb(0.3) - 0.3
-        assert leakage_exponent_m1(spec, method="solver") == pytest.approx(expect, abs=1e-4)
+        assert leakage_exponent_m1(spec) == pytest.approx(expect, abs=1e-4)
 
 
 class TestBallMinimize:
@@ -182,8 +211,12 @@ class TestLeakageExponents:
 
     def test_solver_backend_agrees(self):
         spec = make_spec(alpha=0.05)
-        fast = leakage_exponent_m1(spec, method="closed_form")
-        slow = leakage_exponent_m1(spec, method="solver")
+        fast = leakage_exponent_m1(spec)
+        slow = kl_ball_maximize(
+            spec.source, spec.alpha,
+            lambda q: max(rd_function(q, H2, spec.D1).value - spec.r1, 0.0),
+            grid_points=41, starts=6, ascent_steps=12, grid_resolution=12,
+        ).value
         assert slow == pytest.approx(fast, abs=2e-3)
 
     def test_successive_refinability_transfer(self):
@@ -251,13 +284,13 @@ class TestRegion:
     def test_boundary_point_inside(self):
         spec = make_spec(alpha=0.1)
         b = region_boundary(spec, "jep")
-        verdict = region_check(spec, RegionPoint(b.lambda1, b.lambda2_in), "jep")
+        verdict = region_check(b, RegionPoint(b.lambda1, b.lambda2_in))
         assert verdict == "inside_inner"
 
     def test_below_m1_bound_outside(self):
         spec = make_spec(alpha=0.1)
         b = region_boundary(spec, "jep")
-        verdict = region_check(spec, RegionPoint(max(b.lambda1 - 0.01, 0.0), 5.0), "jep")
+        verdict = region_check(b, RegionPoint(max(b.lambda1 - 0.01, 0.0), 5.0))
         assert verdict == "outside_outer"
 
     def test_matched_region_has_no_between(self):
