@@ -55,6 +55,8 @@ from .exponents import (
 )
 from .probcore import Distribution, DistortionMeasure, binary_entropy
 from .typecodec import (
+    DEFAULT_ENUM_CAP,
+    DEFAULT_SEQ_CAP,
     build_codebook,
     default_delta,
     jep_exact,
@@ -259,7 +261,7 @@ def cmd_simulate(args) -> int:
     else:
         cb = build_codebook(
             spec, args.n, args.delta,
-            max_sequences=env_cap("SRLEAK_MAX_SEQUENCES", 1 << 22),
+            max_sequences=env_cap("SRLEAK_MAX_SEQUENCES", DEFAULT_SEQ_CAP),
         )
         if args.cache:
             save_codebook(cb, args.cache)
@@ -267,7 +269,7 @@ def cmd_simulate(args) -> int:
 
     jep = jep_exact(cb)
     bound = jep_type_count_bound(cb.n, spec.source.alphabet_size, spec.alpha, cb.delta)
-    max_enum = env_cap("SRLEAK_MAX_ENUM", 1 << 24)
+    max_enum = env_cap("SRLEAK_MAX_ENUM", DEFAULT_ENUM_CAP)
     rep1 = leakage_report(cb, "M1", max_enum=max_enum)
     rep12 = leakage_report(cb, "M1M2", max_enum=max_enum)
     mc = simulate_jep(cb, args.samples, rng) if args.samples else None
@@ -317,7 +319,7 @@ def cmd_adversary(args) -> int:
     cb = build_codebook(spec, args.n, args.delta)
     scheme = GuessScheme(args.guesser, _TARGETS[args.target])
     res = end_to_end_guess_probability(
-        spec, args.n, cb, scheme, max_enum=env_cap("SRLEAK_MAX_ENUM", 1 << 24)
+        spec, args.n, cb, scheme, max_enum=env_cap("SRLEAK_MAX_ENUM", DEFAULT_ENUM_CAP)
     )
     bound = end_to_end_lower_bound(spec, args.n, cb, args.tau, res.p_star)
     out = {

@@ -16,7 +16,8 @@ For binary sources under Hamming distortion every inner quantity has a
 closed form, so ball extremizations reduce to exact one-dimensional searches
 over the Bernoulli parameter interval cut out by the divergence constraint.
 General alphabets fall back to multi-start ascent inside the ball plus a
-deterministic simplex grid.
+deterministic simplex grid.  Every search setting is a module constant sized
+for solver-backed objectives, which cost milliseconds per evaluation.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .probcore import (
     DistortionMeasure,
     binary_kl,
     kl_divergence,
+    type_count_vectors,
 )
 from .rdsolver import binary_hamming_sum_rate, min_sum_rate, rd_binary_hamming, rd_function
 
@@ -42,6 +44,21 @@ Criterion = Literal["jep", "expected"]
 VERDICT_INSIDE = "inside_inner"
 VERDICT_BETWEEN = "between"
 VERDICT_OUTSIDE = "outside_outer"
+
+# ball search: points of the binary interval scan, random starts, ascent
+# steps and simplex-grid denominator of the general search, and its seed
+_SCAN_POINTS = 41
+_STARTS = 6
+_ASCENT_STEPS = 12
+_GRID_RESOLUTION = 12
+_SEED = 0
+_GOLDEN_ITERS = 90
+
+# plateau detection: log-spaced scan points, bisection width on alpha, and
+# the relative distance from the terminal value that counts as reached
+_PLATEAU_SCAN_POINTS = 200
+_PLATEAU_TOL = 1e-8
+_PLATEAU_VALUE_EPS = 5e-13
 
 
 @dataclass(frozen=True)
@@ -138,13 +155,13 @@ def binary_ball_interval(p: float, alpha: float) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _golden_refine(f: Callable[[float], float], lo: float, hi: float, iters: int = 90):
+def _golden_refine(f: Callable[[float], float], lo: float, hi: float):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -163,7 +180,6 @@ def _ball_max_binary(
     p: Distribution,
     alpha: float,
     objective: Callable[[Distribution], float],
-    grid_points: int,
     entropy_monotone: bool,
 ) -> BallOptimum:
     pb = float(p.probs[1])
@@ -178,12 +194,12 @@ def _ball_max_binary(
     best_q, best_v = pb, -math.inf
     if not entropy_monotone:
         # dense scan plus local refinement for arbitrary objectives
-        qs = np.linspace(q_lo, q_hi, grid_points)
+        qs = np.linspace(q_lo, q_hi, _SCAN_POINTS)
         vals = [f(float(qv)) for qv in qs]
         k = int(np.argmax(vals))
         best_q, best_v = float(qs[k]), vals[k]
         a = float(qs[max(k - 1, 0)])
-        b = float(qs[min(k + 1, grid_points - 1)])
+        b = float(qs[min(k + 1, _SCAN_POINTS - 1)])
         if b > a:
             xq, xv = _golden_refine(f, a, b)
             if xv > best_v:
@@ -215,42 +231,25 @@ def _project_to_ball(q: np.ndarray, p: Distribution, alpha: float) -> np.ndarray
     return (1.0 - hi) * qd.probs + hi * p.probs
 
 
-def _simplex_grid(k: int, resolution: int):
-    def rec(prefix, left, parts):
-        if parts == 1:
-            yield prefix + [left]
-            return
-        for v in range(left + 1):
-            yield from rec(prefix + [v], left - v, parts - 1)
-
-    for comp in rec([], resolution, k):
-        yield np.asarray(comp, dtype=np.float64) / resolution
-
-
 def _ball_max_general(
     p: Distribution,
     alpha: float,
     objective: Callable[[Distribution], float],
-    *,
-    starts: int,
-    ascent_steps: int,
-    grid_resolution: int,
-    seed: int,
 ) -> BallOptimum:
     best_q = p.probs.copy()
     best_v = objective(p)
     k = p.alphabet_size
 
     candidates: list[np.ndarray] = []
-    if k <= 3 and grid_resolution > 0:
-        for g in _simplex_grid(k, grid_resolution):
-            if np.all(g >= 0) and abs(g.sum() - 1.0) < 1e-9:
-                gq = np.maximum(g, 1e-12)
-                gq /= gq.sum()
-                if kl_divergence(Distribution(gq), p) <= alpha:
-                    candidates.append(gq)
-    rng = np.random.default_rng(seed)
-    for _ in range(starts):
+    if k <= 3:
+        # every composition of the grid denominator, ascending lexicographic
+        for g in type_count_vectors(_GRID_RESOLUTION, k)[::-1] / _GRID_RESOLUTION:
+            gq = np.maximum(g, 1e-12)
+            gq /= gq.sum()
+            if kl_divergence(Distribution(gq), p) <= alpha:
+                candidates.append(gq)
+    rng = np.random.default_rng(_SEED)
+    for _ in range(_STARTS):
         direction = rng.dirichlet(np.ones(k))
         candidates.append(_project_to_ball(0.5 * p.probs + 0.5 * direction, p, alpha))
     for i in range(k):
@@ -266,7 +265,7 @@ def _ball_max_general(
     # finite-difference mirror ascent from the best candidate, projected back
     q = best_q.copy()
     step = 0.25
-    for _ in range(ascent_steps):
+    for _ in range(_ASCENT_STEPS):
         base = objective(Distribution(q))
         grad = np.zeros(k)
         eps = 1e-6
@@ -295,21 +294,17 @@ def kl_ball_maximize(
     alpha: float,
     objective: Callable[[Distribution], float],
     *,
-    grid_points: int = 801,
-    starts: int = 24,
-    ascent_steps: int = 60,
-    grid_resolution: int = 60,
-    seed: int = 0,
     entropy_monotone: bool = False,
 ) -> BallOptimum:
     """Maximize a scalar objective over {Q : D(Q || P) <= alpha}.
 
-    Binary alphabets use an exact interval search (boundary roots by
-    bisection, dense scan plus golden-section refinement).  Larger alphabets
-    use multi-start projected ascent with a deterministic simplex grid
-    fallback; the ``seed`` fully determines the randomized starts.  Setting
-    ``entropy_monotone`` asserts that the objective's extrema over any
-    Bernoulli-parameter interval sit at its ends or at the entropy
+    Binary alphabets use an interval search (boundary roots by bisection, a
+    41-point scan plus golden-section refinement).  Larger alphabets use
+    projected ascent from the best of six seeded random starts, the
+    vertices pulled into the ball and, for ternary alphabets, the in-ball
+    points of the denominator-12 simplex grid; the search is deterministic.
+    Setting ``entropy_monotone`` asserts that the objective's extrema over
+    any Bernoulli-parameter interval sit at its ends or at the entropy
     maximizer, which skips the scan (binary alphabets only).
     """
     if alpha < 0:
@@ -319,22 +314,19 @@ def kl_ball_maximize(
     if alpha == 0.0:
         return BallOptimum(objective(p), p)
     if p.alphabet_size == 2:
-        return _ball_max_binary(p, alpha, objective, grid_points, entropy_monotone)
-    return _ball_max_general(
-        p, alpha, objective,
-        starts=starts, ascent_steps=ascent_steps,
-        grid_resolution=grid_resolution, seed=seed,
-    )
+        return _ball_max_binary(p, alpha, objective, entropy_monotone)
+    return _ball_max_general(p, alpha, objective)
 
 
 def kl_ball_minimize(
     p: Distribution,
     alpha: float,
     objective: Callable[[Distribution], float],
-    **kwargs,
+    *,
+    entropy_monotone: bool = False,
 ) -> BallOptimum:
     """Minimize a scalar objective over the divergence ball (mirror of maximize)."""
-    out = kl_ball_maximize(p, alpha, lambda q: -objective(q), **kwargs)
+    out = kl_ball_maximize(p, alpha, lambda q: -objective(q), entropy_monotone=entropy_monotone)
     return BallOptimum(-out.value, out.argopt)
 
 
@@ -347,20 +339,12 @@ class RateModel:
     """R(Q, D1), R(Q, D2) and the two-layer sum rate R(Q, R1, D1, D2) of one spec.
 
     A binary source under Hamming measures uses the closed forms; any other
-    spec calls the solvers, once per candidate law.  The model also holds
-    the ball-search settings that suit the cost of one evaluation.
+    spec calls the solvers, once per candidate law.
     """
 
     def __init__(self, spec: SystemSpec) -> None:
         self.spec = spec
         self.closed_form = spec.is_binary_hamming
-        # closed-form rate objectives are monotone in the binary entropy, so
-        # the four-candidate fast path is exact; the solvers pay milliseconds
-        # per evaluation and get a coarse scan instead
-        self.ball_kwargs = (
-            {"entropy_monotone": True} if self.closed_form
-            else {"grid_points": 41, "starts": 6, "ascent_steps": 12, "grid_resolution": 12}
-        )
         self._rd: dict[tuple[bytes, int], float] = {}
         self._sum: dict[bytes, float] = {}
 
@@ -385,11 +369,15 @@ class RateModel:
             self._sum[key] = min_sum_rate(q, spec.d1, spec.d2, spec.R1, spec.D1, spec.D2).value
         return self._sum[key]
 
+    # closed-form rate objectives are monotone in the binary entropy, so the
+    # ball search's four-candidate fast path is exact for them
     def ball_max(self, objective: Callable[[Distribution], float]) -> float:
-        return kl_ball_maximize(self.spec.source, self.spec.alpha, objective, **self.ball_kwargs).value
+        return kl_ball_maximize(self.spec.source, self.spec.alpha, objective,
+                                entropy_monotone=self.closed_form).value
 
     def ball_min(self, objective: Callable[[Distribution], float]) -> float:
-        return kl_ball_minimize(self.spec.source, self.spec.alpha, objective, **self.ball_kwargs).value
+        return kl_ball_minimize(self.spec.source, self.spec.alpha, objective,
+                                entropy_monotone=self.closed_form).value
 
 
 def max_rd_over_ball(model: RateModel) -> float:
@@ -460,19 +448,14 @@ def divergence_ball_cap(p: Distribution) -> float:
     return float(math.log2(1.0 / float(p.probs.min())) + 1e-9)
 
 
-def leakage_plateau_thresholds(
-    spec: SystemSpec,
-    *,
-    scan_points: int = 200,
-    tol: float = 1e-8,
-    value_eps: float = 5e-13,
-) -> tuple[float, float]:
+def leakage_plateau_thresholds(spec: SystemSpec) -> tuple[float, float]:
     """Smallest alphas beyond which the two leakage exponents stop growing.
 
-    Detected by a log-spaced scan of the monotone exponent curves followed by
-    bisection on the predicate "curve within ``value_eps`` of its terminal
-    value".  The exponent curves are flat (quadratic) at the plateau onset,
-    so the alpha resolution is roughly the square root of ``value_eps``.
+    Detected by a 200-point log-spaced scan of the monotone exponent curves
+    followed by bisection to 1e-8 on the predicate "curve within a relative
+    5e-13 of its terminal value".  The exponent curves are flat (quadratic)
+    at the plateau onset, so the alpha resolution is roughly the square root
+    of that 5e-13.
     For a binary source under Hamming measures the threshold equals the
     divergence from the entropy maximizer, D_b(0.5 || p), whenever the curve
     is not flat everywhere.
@@ -482,11 +465,11 @@ def leakage_plateau_thresholds(
     for fn in (leakage_exponent_m1, leakage_exponent_joint):
         f = lambda a: fn(spec.with_alpha(a))
         plateau = f(cap)
-        eps = value_eps * max(1.0, abs(plateau))
+        eps = _PLATEAU_VALUE_EPS * max(1.0, abs(plateau))
         if f(0.0) >= plateau - eps:
             out.append(0.0)
             continue
-        alphas = np.logspace(math.log10(1e-6), math.log10(cap), scan_points)
+        alphas = np.logspace(math.log10(1e-6), math.log10(cap), _PLATEAU_SCAN_POINTS)
         hit = cap
         lo = 0.0
         for a in alphas:
@@ -495,7 +478,7 @@ def leakage_plateau_thresholds(
                 break
             lo = float(a)
         hi = hit
-        while hi - lo > tol:
+        while hi - lo > _PLATEAU_TOL:
             mid = 0.5 * (lo + hi)
             if f(mid) >= plateau - eps:
                 hi = mid

@@ -21,9 +21,13 @@ SUM_TOL = 1e-12
 #: default cap on the number of types an enumeration may produce
 DEFAULT_TYPE_CAP = 5_000_000
 
+#: cap on the number of sequences one type class may enumerate
+_MEMBER_CAP = 5_000_000
+
 
 def _as_prob_vector(values) -> np.ndarray:
-    probs = np.asarray(values, dtype=np.float64)
+    # a copy, so freezing it below leaves the caller's array writable
+    probs = np.array(values, dtype=np.float64)
     if probs.ndim != 1 or probs.size == 0:
         raise ValueError("probability vector must be one-dimensional and non-empty")
     if np.any(probs < 0) or not np.all(np.isfinite(probs)):
@@ -86,7 +90,7 @@ class DistortionMeasure:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix) -> None:
-        arr = np.asarray(matrix, dtype=np.float64)
+        arr = np.array(matrix, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("distortion matrix must be two-dimensional and non-empty")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
@@ -289,13 +293,13 @@ def sequence_type(seq: Sequence[int], alphabet_size: int) -> TypeClass:
     return TypeClass(int(arr.size), tuple(int(c) for c in counts))
 
 
-def type_class_members(t: TypeClass, max_members: int = 5_000_000) -> np.ndarray:
+def type_class_members(t: TypeClass) -> np.ndarray:
     """All sequences with the histogram of t, in lexicographic order.
 
     Returns an (m, n) int8 array; m equals ``t.cardinality``.
     """
-    if t.cardinality > max_members:
-        raise CapExceededError(f"type class of size {t.cardinality} exceeds cap {max_members}")
+    if t.cardinality > _MEMBER_CAP:
+        raise CapExceededError(f"type class of size {t.cardinality} exceeds cap {_MEMBER_CAP}")
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: list[int]) -> None:

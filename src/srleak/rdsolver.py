@@ -25,9 +25,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, DimensionError
-from .probcore import Distribution, DistortionMeasure, binary_entropy
+from .probcore import Distribution, DistortionMeasure, binary_entropy, type_count_vectors
 
 _LOG_FLOOR = 1e-300
+
+# Blahut-Arimoto at one multiplier: channel-change tolerance, iteration cap
+_BA_TOL = 1e-14
+_BA_MAX_ITER = 5000
+# rd_function: zero-distortion rate tolerance, total iteration budget
+_RD_TOL = 1e-12
+_RD_MAX_ITER = 100_000
+# min_sum_rate: dual-ascent rounds, mirror steps per round, penalty-polish
+# steps, total iteration budget, and the first mirror step size
+_OUTER_ITERS = 220
+_INNER_STEPS = 24
+_POLISH_STEPS = 900
+_SUM_MAX_ITER = 100_000
+_MIRROR_ETA0 = 0.5
+# min_sum_rate_oracle: grid channels it may search, grid rows per batch
+_ORACLE_MAX_POINTS = 2e8
+_ORACLE_CHUNK = 128
 
 
 @dataclass
@@ -69,8 +86,6 @@ def _ba_fixed_multiplier(
     dmat: np.ndarray,
     beta: float,
     w: np.ndarray,
-    tol: float = 1e-14,
-    max_iter: int = 5000,
 ) -> tuple[float, float, np.ndarray, int]:
     """Blahut-Arimoto at fixed distortion multiplier beta.
 
@@ -80,29 +95,29 @@ def _ba_fixed_multiplier(
     """
     gain = np.exp2(-beta * dmat)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _BA_MAX_ITER + 1):
         m = px @ w
         new_w = _normalize_rows(gain * m[None, :])
         delta = float(np.abs(new_w - w).max())
         w = new_w
-        if delta < tol:
+        if delta < _BA_TOL:
             break
     rate = _mutual_information(px, w)
     dist = float((px[:, None] * w * dmat).sum())
     return rate, dist, w, it
 
 
-def _rd_zero_distortion(px: np.ndarray, dmat: np.ndarray, tol: float, max_iter: int) -> RdSolution:
+def _rd_zero_distortion(px: np.ndarray, dmat: np.ndarray) -> RdSolution:
     # restrict the channel support to zero-distortion entries and minimize I
     allowed = (dmat <= 0).astype(np.float64)
     w = _normalize_rows(allowed.copy())
     rate = math.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _RD_MAX_ITER + 1):
         m = px @ w
         w = _normalize_rows(allowed * m[None, :])
         new_rate = _mutual_information(px, w)
-        if abs(new_rate - rate) < tol:
+        if abs(new_rate - rate) < _RD_TOL:
             rate = new_rate
             break
         rate = new_rate
@@ -113,9 +128,6 @@ def rd_function(
     q: Distribution,
     d: DistortionMeasure,
     D: float,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
 ) -> RdSolution:
     """Rate-distortion function R(Q, D) in bits.
 
@@ -132,7 +144,7 @@ def rd_function(
     dmat = d.matrix
 
     if D <= 1e-14:
-        return _rd_zero_distortion(px, dmat, tol, max_iter)
+        return _rd_zero_distortion(px, dmat)
 
     col_dist = px @ dmat
     d_max = float(col_dist.min())
@@ -176,12 +188,12 @@ def rd_function(
         else:
             beta_hi = beta
             feas = (beta, rate, dist, w)
-        if total_it > max_iter:
+        if total_it > _RD_MAX_ITER:
             break
 
     beta, rate, dist, w = feas
     value = max(rate + beta * (dist - D), 0.0)
-    status = "converged" if total_it <= max_iter else "boundary"
+    status = "converged" if total_it <= _RD_MAX_ITER else "boundary"
     return RdSolution(value, w, status, total_it, abs(dist - D))
 
 
@@ -274,11 +286,10 @@ class _SumRateProblem:
         per_row = (g * w).sum(axis=1) - g.min(axis=1)
         return float((self.px * per_row).sum())
 
-    def mirror_steps(self, w: np.ndarray, lam: np.ndarray, steps: int,
-                     eta0: float = 0.5) -> tuple[np.ndarray, int]:
+    def mirror_steps(self, w: np.ndarray, lam: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
         """Backtracking exponentiated-gradient descent on the Lagrangian."""
         f = self.lagrangian(w, lam)
-        eta = eta0
+        eta = _MIRROR_ETA0
         used = 0
         for _ in range(steps):
             g = self.grad_scaled(w, lam)
@@ -330,11 +341,6 @@ def min_sum_rate(
     R1: float,
     D1: float,
     D2: float,
-    *,
-    outer_iters: int = 220,
-    inner_steps: int = 24,
-    polish_steps: int = 900,
-    max_iter: int = 100_000,
 ) -> SumRateSolution:
     """Minimum sum rate of a two-layer refinement code, in bits.
 
@@ -410,8 +416,8 @@ def min_sum_rate(
     total = 0
     prev_phi = -math.inf
     stall = 0
-    for t in range(1, outer_iters + 1):
-        w, used = prob.mirror_steps(w, lam, inner_steps)
+    for t in range(1, _OUTER_ITERS + 1):
+        w, used = prob.mirror_steps(w, lam, _INNER_STEPS)
         total += used
         viol = prob.violations(w)
         phi = prob.lagrangian(w, lam) - prob.fw_gap(w, lam) - float(
@@ -433,7 +439,7 @@ def min_sum_rate(
         else:
             stall = 0
         prev_phi = phi
-        if total > max_iter:
+        if total > _SUM_MAX_ITER:
             break
 
     # exact-penalty polish from the dual iterate
@@ -452,7 +458,7 @@ def min_sum_rate(
 
     f = f_pen(w)
     eta = 0.25
-    for _ in range(polish_steps):
+    for _ in range(_POLISH_STEPS):
         g = grad_pen(w)
         g = g - g.min(axis=1, keepdims=True)
         improved = False
@@ -476,7 +482,7 @@ def min_sum_rate(
                 val = prob.stats(r)[0]
                 if val < best_value:
                     best_value, best_w = val, r
-        if total > max_iter:
+        if total > _SUM_MAX_ITER:
             break
 
     r = repaired(w)
@@ -490,22 +496,6 @@ def min_sum_rate(
     return SumRateSolution(float(max(best_value, 0.0)), best_w, status, total, float(max(gap, 0.0)))
 
 
-def _grid_rows(grid: int, cells: int) -> np.ndarray:
-    rows: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], left: int, parts: int) -> None:
-        if parts == 1:
-            rows.append(tuple(prefix + [left]))
-            return
-        for v in range(left, -1, -1):
-            prefix.append(v)
-            rec(prefix, left - v, parts - 1)
-            prefix.pop()
-
-    rec([], grid, cells)
-    return np.asarray(rows, dtype=np.float64) / grid
-
-
 def min_sum_rate_oracle(
     q: Distribution,
     d1: DistortionMeasure,
@@ -514,9 +504,6 @@ def min_sum_rate_oracle(
     D1: float,
     D2: float,
     grid: int = 20,
-    *,
-    max_points: float = 2e8,
-    chunk: int = 128,
 ) -> float:
     """Brute-force upper bound on ``min_sum_rate`` over a simplex grid.
 
@@ -533,11 +520,12 @@ def min_sum_rate_oracle(
         raise DimensionError("min_sum_rate_oracle: distortion rows must match the source")
     kx, ka, kb = q.alphabet_size, d1.cols, d2.cols
     cells = ka * kb
-    rows = _grid_rows(grid, cells)
+    # every conditional row on the grid, lexicographically descending
+    rows = type_count_vectors(grid, cells) / grid
     m_rows = rows.shape[0]
-    if float(m_rows) ** kx > max_points:
+    if float(m_rows) ** kx > _ORACLE_MAX_POINTS:
         raise CapExceededError(
-            f"{m_rows}^{kx} grid channels exceed the oracle cap of {max_points:g}"
+            f"{m_rows}^{kx} grid channels exceed the oracle cap of {_ORACLE_MAX_POINTS:g}"
         )
     px = q.probs
     d1c = np.repeat(d1.matrix, kb, axis=1)
@@ -552,8 +540,8 @@ def min_sum_rate_oracle(
 
     best = math.inf
     if kx == 2:
-        for start in range(0, m_rows, chunk):
-            sl = slice(start, min(start + chunk, m_rows))
+        for start in range(0, m_rows, _ORACLE_CHUNK):
+            sl = slice(start, min(start + _ORACLE_CHUNK, m_rows))
             r0 = rows[sl]
             ed1 = px[0] * ed1_rows[sl, 0][:, None] + px[1] * ed1_rows[:, 1][None, :]
             ed2 = px[0] * ed2_rows[sl, 0][:, None] + px[1] * ed2_rows[:, 1][None, :]

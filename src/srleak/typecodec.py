@@ -48,6 +48,8 @@ Which = Literal["M1", "M1M2"]
 DEFAULT_SEQ_CAP = 1 << 22
 DEFAULT_COVER_CELLS = 150_000_000
 DEFAULT_ENUM_CAP = 1 << 24
+# largest blocklength jep_exponent_threshold tries
+_THRESHOLD_N_CAP = 1_000_000
 
 _MAGIC = b"SRCB"
 _VERSION = 1
@@ -193,12 +195,12 @@ class CoverCodebook:
     """
 
     def __init__(self, spec: SystemSpec, n: int, delta: float, books: list[_TypeBook],
-                 verified: bool, *, members: list[np.ndarray]) -> None:
+                 *, members: list[np.ndarray]) -> None:
         self.spec = spec
         self.n = n
         self.delta = delta
         self.books = books
-        self.verified = verified
+        self.verified = False  # set by verify_covering
         self.bits1 = key_bits(n, spec.r1)
         self.bits2 = key_bits(n, spec.r2)
         self.cap1 = 1 << self.bits1
@@ -477,7 +479,6 @@ def build_codebook(
     n: int,
     delta: float | None = None,
     *,
-    verify: bool = True,
     max_sequences: int = DEFAULT_SEQ_CAP,
     max_cover_cells: int = DEFAULT_COVER_CELLS,
 ) -> CoverCodebook:
@@ -486,7 +487,8 @@ def build_codebook(
     ``delta`` widens the divergence ball that selects which types get real
     codebooks; by default it is half the layer-1 rate margin.  Raises
     CodebookError when a type's rate requirement or the message-space budget
-    conflicts with the configured rates, naming the offending type.
+    conflicts with the configured rates, naming the offending type.  The
+    covering is verified before the codebook is returned.
     """
     if n < 1:
         raise ValueError("blocklength must be positive")
@@ -554,10 +556,9 @@ def build_codebook(
         books.append(_TypeBook(type_id, t.counts, y_codes, z_codes, assign))
         book_members.append(members)
 
-    cb = CoverCodebook(spec, n, delta, books, verified=False, members=book_members)
+    cb = CoverCodebook(spec, n, delta, books, members=book_members)
     _check_budgets(cb)
-    if verify:
-        verify_covering(cb)
+    verify_covering(cb)
     return cb
 
 
@@ -776,14 +777,14 @@ def jep_type_count_bound(n: int, alphabet_size: int, alpha: float, delta: float)
     return (n + 1) ** alphabet_size * 2.0 ** (-n * (alpha + delta))
 
 
-def jep_exponent_threshold(alphabet_size: int, delta: float, n_cap: int = 1_000_000) -> int:
+def jep_exponent_threshold(alphabet_size: int, delta: float) -> int:
     """Smallest blocklength from which the type-counting bound beats 2^(-n*alpha).
 
     The comparison reduces to (n+1)^|X| <= 2^(n*delta), independent of alpha.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    for n in range(1, n_cap + 1):
+    for n in range(1, _THRESHOLD_N_CAP + 1):
         if alphabet_size * math.log2(n + 1) <= n * delta:
             return n
     raise CapExceededError("no blocklength below the cap satisfies the bound")
@@ -944,7 +945,7 @@ def save_codebook(cb: CoverCodebook, path: str) -> None:
             fh.write(b.member_assign.astype("<u4").tobytes())
 
 
-def load_codebook(path: str, *, verify: bool = True) -> CoverCodebook:
+def load_codebook(path: str) -> CoverCodebook:
     """Read a codebook written by :func:`save_codebook` and re-verify it."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -957,6 +958,15 @@ def load_codebook(path: str, *, verify: bool = True) -> CoverCodebook:
         out = raw[off: off + count]
         off += count
         return out
+
+    def codewords(count: int, size: int, layer: int) -> np.ndarray:
+        codes = np.frombuffer(take(count * n), dtype=np.uint8).reshape(count, n)
+        if np.any(codes >= size):
+            raise CodebookError(
+                f"layer-{layer} codeword of type {counts} has a symbol outside the "
+                f"alphabet of size {size}"
+            )
+        return codes.astype(np.int8)
 
     if take(4) != _MAGIC:
         raise CodebookError("not a codebook file (bad magic bytes)")
@@ -978,19 +988,16 @@ def load_codebook(path: str, *, verify: bool = True) -> CoverCodebook:
         (type_id,) = struct.unpack("<I", take(4))
         counts = struct.unpack(f"<{kx}I", take(4 * kx))
         (ny,) = struct.unpack("<I", take(4))
-        y_codes = np.frombuffer(take(ny * n), dtype=np.uint8).reshape(ny, n).astype(np.int8)
+        y_codes = codewords(ny, ka, 1)
         z_codes = []
         for _y in range(ny):
             (nz,) = struct.unpack("<I", take(4))
-            z_codes.append(
-                np.frombuffer(take(nz * n), dtype=np.uint8).reshape(nz, n).astype(np.int8)
-            )
+            z_codes.append(codewords(nz, kb, 2))
         (m,) = struct.unpack("<I", take(4))
         assign = np.frombuffer(take(8 * m), dtype="<u4").reshape(m, 2).astype(np.int64)
         books.append(_TypeBook(int(type_id), tuple(int(c) for c in counts), y_codes, z_codes, assign))
         members.append(type_class_members(TypeClass(n, books[-1].counts)))
-    cb = CoverCodebook(spec, n, delta, books, verified=False, members=members)
+    cb = CoverCodebook(spec, n, delta, books, members=members)
     _check_budgets(cb)
-    if verify:
-        verify_covering(cb)
+    verify_covering(cb)
     return cb

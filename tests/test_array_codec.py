@@ -412,7 +412,7 @@ def test_load_rejects_assignment_to_missing_codeword(tmp_path):
 def test_sequence_index_must_fit_int64():
     spec = binary()
     with pytest.raises(CapExceededError, match="int64 sequence index"):
-        CoverCodebook(spec, 64, 0.1, [], False, members=[])
+        CoverCodebook(spec, 64, 0.1, [], members=[])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from srleak.cli import EXIT_CAP, EXIT_OK, EXIT_SPEC, load_system_spec, main
+from srleak.typecodec import load_codebook, save_codebook
 
 
 FIG_SPEC = {
@@ -180,6 +181,17 @@ class TestCommands:
             assert run(["simulate", "--spec", spec_file, "--n", "6", "--samples", "300",
                         "--cache", str(cache), "--out", str(out)]) == EXIT_OK
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_simulate_rejects_an_out_of_alphabet_cache(self, spec_file, tmp_path, capsys):
+        cache = str(tmp_path / "book.srcb")
+        args = ["simulate", "--spec", spec_file, "--n", "6", "--delta", "0.3", "--cache", cache]
+        assert run(args) == EXIT_OK
+        cb = load_codebook(cache)
+        cb.books[0].y_codes[0, 0] = -1  # saved as the byte 0xFF
+        save_codebook(cb, cache)
+        capsys.readouterr()
+        assert run(args) == EXIT_SPEC
+        assert capsys.readouterr().err.startswith("error: layer-1 codeword of type ")
 
     def test_simulate_cap_exit(self, spec_file, tmp_path, monkeypatch):
         monkeypatch.setenv("SRLEAK_MAX_SEQUENCES", "4")

@@ -121,7 +121,7 @@ class TestBallMaximize:
 
         p = Distribution([0.5, 0.3, 0.2])
         alpha = 2.0  # ball covers the whole simplex
-        out = kl_ball_maximize(p, alpha, entropy, grid_resolution=40)
+        out = kl_ball_maximize(p, alpha, entropy)
         assert out.value == pytest.approx(math.log2(3), abs=1e-3)
 
     def test_ternary_solver_backend_exponent(self):
@@ -134,6 +134,26 @@ class TestBallMaximize:
         )
         expect = math.log2(3) - hb(0.3) - 0.3
         assert leakage_exponent_m1(spec) == pytest.approx(expect, abs=1e-4)
+
+
+class TestPinnedSearchSettings:
+    # exact reprs recorded before the ball-search, plateau-scan and solver
+    # settings became module constants; a changed constant shows up here
+    def test_ternary_coarse_search_m1(self):
+        d3 = DistortionMeasure.hamming(3)
+        spec = SystemSpec(Distribution([0.5, 0.3, 0.2]), d3, d3, 0.3, 0.1, 1.5, 1.5, 0.05, 0.0, 0.05)
+        assert repr(leakage_exponent_m1(spec)) == "0.34474617317857686"
+
+    def test_binary_scan_m1(self):
+        # a binary source under a non-Hamming measure takes the interval scan
+        erasure = DistortionMeasure([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]])
+        spec = SystemSpec(Distribution([0.65, 0.35]), erasure, H2, 0.2, 0.1, 1.6, 1.6, 0.0, 0.0, 0.1)
+        assert repr(leakage_exponent_m1(spec)) == "0.27807190511265056"
+
+    def test_plateau_thresholds(self):
+        assert repr(leakage_plateau_thresholds(FIG_SPEC)) == (
+            "(0.12576887950601617, 0.12576887950601617)"
+        )
 
 
 class TestBallMinimize:
@@ -215,7 +235,6 @@ class TestLeakageExponents:
         slow = kl_ball_maximize(
             spec.source, spec.alpha,
             lambda q: max(rd_function(q, H2, spec.D1).value - spec.r1, 0.0),
-            grid_points=41, starts=6, ascent_steps=12, grid_resolution=12,
         ).value
         assert slow == pytest.approx(fast, abs=2e-3)
 

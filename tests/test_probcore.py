@@ -52,6 +52,12 @@ class TestDistribution:
         with pytest.raises((ValueError, AttributeError)):
             d.probs[0] = 0.5
 
+    def test_caller_array_stays_writable(self):
+        a = np.array([0.5, 0.5])
+        d = Distribution(a)
+        a[0] = 0.25
+        assert d.probs.tolist() == [0.5, 0.5]
+
 
 class TestDistortionMeasure:
     def test_hamming(self):
@@ -70,6 +76,14 @@ class TestDistortionMeasure:
     def test_rejects_infinite(self):
         with pytest.raises(ValueError):
             DistortionMeasure([[0.0, math.inf], [1.0, 0.0]])
+
+    def test_caller_array_stays_writable(self):
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        d = DistortionMeasure(a)
+        a[0, 1] = 0.25
+        assert d.matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(ValueError):
+            d.matrix[0, 1] = 0.25
 
 
 class TestEntropy:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from srleak.errors import CapExceededError, CodebookError
+from srleak.errors import CapExceededError, CodebookError, SrleakError
 from srleak.exponents import SystemSpec
 from srleak.probcore import (
     Distribution,
@@ -372,6 +372,37 @@ class TestSerialization:
         open(path, "wb").write(bytes(raw))
         with pytest.raises(CodebookError):
             load_codebook(path)
+
+    @pytest.mark.parametrize("layer, symbol", [(1, 2), (1, -1), (2, 2), (2, -1)])
+    def test_codeword_symbol_outside_alphabet(self, tmp_path, layer, symbol):
+        # -1 is written as the byte 0xFF, which an int8 cast would wrap back
+        cb = build_codebook(make_spec(), 6, delta=0.2)
+        codes = cb.books[0].y_codes if layer == 1 else cb.books[0].z_codes[0]
+        codes[0, 0] = symbol
+        path = str(tmp_path / "book.srcb")
+        save_codebook(cb, path)
+        with pytest.raises(CodebookError, match=f"layer-{layer} codeword .* outside the alphabet"):
+            load_codebook(path)
+
+    def test_bit_flips_fail_loudly_or_load_in_range(self, tmp_path):
+        spec, n, delta, _ = PINNED_CODEBOOKS["binary-hamming"]
+        path = tmp_path / "book.srcb"
+        save_codebook(build_codebook(spec, n, delta), str(path))
+        clean = path.read_bytes()
+        rng = np.random.default_rng(2024)
+        for bit in rng.integers(0, 8 * len(clean), size=400):
+            raw = bytearray(clean)
+            raw[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(raw))
+            try:
+                cb = load_codebook(str(path))
+            except (SrleakError, ValueError):
+                continue
+            ka, kb = cb.spec.d1.cols, cb.spec.d2.cols
+            for b in cb.books:
+                assert b.y_codes.min() >= 0 and b.y_codes.max() < ka, bit
+                for z in b.z_codes:
+                    assert z.min() >= 0 and z.max() < kb, bit
 
 
 class TestKeyBits:
