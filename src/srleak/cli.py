@@ -86,9 +86,12 @@ def env_cap(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise ValueError(f"environment cap {name} must be an integer, got {raw!r}") from exc
+    if value < 0:
+        raise ValueError(f"environment cap {name} must be nonnegative, got {raw!r}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -145,6 +148,8 @@ def _write(out_path: str | None, text: str) -> None:
 def _parse_range(text: str) -> np.ndarray:
     try:
         a, b, steps = text.split(":")
+        if int(steps) < 1:
+            raise ValueError("no points")
         return np.linspace(float(a), float(b), int(steps))
     except ValueError as exc:
         raise ValueError(f"range must look like start:stop:steps, got {text!r}") from exc
@@ -253,23 +258,21 @@ def _require_cache_matches(cb, spec: SystemSpec, n: int, delta: float | None, pa
 
 def cmd_simulate(args) -> int:
     spec = load_system_spec(args.spec)
+    max_sequences = env_cap("SRLEAK_MAX_SEQUENCES", DEFAULT_SEQ_CAP)
+    max_enum = env_cap("SRLEAK_MAX_ENUM", DEFAULT_ENUM_CAP)
     rng = np.random.default_rng(args.seed)
     t0 = time.perf_counter()
     if args.cache and os.path.exists(args.cache):
         cb = load_codebook(args.cache)
         _require_cache_matches(cb, spec, args.n, args.delta, args.cache)
     else:
-        cb = build_codebook(
-            spec, args.n, args.delta,
-            max_sequences=env_cap("SRLEAK_MAX_SEQUENCES", DEFAULT_SEQ_CAP),
-        )
+        cb = build_codebook(spec, args.n, args.delta, max_sequences=max_sequences)
         if args.cache:
             save_codebook(cb, args.cache)
     build_seconds = time.perf_counter() - t0
 
     jep = jep_exact(cb)
     bound = jep_type_count_bound(cb.n, spec.source.alphabet_size, spec.alpha, cb.delta)
-    max_enum = env_cap("SRLEAK_MAX_ENUM", DEFAULT_ENUM_CAP)
     rep1 = leakage_report(cb, "M1", max_enum=max_enum)
     rep12 = leakage_report(cb, "M1M2", max_enum=max_enum)
     mc = simulate_jep(cb, args.samples, rng) if args.samples else None
@@ -316,11 +319,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_adversary(args) -> int:
     spec = load_system_spec(args.spec)
+    max_enum = env_cap("SRLEAK_MAX_ENUM", DEFAULT_ENUM_CAP)
     cb = build_codebook(spec, args.n, args.delta)
     scheme = GuessScheme(args.guesser, _TARGETS[args.target])
-    res = end_to_end_guess_probability(
-        spec, args.n, cb, scheme, max_enum=env_cap("SRLEAK_MAX_ENUM", DEFAULT_ENUM_CAP)
-    )
+    res = end_to_end_guess_probability(spec, args.n, cb, scheme, max_enum=max_enum)
     bound = end_to_end_lower_bound(spec, args.n, cb, args.tau, res.p_star)
     out = {
         "guesser": scheme.guesser,

@@ -11,7 +11,11 @@ Two convex programs over test channels:
   on the three constraint multipliers with inner exponentiated-gradient
   (mirror-descent) steps on each conditional row, followed by an
   exact-penalty polish and a feasibility repair, so the reported value is
-  always attained by the returned feasible channel.
+  always attained by the returned feasible channel.  Each candidate channel
+  is evaluated once (``_SumRateProblem.evaluate``: both rates, both
+  distortions and the output marginals, from one x log x pass); the
+  Lagrangian, the constraint violations, the gradient and the Frank-Wolfe
+  gap all read that record.
 
 A brute-force simplex-grid oracle (``min_sum_rate_oracle``) validates the
 solver on tiny instances.
@@ -20,6 +24,7 @@ solver on tiny instances.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +233,10 @@ def binary_hamming_sum_rate(p: float, R1: float, D1: float, D2: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# one evaluated channel: the solver reads both rates, both distortions and the marginals from it
+_Eval = namedtuple("_Eval", "w i_joint i1 ed1 ed2 m wa ma")
+
+
 class _SumRateProblem:
     """Workspace for min I(X; Y1, Y2) under two distortion caps and a layer-1 rate cap."""
 
@@ -246,61 +255,64 @@ class _SumRateProblem:
         self.R1 = R1
         self.D1 = D1
         self.D2 = D2
+        self.h_px = _xlog2x(self.px).sum()
 
-    def stats(self, w: np.ndarray):
+    def evaluate(self, w: np.ndarray) -> _Eval:
+        """Every quantity the solver reads at w, with one x log x pass.
+
+        Each term is flattened in memory order ("K"), which is the order
+        ``.sum()`` adds a C- or F-ordered array in, so each segment sum equals
+        the sum of that term on its own bit for bit.
+        """
         px = self.px
         m = px @ w
         joint = px[:, None] * w
-        i_joint = float(_xlog2x(joint).sum() - _xlog2x(px).sum() - _xlog2x(m).sum())
         wa = w.reshape(self.kx, self.ka, self.kb).sum(axis=2)
         ma = px @ wa
         ja = px[:, None] * wa
-        i1 = float(_xlog2x(ja).sum() - _xlog2x(px).sum() - _xlog2x(ma).sum())
-        ed1 = float((px[:, None] * w * self.d1c).sum())
-        ed2 = float((px[:, None] * w * self.d2c).sum())
-        return i_joint, i1, ed1, ed2, m, wa, ma
+        t = _xlog2x(np.concatenate((joint.ravel("K"), m, ja.ravel("K"), ma)))
+        a, b, c = joint.size, joint.size + m.size, joint.size + m.size + ja.size
+        i_joint = float(t[:a].sum() - self.h_px - t[a:b].sum())
+        i1 = float(t[b:c].sum() - self.h_px - t[c:].sum())
+        ed1 = float((joint * self.d1c).sum())
+        ed2 = float((joint * self.d2c).sum())
+        return _Eval(w, i_joint, i1, ed1, ed2, m, wa, ma)
 
-    def violations(self, w: np.ndarray) -> np.ndarray:
-        _, i1, ed1, ed2, *_ = self.stats(w)
-        return np.array([ed1 - self.D1, ed2 - self.D2, i1 - self.R1])
+    def violations(self, ev: _Eval) -> np.ndarray:
+        return np.array([ev.ed1 - self.D1, ev.ed2 - self.D2, ev.i1 - self.R1])
 
-    def lagrangian(self, w: np.ndarray, lam: np.ndarray) -> float:
-        i_joint, i1, ed1, ed2, *_ = self.stats(w)
-        return i_joint + lam[0] * ed1 + lam[1] * ed2 + lam[2] * i1
+    def lagrangian(self, ev: _Eval, lam: np.ndarray) -> float:
+        return ev.i_joint + lam[0] * ev.ed1 + lam[1] * ev.ed2 + lam[2] * ev.i1
 
-    def grad_scaled(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def grad_scaled(self, ev: _Eval, lam: np.ndarray) -> np.ndarray:
         """Gradient of the Lagrangian divided by the row weights px."""
-        m = self.px @ w
-        wa = w.reshape(self.kx, self.ka, self.kb).sum(axis=2)
-        ma = self.px @ wa
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.log2(np.maximum(w, _LOG_FLOOR)) - np.log2(np.maximum(m, _LOG_FLOOR))[None, :]
-            ga = np.log2(np.maximum(wa, _LOG_FLOOR)) - np.log2(np.maximum(ma, _LOG_FLOOR))[None, :]
+        g = np.log2(np.maximum(ev.w, _LOG_FLOOR)) - np.log2(np.maximum(ev.m, _LOG_FLOOR))[None, :]
+        ga = np.log2(np.maximum(ev.wa, _LOG_FLOOR)) - np.log2(np.maximum(ev.ma, _LOG_FLOOR))[None, :]
         g = g + lam[2] * np.repeat(ga, self.kb, axis=1)
         g = g + lam[0] * self.d1c + lam[1] * self.d2c
         return g
 
-    def fw_gap(self, w: np.ndarray, lam: np.ndarray) -> float:
-        """Frank-Wolfe gap of the Lagrangian at w; certifies a dual lower bound."""
-        g = self.grad_scaled(w, lam)
-        per_row = (g * w).sum(axis=1) - g.min(axis=1)
+    def fw_gap(self, ev: _Eval, lam: np.ndarray) -> float:
+        """Frank-Wolfe gap of the Lagrangian at ev.w; certifies a dual lower bound."""
+        g = self.grad_scaled(ev, lam)
+        per_row = (g * ev.w).sum(axis=1) - g.min(axis=1)
         return float((self.px * per_row).sum())
 
-    def mirror_steps(self, w: np.ndarray, lam: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
+    def mirror_steps(self, ev: _Eval, lam: np.ndarray, steps: int) -> tuple[_Eval, int]:
         """Backtracking exponentiated-gradient descent on the Lagrangian."""
-        f = self.lagrangian(w, lam)
+        f = self.lagrangian(ev, lam)
         eta = _MIRROR_ETA0
         used = 0
         for _ in range(steps):
-            g = self.grad_scaled(w, lam)
+            g = self.grad_scaled(ev, lam)
             g = g - g.min(axis=1, keepdims=True)
             accepted = False
             for _ in range(30):
-                cand = _normalize_rows(w * np.exp2(-eta * g))
+                cand = self.evaluate(_normalize_rows(ev.w * np.exp2(-eta * g)))
                 f_cand = self.lagrangian(cand, lam)
                 used += 1
                 if f_cand <= f - 1e-15:
-                    w, f = cand, f_cand
+                    ev, f = cand, f_cand
                     eta = min(eta * 1.6, 64.0)
                     accepted = True
                     break
@@ -309,7 +321,7 @@ class _SumRateProblem:
                     break
             if not accepted:
                 break
-        return w, used
+        return ev, used
 
 
 def _binary_hamming_markov_start(px: np.ndarray, D1: float, D2: float) -> np.ndarray | None:
@@ -375,22 +387,31 @@ def min_sum_rate(
     w_feas = _normalize_rows(np.maximum(w_feas, 1e-30))
 
     feas_tol = 1e-9
+    ev_feas = prob.evaluate(w_feas)
+    feas_ok = bool(np.all(prob.violations(ev_feas) <= feas_tol))
 
-    def repaired(w: np.ndarray) -> np.ndarray | None:
-        v = prob.violations(w)
-        if np.all(v <= feas_tol):
-            return w
-        lo, hi = 0.0, 1.0
-        if not np.all(prob.violations(w_feas) <= feas_tol):
+    def repaired(ev: _Eval) -> _Eval | None:
+        if np.all(prob.violations(ev) <= feas_tol):
+            return ev
+        if not feas_ok:
             return None
+        lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            cand = (1.0 - mid) * w + mid * w_feas
-            if np.all(prob.violations(cand) <= feas_tol):
+            if np.all(prob.violations(prob.evaluate((1.0 - mid) * ev.w + mid * w_feas)) <= feas_tol):
                 hi = mid
             else:
                 lo = mid
-        return (1.0 - hi) * w + hi * w_feas
+        return prob.evaluate((1.0 - hi) * ev.w + hi * w_feas)
+
+    best_value = math.inf
+    best_w = w_feas
+
+    def offer(ev: _Eval) -> None:
+        nonlocal best_value, best_w
+        r = repaired(ev)
+        if r is not None and r.i_joint < best_value:
+            best_value, best_w = r.i_joint, r.w
 
     w = _binary_hamming_markov_start(px, D1, D2) if (
         prob.kx == 2 and prob.ka == 2 and prob.kb == 2
@@ -399,17 +420,10 @@ def min_sum_rate(
         and q.full_support
     ) else None
     if w is None:
-        w = w_feas.copy()
-    w = _normalize_rows(np.maximum(w, 1e-12))
-
-    best_value = math.inf
-    best_w = w_feas
-    for cand in (w_feas, w):
-        r = repaired(cand)
-        if r is not None:
-            val = prob.stats(r)[0]
-            if val < best_value:
-                best_value, best_w = val, r
+        w = w_feas
+    ev = prob.evaluate(_normalize_rows(np.maximum(w, 1e-12)))
+    offer(ev_feas)
+    offer(ev)
 
     lam = np.zeros(3)
     phi_best = -math.inf
@@ -417,19 +431,15 @@ def min_sum_rate(
     prev_phi = -math.inf
     stall = 0
     for t in range(1, _OUTER_ITERS + 1):
-        w, used = prob.mirror_steps(w, lam, _INNER_STEPS)
+        ev, used = prob.mirror_steps(ev, lam, _INNER_STEPS)
         total += used
-        viol = prob.violations(w)
-        phi = prob.lagrangian(w, lam) - prob.fw_gap(w, lam) - float(
+        viol = prob.violations(ev)
+        phi = prob.lagrangian(ev, lam) - prob.fw_gap(ev, lam) - float(
             lam[0] * D1 + lam[1] * D2 + lam[2] * R1
         )
         phi_best = max(phi_best, phi)
         if t % 8 == 0:
-            r = repaired(w)
-            if r is not None:
-                val = prob.stats(r)[0]
-                if val < best_value:
-                    best_value, best_w = val, r
+            offer(ev)
         step = 2.0 / math.sqrt(t)
         lam = np.maximum(lam + step * viol, 0.0)
         if abs(phi - prev_phi) < 1e-9:
@@ -444,30 +454,26 @@ def min_sum_rate(
 
     # exact-penalty polish from the dual iterate
     rho = float(max(10.0, 4.0 * lam.max() + 4.0))
-    targets = np.array([D1, D2, R1])
 
-    def f_pen(wc: np.ndarray) -> float:
-        i_joint, i1, ed1, ed2, *_ = prob.stats(wc)
-        v = np.maximum(np.array([ed1 - D1, ed2 - D2, i1 - R1]), 0.0)
-        return i_joint + rho * float(v.sum())
+    def f_pen(ev: _Eval) -> float:
+        return ev.i_joint + rho * float(np.maximum(prob.violations(ev), 0.0).sum())
 
-    def grad_pen(wc: np.ndarray) -> np.ndarray:
-        v = prob.violations(wc)
-        lam_eff = rho * (v > 0).astype(np.float64)
-        return prob.grad_scaled(wc, lam_eff)
+    def grad_pen(ev: _Eval) -> np.ndarray:
+        lam_eff = rho * (prob.violations(ev) > 0).astype(np.float64)
+        return prob.grad_scaled(ev, lam_eff)
 
-    f = f_pen(w)
+    f = f_pen(ev)
     eta = 0.25
     for _ in range(_POLISH_STEPS):
-        g = grad_pen(w)
+        g = grad_pen(ev)
         g = g - g.min(axis=1, keepdims=True)
         improved = False
         for _ in range(25):
-            cand = _normalize_rows(w * np.exp2(-eta * g))
+            cand = prob.evaluate(_normalize_rows(ev.w * np.exp2(-eta * g)))
             fc = f_pen(cand)
             total += 1
             if fc < f - 1e-15:
-                w, f = cand, fc
+                ev, f = cand, fc
                 eta = min(eta * 1.5, 32.0)
                 improved = True
                 break
@@ -477,19 +483,11 @@ def min_sum_rate(
         if not improved:
             break
         if total % 40 == 0:
-            r = repaired(w)
-            if r is not None:
-                val = prob.stats(r)[0]
-                if val < best_value:
-                    best_value, best_w = val, r
+            offer(ev)
         if total > _SUM_MAX_ITER:
             break
 
-    r = repaired(w)
-    if r is not None:
-        val = prob.stats(r)[0]
-        if val < best_value:
-            best_value, best_w = val, r
+    offer(ev)
 
     gap = best_value - phi_best if math.isfinite(phi_best) else math.inf
     status = "converged" if gap <= 1e-5 or best_value <= 1e-9 else "boundary"

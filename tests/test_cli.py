@@ -119,6 +119,15 @@ class TestCommands:
             ]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_sweep_rejects_a_range_without_points(self, spec_file, tmp_path, capsys, steps):
+        # a header-only CSV would read as a successful sweep
+        out = tmp_path / "sweep.csv"
+        rng = f"0:0.3:{steps}"
+        assert run(["sweep", "--spec", spec_file, "--alpha-range", rng, "--out", str(out)]) == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: range must look like start:stop:steps, got {rng!r}\n"
+        assert not out.exists()
+
     def test_region(self, spec_file, tmp_path):
         out = tmp_path / "r.json"
         assert run([
@@ -198,6 +207,19 @@ class TestCommands:
         assert run([
             "simulate", "--spec", spec_file, "--n", "6", "--delta", "0.3",
         ]) == EXIT_CAP
+
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "SRLEAK_MAX_ENUM"),
+        ("simulate", "SRLEAK_MAX_SEQUENCES"),
+        ("adversary", "SRLEAK_MAX_ENUM"),
+    ])
+    def test_negative_cap_exit(self, spec_file, tmp_path, capsys, monkeypatch, command, name):
+        # a negative cap is a malformed value, not a request to skip the enumeration
+        monkeypatch.setenv(name, "-1")
+        out = tmp_path / "out.json"
+        assert run([command, "--spec", spec_file, "--n", "4", "--delta", "0.3", "--out", str(out)]) == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: environment cap {name} must be nonnegative, got '-1'\n"
+        assert not out.exists()
 
     def test_adversary(self, spec_file, tmp_path):
         out = tmp_path / "adv.json"

@@ -1,11 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srleak.errors import CapExceededError
 from srleak.probcore import Distribution, DistortionMeasure
 from srleak.rdsolver import (
+    _LOG_FLOOR,
+    _SumRateProblem,
+    _xlog2x,
     binary_hamming_sum_rate,
     min_sum_rate,
     min_sum_rate_oracle,
@@ -235,3 +241,131 @@ class TestOracle:
                 Distribution.uniform(4), DistortionMeasure.hamming(4), DistortionMeasure.hamming(4),
                 1.0, 0.2, 0.1, grid=8,
             )
+
+
+# ---------------------------------------------------------------------------
+# the solver's single evaluation against the per-quantity reference
+# ---------------------------------------------------------------------------
+
+
+def reference_stats(prob: _SumRateProblem, w: np.ndarray):
+    """Each quantity on its own, every x log x term summed separately."""
+    px = prob.px
+    m = px @ w
+    joint = px[:, None] * w
+    i_joint = float(_xlog2x(joint).sum() - _xlog2x(px).sum() - _xlog2x(m).sum())
+    wa = w.reshape(prob.kx, prob.ka, prob.kb).sum(axis=2)
+    ma = px @ wa
+    ja = px[:, None] * wa
+    i1 = float(_xlog2x(ja).sum() - _xlog2x(px).sum() - _xlog2x(ma).sum())
+    ed1 = float((px[:, None] * w * prob.d1c).sum())
+    ed2 = float((px[:, None] * w * prob.d2c).sum())
+    return i_joint, i1, ed1, ed2, m, wa, ma
+
+
+def reference_grad_scaled(prob: _SumRateProblem, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Lagrangian gradient over px, recomputing both output marginals from w."""
+    m = prob.px @ w
+    wa = w.reshape(prob.kx, prob.ka, prob.kb).sum(axis=2)
+    ma = prob.px @ wa
+    g = np.log2(np.maximum(w, _LOG_FLOOR)) - np.log2(np.maximum(m, _LOG_FLOOR))[None, :]
+    ga = np.log2(np.maximum(wa, _LOG_FLOOR)) - np.log2(np.maximum(ma, _LOG_FLOOR))[None, :]
+    g = g + lam[2] * np.repeat(ga, prob.kb, axis=1)
+    return g + lam[0] * prob.d1c + lam[1] * prob.d2c
+
+
+@st.composite
+def evaluation_cases(draw):
+    kx, ka, kb = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    px = rng.random(kx) * (rng.random(kx) >= zeros / 2)
+    px[rng.integers(kx)] += 0.5
+    w = rng.random((kx, ka * kb)) ** 3 * (rng.random((kx, ka * kb)) >= zeros)
+    w[np.arange(kx), rng.integers(ka * kb, size=kx)] += 0.1
+    w = np.asarray(w / w.sum(axis=1, keepdims=True), order=draw(st.sampled_from("CF")))
+    q = Distribution(px / px.sum())
+
+    def measure(cols: int) -> DistortionMeasure:
+        d = rng.random((kx, cols))
+        d[np.arange(kx), rng.integers(cols, size=kx)] = 0.0
+        return DistortionMeasure(d)
+
+    d1, d2 = measure(ka), measure(kb)
+    prob = _SumRateProblem(q, d1, d2, float(rng.random()), float(rng.random()), float(rng.random()))
+    return prob, w, rng.random(3) * 4.0
+
+
+def bits(*values: float) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_cases())
+def test_evaluation_matches_reference_bit_for_bit(case):
+    # numpy adds a 2-D array in memory order, so an F-ordered channel (the
+    # binary Markov start) sums differently from its C-ordered copy; the
+    # fused pass must reproduce each layout's own order
+    prob, w, lam = case
+    ev = prob.evaluate(w)
+    i_joint, i1, ed1, ed2, m, wa, ma = reference_stats(prob, w)
+    assert bits(ev.i_joint, ev.i1, ev.ed1, ev.ed2) == bits(i_joint, i1, ed1, ed2)
+    for got, want in ((ev.m, m), (ev.wa, wa), (ev.ma, ma)):
+        assert got.tobytes() == want.tobytes()
+    assert prob.grad_scaled(ev, lam).tobytes() == reference_grad_scaled(prob, w, lam).tobytes()
+    assert bits(prob.lagrangian(ev, lam)) == bits(i_joint + lam[0] * ed1 + lam[1] * ed2 + lam[2] * i1)
+
+
+H3 = DistortionMeasure.hamming(3)
+ORDINAL3 = DistortionMeasure([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+ERASURE_D1 = DistortionMeasure([[0, 1, 0.5], [1, 0, 0.5]])
+P532 = Distribution([0.5, 0.3, 0.2])
+
+PINNED = {
+    "uniform-ternary R1=0.7": (
+        (Distribution.uniform(3), H3, H3, 0.7, 0.3, 0.1),
+        ("1.115111182027134", "boundary", 7226, "0.14053186134700302",
+         "5d218900c39e92e1b35b8edcfa6cfc5b443628ec6b9d1dd6ee45f5180c746fbd"),
+    ),
+    "uniform-ternary R1=1.2": (
+        (Distribution.uniform(3), H3, H3, 1.2, 0.3, 0.1),
+        ("1.0159669071319564", "boundary", 8801, "0.00013857719972043547",
+         "65917f551c209e3a647e94d7ec08fa2f8418aca544545692b0645a75c08d76d4"),
+    ),
+    "(0.5, 0.3, 0.2) R1=0.55": (
+        (P532, H3, H3, 0.55, 0.3, 0.1),
+        ("1.008408288163766", "boundary", 7367, "0.14720250967231685",
+         "2916c6f09e5ed78c658c6128417003b701bd7944217b1f803adda58bce60bd31"),
+    ),
+    "ordinal |i-j| R1=0.8": (
+        (P532, ORDINAL3, ORDINAL3, 0.8, 0.4, 0.2),
+        ("0.667210482996399", "converged", 10105, "6.991433376679623e-08",
+         "bfc252fdfe1fde4b1b8140052be54576f268c75ae5d29b9026cafa25ed64a45f"),
+    ),
+    "binary Markov start (F-ordered) R1=0.3": (
+        (Distribution.bernoulli(0.3), H2, H2, 0.3, 0.15, 0.05),
+        ("0.5948939421147368", "boundary", 7374, "0.0565139800828206",
+         "f9854142e7cbf62ccc735937d8d623954c102219b1838fd8f1e63a776a9ff85e"),
+    ),
+    "erasure d1 R1=0.6": (
+        (Distribution.bernoulli(0.3), ERASURE_D1, H2, 0.6, 0.3, 0.1),
+        ("0.41229530247148627", "boundary", 9688, "7.317751361107794e-05",
+         "9b50eae140309eb88f6f6da81e34bf5a593aa8219b18db482fc75adce3fbf062"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_pinned_solver_outputs(name):
+    """Today's exact solver outputs, pinned on purpose.
+
+    These record what the dual-ascent solver returns now, wrong ternary
+    values included (the true uniform-ternary value is R(D2) = 1.015967 at
+    every R1 >= R(D1)), so that a speed-up of the same algorithm is checked
+    to change no bit of value, status, iterations, gap or optimizer.  The
+    certified solver of ROADMAP item 1 changes them: update the pins there.
+    """
+    args, (value, status, iterations, gap, digest) = PINNED[name]
+    sol = min_sum_rate(*args)
+    assert (repr(sol.value), sol.status, sol.iterations, repr(sol.gap)) == (value, status, iterations, gap)
+    assert hashlib.sha256(sol.optimizer.tobytes()).hexdigest() == digest
