@@ -394,6 +394,8 @@ def end_to_end_lower_bound(
     b3 the normalized type-count exponent, and (ii) the built code meets its
     reliability target.  Both conditions are reported, never assumed.
     """
+    if math.isnan(tau):
+        raise ValueError("tau must be a number")
     kx, ka, kb = spec.source.alphabet_size, spec.d1.cols, spec.d2.cols
     b2 = (n + 1.0) ** (-(kx * ka * kb))
     b4 = (n + 1.0) ** (-kx) * b2

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -44,10 +45,11 @@ from .exponents import (
     SystemSpec,
     binary_plateau_alpha,
     expected_distortion_exponents,
+    jep_floors,
     key_rate_thresholds,
+    keys_within_thresholds,
     leakage_exponent_joint,
     leakage_exponent_joint_outer,
-    leakage_exponent_m1,
     leakage_plateau_thresholds,
     partial_secrecy_holds,
     region_boundary,
@@ -148,7 +150,7 @@ def _write(out_path: str | None, text: str) -> None:
 def _parse_range(text: str) -> np.ndarray:
     try:
         a, b, steps = text.split(":")
-        if int(steps) < 1:
+        if int(steps) < 1 or not (math.isfinite(float(a)) and math.isfinite(float(b))):
             raise ValueError("no points")
         return np.linspace(float(a), float(b), int(steps))
     except ValueError as exc:
@@ -179,24 +181,17 @@ def cmd_rd(args) -> int:
 def cmd_exponents(args) -> int:
     spec = load_system_spec(args.spec)
     a1, a2 = leakage_plateau_thresholds(spec)
-    omegas = expected_distortion_exponents(spec)
+    thresholds = key_rate_thresholds(spec)
+    names = ("m1", "joint_inner", "joint_outer")
     out = {
-        "jep": {
-            "m1": leakage_exponent_m1(spec),
-            "joint_inner": leakage_exponent_joint(spec),
-            "joint_outer": leakage_exponent_joint_outer(spec),
-        },
-        "expected": {
-            "m1": omegas[0],
-            "joint_inner": omegas[1],
-            "joint_outer": omegas[2],
-        },
+        "jep": dict(zip(names, jep_floors(RateModel(spec), spec.alpha))),
+        "expected": dict(zip(names, expected_distortion_exponents(spec))),
         "plateau_alpha": {"m1": a1, "joint": a2},
         "partial_secrecy": {
-            "jep": partial_secrecy_holds(spec, "jep"),
+            "jep": keys_within_thresholds(spec, thresholds),
             "expected": partial_secrecy_holds(spec, "expected"),
         },
-        "key_rate_thresholds": dict(zip(("r1", "r2"), key_rate_thresholds(spec))),
+        "key_rate_thresholds": dict(zip(("r1", "r2"), thresholds)),
     }
     _write(args.out, _json_dump(out))
     return EXIT_OK
@@ -213,15 +208,9 @@ def cmd_sweep(args) -> int:
         "# column lambda2_out: outer-bound floor for both messages together",
         "alpha,lambda1,lambda2,lambda2_out",
     ]
-    for a in alphas:
-        s = spec.with_alpha(float(a))
-        row = (
-            float(a),
-            leakage_exponent_m1(s),
-            leakage_exponent_joint(s),
-            leakage_exponent_joint_outer(s),
-        )
-        lines.append(",".join(_fmt(v) for v in row))
+    model = RateModel(spec)
+    for a in alphas.tolist():
+        lines.append(",".join(_fmt(v) for v in (a, *jep_floors(model, a))))
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -319,8 +308,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_adversary(args) -> int:
     spec = load_system_spec(args.spec)
+    max_sequences = env_cap("SRLEAK_MAX_SEQUENCES", DEFAULT_SEQ_CAP)
     max_enum = env_cap("SRLEAK_MAX_ENUM", DEFAULT_ENUM_CAP)
-    cb = build_codebook(spec, args.n, args.delta)
+    cb = build_codebook(spec, args.n, args.delta, max_sequences=max_sequences)
     scheme = GuessScheme(args.guesser, _TARGETS[args.target])
     res = end_to_end_guess_probability(spec, args.n, cb, scheme, max_enum=max_enum)
     bound = end_to_end_lower_bound(spec, args.n, cb, args.tau, res.p_star)
@@ -374,11 +364,12 @@ def _reproduce_plateau() -> list[tuple[str, float, float, float]]:
 def _reproduce_sweep() -> list[tuple[str, float, float, float]]:
     spec = _hamming_spec(0.3, 0.2, 0.1, 1.0, 1.0, 0.06, 0.1, 0.2)
     alphas = np.linspace(0.0, 0.3, 200)
+    model = RateModel(spec)
     v1, v2 = [], []
-    for a in alphas:
-        s = spec.with_alpha(float(a))
-        v1.append(leakage_exponent_m1(s))
-        v2.append(leakage_exponent_joint(s))
+    for a in alphas.tolist():
+        v1.append(model.ball_max(model.m1, a))
+        model.require_layer1_rate(a)
+        v2.append(model.ball_max(model.joint, a))
     mono1 = min(y - x for x, y in zip(v1, v1[1:]))
     mono2 = min(y - x for x, y in zip(v2, v2[1:]))
     rows = [
@@ -435,6 +426,7 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one per process: each parser is ~75 KB of reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srleak",
@@ -499,8 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceededError as exc:

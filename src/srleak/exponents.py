@@ -10,7 +10,8 @@ scheme is governed by maximizations over the divergence ball
 * both layers, outer bound: max of {R(Q, R1, D1, D2) - r1 - r2}^+.
 
 Under the expected-distortion reliability criterion the ball degenerates to
-the point {P} and the same three clamped expressions apply.
+the point {P} and the same three clamped expressions apply.  ``RateModel``
+defines them once and takes alpha per ball search, so one model serves a loop.
 
 For binary sources under Hamming distortion every inner quantity has a
 closed form, so ball extremizations reduce to exact one-dimensional searches
@@ -37,7 +38,8 @@ from .probcore import (
     kl_divergence,
     type_count_vectors,
 )
-from .rdsolver import binary_hamming_sum_rate, min_sum_rate, rd_binary_hamming, rd_function
+from .rdsolver import (binary_hamming_sum_rate, is_binary_hamming, min_sum_rate,
+                       rd_binary_hamming, rd_function)
 
 Criterion = Literal["jep", "expected"]
 
@@ -93,11 +95,7 @@ class SystemSpec:
 
     @property
     def is_binary_hamming(self) -> bool:
-        return (
-            self.source.alphabet_size == 2
-            and self.d1 == DistortionMeasure.hamming(2)
-            and self.d2 == DistortionMeasure.hamming(2)
-        )
+        return is_binary_hamming(self.d1, self.d2)
 
     def with_alpha(self, alpha: float) -> "SystemSpec":
         return replace(self, alpha=alpha)
@@ -111,7 +109,7 @@ class RegionPoint:
     L2: float
 
     def __post_init__(self) -> None:
-        if self.L1 < 0 or self.L2 < 0:
+        if not (self.L1 >= 0 and self.L2 >= 0):
             raise ValueError("leakage budgets must be nonnegative")
 
 
@@ -307,7 +305,7 @@ def kl_ball_maximize(
     any Bernoulli-parameter interval sit at its ends or at the entropy
     maximizer, which skips the scan (binary alphabets only).
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")
     if not p.full_support:
         raise ValueError("the ball center must have full support")
@@ -336,7 +334,7 @@ def kl_ball_minimize(
 
 
 class RateModel:
-    """R(Q, D1), R(Q, D2) and the two-layer sum rate R(Q, R1, D1, D2) of one spec.
+    """R(Q, D1), R(Q, D2), the sum rate R(Q, R1, D1, D2) and the leakage objectives of a spec.
 
     A binary source under Hamming measures uses the closed forms; any other
     spec calls the solvers, once per candidate law.
@@ -369,61 +367,72 @@ class RateModel:
             self._sum[key] = min_sum_rate(q, spec.d1, spec.d2, spec.R1, spec.D1, spec.D2).value
         return self._sum[key]
 
+    def m1(self, q: Distribution) -> float:
+        return _pos(self.rd(q, 1) - self.spec.r1)
+
+    def joint(self, q: Distribution) -> float:
+        rd1 = self.rd(q, 1)
+        return _pos(rd1 - self.spec.r1) + _pos(self.sum_rate(q) - rd1 - self.spec.r2)
+
+    def joint_outer(self, q: Distribution) -> float:
+        return _pos(self.sum_rate(q) - self.spec.r1 - self.spec.r2)
+
     # closed-form rate objectives are monotone in the binary entropy, so the
     # ball search's four-candidate fast path is exact for them
-    def ball_max(self, objective: Callable[[Distribution], float]) -> float:
-        return kl_ball_maximize(self.spec.source, self.spec.alpha, objective,
+    def ball_max(self, objective: Callable[[Distribution], float], alpha: float) -> float:
+        return kl_ball_maximize(self.spec.source, alpha, objective,
                                 entropy_monotone=self.closed_form).value
 
-    def ball_min(self, objective: Callable[[Distribution], float]) -> float:
-        return kl_ball_minimize(self.spec.source, self.spec.alpha, objective,
+    def ball_min(self, objective: Callable[[Distribution], float], alpha: float) -> float:
+        return kl_ball_minimize(self.spec.source, alpha, objective,
                                 entropy_monotone=self.closed_form).value
 
+    def require_layer1_rate(self, alpha: float) -> None:
+        """Raise unless R1 exceeds the ball maximum of R(Q, D1) at radius alpha."""
+        ball_max = max_rd_over_ball(self, alpha)
+        if not self.spec.R1 > ball_max - 1e-12:
+            raise RateConditionError(
+                f"layer-1 rate {self.spec.R1} must strictly exceed the ball maximum "
+                f"of the rate-distortion function ({ball_max:.6f})"
+            )
 
-def max_rd_over_ball(model: RateModel) -> float:
+
+def max_rd_over_ball(model: RateModel, alpha: float) -> float:
     """Largest layer-1 rate-distortion value over the divergence ball."""
-    return model.ball_max(lambda q: model.rd(q, 1))
+    return model.ball_max(lambda q: model.rd(q, 1), alpha)
 
 
-def _require_layer1_rate(model: RateModel) -> None:
-    ball_max = max_rd_over_ball(model)
-    if not model.spec.R1 > ball_max - 1e-12:
-        raise RateConditionError(
-            f"layer-1 rate {model.spec.R1} must strictly exceed the ball maximum "
-            f"of the rate-distortion function ({ball_max:.6f})"
-        )
+def jep_floors(model: RateModel, alpha: float) -> tuple[float, float, float]:
+    """The layer-1, joint inner and joint outer floors at radius alpha."""
+    model.require_layer1_rate(alpha)
+    return tuple(model.ball_max(f, alpha) for f in (model.m1, model.joint, model.joint_outer))
 
 
 def leakage_exponent_m1(spec: SystemSpec) -> float:
     """Normalized maximal-leakage exponent of the first message."""
     model = RateModel(spec)
-    return model.ball_max(lambda q: _pos(model.rd(q, 1) - spec.r1))
+    return model.ball_max(model.m1, spec.alpha)
 
 
 def leakage_exponent_joint(spec: SystemSpec) -> float:
     """Inner-bound exponent for the leakage of both messages together."""
     model = RateModel(spec)
-    _require_layer1_rate(model)
-
-    def obj(q: Distribution) -> float:
-        rd1 = model.rd(q, 1)
-        return _pos(rd1 - spec.r1) + _pos(model.sum_rate(q) - rd1 - spec.r2)
-
-    return model.ball_max(obj)
+    model.require_layer1_rate(spec.alpha)
+    return model.ball_max(model.joint, spec.alpha)
 
 
 def leakage_exponent_joint_outer(spec: SystemSpec) -> float:
     """Outer-bound exponent for the leakage of both messages together."""
     model = RateModel(spec)
-    _require_layer1_rate(model)
-    return model.ball_max(lambda q: _pos(model.sum_rate(q) - spec.r1 - spec.r2))
+    model.require_layer1_rate(spec.alpha)
+    return model.ball_max(model.joint_outer, spec.alpha)
 
 
 def expected_distortion_exponents(spec: SystemSpec) -> tuple[float, float, float]:
     """The three leakage exponents under the expected-distortion criterion.
 
-    These are the same clamped expressions evaluated at the source itself
-    (no divergence ball).  Requires the strict rate margins of the
+    These are the same clamped objectives evaluated at the source itself,
+    the ball of radius zero.  Requires the strict rate margins of the
     expected-distortion regime.
     """
     model = RateModel(spec)
@@ -437,10 +446,7 @@ def expected_distortion_exponents(spec: SystemSpec) -> tuple[float, float, float
         raise RateConditionError(
             f"sum rate {spec.R1 + spec.R2} must strictly exceed the two-layer minimum {total:.6f}"
         )
-    omega1 = _pos(rd1 - spec.r1)
-    omega2 = omega1 + _pos(total - rd1 - spec.r2)
-    omega2_out = _pos(total - spec.r1 - spec.r2)
-    return omega1, omega2, omega2_out
+    return model.m1(spec.source), model.joint(spec.source), model.joint_outer(spec.source)
 
 
 def divergence_ball_cap(p: Distribution) -> float:
@@ -461,9 +467,14 @@ def leakage_plateau_thresholds(spec: SystemSpec) -> tuple[float, float]:
     is not flat everywhere.
     """
     cap = divergence_ball_cap(spec.source)
+    model = RateModel(spec)
+
+    def joint(a: float) -> float:
+        model.require_layer1_rate(a)
+        return model.ball_max(model.joint, a)
+
     out = []
-    for fn in (leakage_exponent_m1, leakage_exponent_joint):
-        f = lambda a: fn(spec.with_alpha(a))
+    for f in (lambda a: model.ball_max(model.m1, a), joint):
         plateau = f(cap)
         eps = _PLATEAU_VALUE_EPS * max(1.0, abs(plateau))
         if f(0.0) >= plateau - eps:
@@ -496,9 +507,7 @@ def binary_plateau_alpha(p: float) -> float:
 def region_boundary(spec: SystemSpec, criterion: Criterion) -> RegionBoundary:
     """The two-threshold boundary of the achievable leakage region."""
     if criterion == "jep":
-        l1 = leakage_exponent_m1(spec)
-        l2_in = leakage_exponent_joint(spec)
-        l2_out = leakage_exponent_joint_outer(spec)
+        l1, l2_in, l2_out = jep_floors(RateModel(spec), spec.alpha)
     elif criterion == "expected":
         l1, l2_in, l2_out = expected_distortion_exponents(spec)
     else:
@@ -528,13 +537,17 @@ def partial_secrecy_holds(spec: SystemSpec, criterion: Criterion) -> bool:
         spec = spec.with_alpha(0.0)
     elif criterion != "jep":
         raise ValueError(f"unknown criterion {criterion!r}")
-    t1, t2 = key_rate_thresholds(spec)
-    return spec.r1 <= t1 + 1e-12 and spec.r2 <= t2 + 1e-12
+    return keys_within_thresholds(spec, key_rate_thresholds(spec))
+
+
+def keys_within_thresholds(spec: SystemSpec, thresholds: tuple[float, float]) -> bool:
+    """True when both key rates are at most their matching thresholds."""
+    return spec.r1 <= thresholds[0] + 1e-12 and spec.r2 <= thresholds[1] + 1e-12
 
 
 def key_rate_thresholds(spec: SystemSpec) -> tuple[float, float]:
     """Largest key rates for which the inner and outer regions coincide."""
     model = RateModel(spec)
-    t1 = model.ball_min(lambda q: model.rd(q, 1))
-    t2 = model.ball_min(lambda q: model.sum_rate(q) - model.rd(q, 1))
+    t1 = model.ball_min(lambda q: model.rd(q, 1), spec.alpha)
+    t2 = model.ball_min(lambda q: model.sum_rate(q) - model.rd(q, 1), spec.alpha)
     return t1, t2

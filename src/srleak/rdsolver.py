@@ -228,6 +228,14 @@ def binary_hamming_sum_rate(p: float, R1: float, D1: float, D2: float) -> float:
     return rd_binary_hamming(p, D2)
 
 
+_HAMMING2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def is_binary_hamming(d1: DistortionMeasure, d2: DistortionMeasure) -> bool:
+    """True when both layers use the binary Hamming measure (so the source is binary)."""
+    return np.array_equal(d1.matrix, _HAMMING2) and np.array_equal(d2.matrix, _HAMMING2)
+
+
 # ---------------------------------------------------------------------------
 # two-layer sum-rate program
 # ---------------------------------------------------------------------------
@@ -413,12 +421,8 @@ def min_sum_rate(
         if r is not None and r.i_joint < best_value:
             best_value, best_w = r.i_joint, r.w
 
-    w = _binary_hamming_markov_start(px, D1, D2) if (
-        prob.kx == 2 and prob.ka == 2 and prob.kb == 2
-        and np.array_equal(d1.matrix, DistortionMeasure.hamming(2).matrix)
-        and np.array_equal(d2.matrix, DistortionMeasure.hamming(2).matrix)
-        and q.full_support
-    ) else None
+    binary = is_binary_hamming(d1, d2) and q.full_support
+    w = _binary_hamming_markov_start(px, D1, D2) if binary else None
     if w is None:
         w = w_feas
     ev = prob.evaluate(_normalize_rows(np.maximum(w, 1e-12)))

@@ -465,7 +465,7 @@ def minimum_cover_size(cover: np.ndarray) -> int:
 
 def default_delta(model: RateModel) -> float:
     """Half the layer-1 rate margin over the ball maximum, clamped positive."""
-    ball_max = max_rd_over_ball(model)
+    ball_max = max_rd_over_ball(model, model.spec.alpha)
     margin = model.spec.R1 - ball_max
     if margin <= 0:
         raise RateConditionError(
@@ -500,7 +500,7 @@ def build_codebook(
     model = RateModel(spec)
     if delta is None:
         delta = default_delta(model)
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
 
     threshold = spec.alpha + delta
@@ -782,7 +782,7 @@ def jep_exponent_threshold(alphabet_size: int, delta: float) -> int:
 
     The comparison reduces to (n+1)^|X| <= 2^(n*delta), independent of alpha.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     for n in range(1, _THRESHOLD_N_CAP + 1):
         if alphabet_size * math.log2(n + 1) <= n * delta:

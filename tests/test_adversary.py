@@ -207,6 +207,12 @@ class TestEndToEnd:
         leak = leakage_exact(cb, "M1M2")
         assert math.log2(res.probability / res.p_star) <= leak + 1e-9
 
+    def test_chain_bound_rejects_nan_tau(self):
+        spec = make_spec(alpha=0.3)
+        cb = build_codebook(spec, 4, delta=0.3)
+        with pytest.raises(ValueError, match="tau"):
+            end_to_end_lower_bound(spec, 4, cb, math.nan, 0.5)
+
     def test_first_symbol_target(self):
         spec = make_spec(alpha=0.3)
         cb = build_codebook(spec, 4, delta=0.3)

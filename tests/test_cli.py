@@ -128,6 +128,12 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: range must look like start:stop:steps, got {rng!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rng", ["0:nan:3", "-0.1:0.3:3"])
+    def test_sweep_rejects_alphas_that_are_not_ball_radii(self, spec_file, tmp_path, rng):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--spec", spec_file, f"--alpha-range={rng}", "--out", str(out)]) == EXIT_SPEC
+        assert not out.exists()
+
     def test_region(self, spec_file, tmp_path):
         out = tmp_path / "r.json"
         assert run([
@@ -207,11 +213,16 @@ class TestCommands:
         assert run([
             "simulate", "--spec", spec_file, "--n", "6", "--delta", "0.3",
         ]) == EXIT_CAP
+        # adversary builds its codebook under the same cap
+        assert run([
+            "adversary", "--spec", spec_file, "--n", "6", "--delta", "0.3",
+        ]) == EXIT_CAP
 
     @pytest.mark.parametrize("command, name", [
         ("simulate", "SRLEAK_MAX_ENUM"),
         ("simulate", "SRLEAK_MAX_SEQUENCES"),
         ("adversary", "SRLEAK_MAX_ENUM"),
+        ("adversary", "SRLEAK_MAX_SEQUENCES"),
     ])
     def test_negative_cap_exit(self, spec_file, tmp_path, capsys, monkeypatch, command, name):
         # a negative cap is a malformed value, not a request to skip the enumeration
@@ -234,6 +245,19 @@ class TestCommands:
         data = json.loads(out.read_text())
         assert data["chain_bound"]["valid"] is True
         assert data["meets_bound"] is True
+
+
+    @pytest.mark.parametrize("argv, err", [
+        (["region", "--L1", "nan", "--L2", "0.5"], "leakage budgets must be nonnegative"),
+        (["simulate", "--n", "8", "--delta", "nan"], "delta must be positive"),
+        (["adversary", "--n", "4", "--delta", "0.3", "--tau", "nan"], "tau must be a number"),
+    ], ids=["region-L1", "simulate-delta", "adversary-tau"])
+    def test_nan_option_exit(self, spec_file, tmp_path, capsys, argv, err):
+        # NaN fails every comparison, so a check written as `x < 0` lets it through
+        out = tmp_path / "out.json"
+        assert run([argv[0], "--spec", spec_file, *argv[1:], "--out", str(out)]) == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
 
 
 class TestReproduce:

@@ -1,8 +1,12 @@
+import dataclasses
+import json
 import math
+import types
 
 import numpy as np
 import pytest
 
+from srleak.cli import load_system_spec, main
 from srleak.errors import RateConditionError
 from srleak.exponents import (
     RateModel,
@@ -22,7 +26,7 @@ from srleak.exponents import (
     region_boundary,
     region_check,
 )
-from srleak.probcore import Distribution, DistortionMeasure, binary_entropy, binary_kl
+from srleak.probcore import Distribution, DistortionMeasure, binary_entropy, binary_kl, entropy
 from srleak.rdsolver import binary_hamming_sum_rate, min_sum_rate, rd_function
 
 
@@ -109,6 +113,12 @@ class TestBallMaximize:
         )
         assert out.value == pytest.approx(hb(q_hi), abs=1e-9)
         assert q_hi < 0.5
+
+    @pytest.mark.parametrize("probs", [[0.7, 0.3], [0.5, 0.3, 0.2]])
+    def test_nan_radius_rejected(self, probs):
+        # the ball search is where a radius gets checked: NaN passes `alpha < 0`
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            kl_ball_maximize(Distribution(probs), math.nan, entropy)
 
     def test_interval_roots(self):
         lo, hi = binary_ball_interval(0.3, 0.05)
@@ -312,6 +322,12 @@ class TestRegion:
         verdict = region_check(b, RegionPoint(max(b.lambda1 - 0.01, 0.0), 5.0))
         assert verdict == "outside_outer"
 
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ValueError, match="leakage budgets"):
+            RegionPoint(math.nan, 0.5)
+        with pytest.raises(ValueError, match="leakage budgets"):
+            RegionPoint(0.5, math.nan)
+
     def test_matched_region_has_no_between(self):
         spec = make_spec(p=0.4, D1=0.2, D2=0.15, alpha=0.03, r1=0.1, r2=0.1)
         assert partial_secrecy_holds(spec, "jep")
@@ -332,3 +348,69 @@ class TestRegion:
         assert leakage_exponent_joint(spec) == pytest.approx(
             leakage_exponent_joint_outer(spec), abs=1e-6
         )
+
+
+class TestSharedRateModel:
+    """One alpha-free model serves every radius of a command loop.
+
+    Cheap deterministic stand-ins replace the solvers so the ternary
+    (solver-backed) path runs in milliseconds.
+    """
+
+    SPEC = {
+        "source": [0.36, 0.33, 0.31], "d1": {"hamming": True}, "d2": {"hamming": True},
+        "D1": 0.3, "D2": 0.1, "R1": 1.5, "R2": 1.5, "r1": 0.05, "r2": 0.1, "alpha": 0.01,
+    }
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"solver": 0, "model": 0, "check": 0}
+
+        def rd(q, d, D):
+            counts["solver"] += 1
+            return types.SimpleNamespace(value=max(entropy(q) - binary_entropy(D) - D, 0.0))
+
+        def sum_rate(q, d1, d2, R1, D1, D2):
+            counts["solver"] += 1
+            need = rd(q, d1, D1).value
+            return types.SimpleNamespace(value=math.inf if R1 < need - 1e-9 else rd(q, d2, D2).value)
+
+        init, check = RateModel.__init__, RateModel.require_layer1_rate
+
+        def counted_init(self, spec):
+            counts["model"] += 1
+            init(self, spec)
+
+        def counted_check(self, alpha):
+            counts["check"] += 1
+            check(self, alpha)
+
+        monkeypatch.setattr("srleak.exponents.rd_function", rd)
+        monkeypatch.setattr("srleak.exponents.min_sum_rate", sum_rate)
+        monkeypatch.setattr(RateModel, "__init__", counted_init)
+        monkeypatch.setattr(RateModel, "require_layer1_rate", counted_check)
+        return counts
+
+    def test_sweep_rows_equal_the_public_calls(self, counts, tmp_path):
+        path, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+        path.write_text(json.dumps(self.SPEC))
+        assert main(["sweep", "--spec", str(path), "--alpha-range", "0:0.02:3", "--out", str(out)]) == 0
+        assert (counts["model"], counts["check"]) == (1, 3)
+        rows = [line for line in out.read_text().splitlines() if line[0].isdigit()]
+        spec = load_system_spec(str(path))
+        assert len(rows) == 3
+        for row in rows:
+            a, *floors = (float(v) for v in row.split(","))
+            s = dataclasses.replace(spec, alpha=a)
+            assert floors == [leakage_exponent_m1(s), leakage_exponent_joint(s),
+                              leakage_exponent_joint_outer(s)]
+
+    def test_no_model_outlives_a_call(self, counts):
+        d3 = DistortionMeasure.hamming(3)
+        spec = SystemSpec(Distribution(self.SPEC["source"]), d3, d3, 0.3, 0.1, 1.5, 1.5, 0.05, 0.1, 0.01)
+        calls = []
+        for _ in range(2):
+            before = counts["solver"]
+            leakage_exponent_m1(spec)
+            calls.append(counts["solver"] - before)
+        assert calls[0] == calls[1] > 0

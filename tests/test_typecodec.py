@@ -98,6 +98,10 @@ class TestBuild:
         cb = build_codebook(spec, 4)
         assert cb.delta > 0
 
+    def test_nan_delta_rejected(self):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            build_codebook(make_spec(), 4, delta=math.nan)
+
     def test_cap_guard(self):
         spec = make_spec()
         with pytest.raises(CapExceededError):
@@ -261,6 +265,10 @@ class TestJep:
             assert ball_complement_probability(
                 Distribution.bernoulli(0.3), n, 0.05 + 1.0
             ) <= 2.0 ** (-n * 0.05) + 1e-15
+
+    def test_exponent_threshold_rejects_nan(self):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            jep_exponent_threshold(2, math.nan)
 
     def test_monte_carlo_agrees(self):
         spec = make_spec(alpha=0.08)
