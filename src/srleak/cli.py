@@ -158,7 +158,7 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +169,12 @@ def _json_dump(obj) -> str:
 def cmd_rd(args) -> int:
     spec = load_system_spec(args.spec)
     model = RateModel(spec)
+    sum_rate = model.sum_rate(spec.source)
     out = {
         "rd_at_D1": model.rd(spec.source, 1),
         "rd_at_D2": model.rd(spec.source, 2),
-        "two_layer_sum_rate": model.sum_rate(spec.source),
+        # null when R1 is below R(P, D1)
+        "two_layer_sum_rate": sum_rate if math.isfinite(sum_rate) else None,
     }
     _write(args.out, _json_dump(out))
     return EXIT_OK
@@ -372,15 +374,12 @@ def _reproduce_sweep() -> list[tuple[str, float, float, float]]:
         v2.append(model.ball_max(model.joint, a))
     mono1 = min(y - x for x, y in zip(v1, v1[1:]))
     mono2 = min(y - x for x, y in zip(v2, v2[1:]))
-    rows = [
+    return [
         ("curve 1 monotone (min step)", 0.0, min(mono1, 0.0), 1e-9),
         ("curve 2 monotone (min step)", 0.0, min(mono2, 0.0), 1e-9),
         ("plateau value, first layer", 1.0 - binary_entropy(0.2) - 0.06, v1[-1], 1e-6),
         ("plateau value, both layers", 1.0 - binary_entropy(0.1) - 0.16, v2[-1], 1e-6),
     ]
-    knee, _ = leakage_plateau_thresholds(spec)
-    rows.append(("plateau onset alpha", binary_plateau_alpha(0.3), knee, 1e-3))
-    return rows
 
 
 def _reproduce_match() -> list[tuple[str, float, float, float]]:

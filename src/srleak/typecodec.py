@@ -39,6 +39,7 @@ from .probcore import (
     kl_divergence,
     type_class_members,
     type_class_probability,
+    type_count_vectors,
 )
 # unused here; perfbench/selftest.py asserts that its tracer patches this binding
 from .rdsolver import rd_function  # noqa: F401
@@ -171,7 +172,7 @@ class _Messages:
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
+    return np.cumsum(counts) - counts
 
 
 def _stack(blocks: list[np.ndarray], n: int) -> np.ndarray:
@@ -179,11 +180,13 @@ def _stack(blocks: list[np.ndarray], n: int) -> np.ndarray:
 
 
 class CoverCodebook:
-    """Built two-layer codebook with assignment tables and bin tables.
+    """Built two-layer codebook with its assignment and codec tables.
 
-    ``members`` holds, per book, the members of its type class in
-    lexicographic order (the rows ``member_assign`` refers to).  The codec
-    tables built from them are arrays:
+    Book type ids must be strictly increasing, and each must name its book's
+    counts in the order of :func:`type_count_vectors`; any other id raises
+    CodebookError.  ``members`` holds, per book, the members of its type
+    class in lexicographic order (the rows ``member_assign`` refers to).
+    The codec tables built from them are arrays:
 
     * ``_seq_index``: sorted lexicographic indices of the in-ball sequences,
       with ``_seq_book``, ``_seq_ypos`` and ``_seq_zpos`` aligned to it;
@@ -192,6 +195,12 @@ class CoverCodebook:
     * ``_z_count``/``_z_offset``: layer-2 codewords per layer-1 codeword
       (indexed by its row in ``_Y``) and where they start in ``_Z``;
     * ``_book_of_type``: type id to book index, -1 for out-of-ball types.
+
+    The counts fix the bin layout: bins of ``cap`` codewords, the last one
+    short, each field ``ceil(log2 size)`` bits wide.  The array codec and the
+    message-space accounting read it from ``_y_count`` and ``_z_count``; the
+    scalar :func:`encode` and :func:`decode` redo the arithmetic per call, as
+    the reference the array codec is tested against.
     """
 
     def __init__(self, spec: SystemSpec, n: int, delta: float, books: list[_TypeBook],
@@ -223,6 +232,12 @@ class CoverCodebook:
         self._book_type_id = np.array([b.type_id for b in books], dtype=np.int64)
         if np.any((self._book_type_id < 0) | (self._book_type_id >= self.total_types)):
             raise CodebookError("codebook names a type id outside the type count")
+        if np.any(np.diff(self._book_type_id) <= 0):
+            raise CodebookError("codebook type ids are not strictly increasing")
+        named = type_count_vectors(n, kx)[self._book_type_id]
+        for b, counts in zip(books, map(tuple, named.tolist())):
+            if counts != b.counts:
+                raise CodebookError(f"type id {b.type_id} names type {counts}, not {b.counts}")
         self._book_of_type = np.full(self.total_types, -1, dtype=np.int64)
         self._book_of_type[self._book_type_id] = np.arange(len(books))
 
@@ -266,54 +281,31 @@ class CoverCodebook:
             "s2": _ceil_log2_array(np.minimum(self.cap2, nz - u * self.cap2)),
         }
 
-    # -- bin tables --------------------------------------------------------
-
-    def y_nbins(self, k: int) -> int:
-        return -(-len(self.books[k].y_codes) // self.cap1)
-
-    def y_bin_size(self, k: int, i: int) -> int:
-        ny = len(self.books[k].y_codes)
-        return min(self.cap1, ny - i * self.cap1)
-
-    def s1(self, k: int, i: int) -> int:
-        return _ceil_log2(self.y_bin_size(k, i))
-
-    def _z_nbins(self, b: _TypeBook, ypos: int) -> int:
-        return -(-len(b.z_codes[ypos]) // self.cap2)
-
-    def z_nbins(self, k: int, ypos: int) -> int:
-        return self._z_nbins(self.books[k], ypos)
-
-    def _s2(self, b: _TypeBook, ypos: int, u: int) -> int:
-        nz = len(b.z_codes[ypos])
-        return _ceil_log2(min(self.cap2, nz - u * self.cap2))
-
-    def s2(self, k: int, ypos: int, u: int) -> int:
-        return self._s2(self.books[k], ypos, u)
-
     # -- message-space accounting -------------------------------------------
 
     def layer1_message_count(self) -> int:
-        return sum(
-            sum(1 << self.s1(k, i) for i in range(self.y_nbins(k)))
-            for k in range(len(self.books))
-        )
+        """Patterns of the layer-1 field over all bins: ``cap1`` per full bin,
+        ``2^ceil(log2 size)`` per short last bin."""
+        full, short = np.divmod(self._y_count, self.cap1)
+        return int(full.sum()) * self.cap1 + int((1 << _ceil_log2_array(short[short > 0])).sum())
 
     def layer2_message_count(self) -> int:
-        shapes: set[tuple[int, int, int]] = set()
-        for k, b in enumerate(self.books):
-            for ypos in range(len(b.y_codes)):
-                nb = self._z_nbins(b, ypos)
-                wu = _ceil_log2(nb)
-                for u in range(nb):
-                    shapes.add((wu, u, self._s2(b, ypos, u)))
-        return sum(1 << wv for (_, _, wv) in shapes)
+        """Patterns of the layer-2 field over the distinct (bin-index width,
+        bin index, cipher width) shapes of all layer-2 bins."""
+        nbins = -(-self._z_count // self.cap2)
+        nz = np.repeat(self._z_count, nbins)
+        u = np.arange(nz.size) - np.repeat(_offsets(nbins), nbins)
+        shapes = np.unique(np.column_stack([
+            np.repeat(_ceil_log2_array(nbins), nbins), u,
+            _ceil_log2_array(np.minimum(self.cap2, nz - u * self.cap2)),
+        ]), axis=0)
+        return int((1 << shapes[:, 2]).sum())
 
     def total_y_codewords(self) -> int:
-        return sum(len(b.y_codes) for b in self.books)
+        return len(self._Y)
 
     def total_z_codewords(self) -> int:
-        return sum(sum(len(z) for z in b.z_codes) for b in self.books)
+        return len(self._Z)
 
     def _positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per sequence row: whether it is in the ball, and its row in the codec tables."""
@@ -474,6 +466,13 @@ def default_delta(model: RateModel) -> float:
     return 0.5 * margin
 
 
+def _require_delta(delta: float) -> None:
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    if delta == math.inf:
+        raise ValueError("delta must be finite")
+
+
 def build_codebook(
     spec: SystemSpec,
     n: int,
@@ -500,8 +499,7 @@ def build_codebook(
     model = RateModel(spec)
     if delta is None:
         delta = default_delta(model)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    _require_delta(delta)
 
     threshold = spec.alpha + delta
     cand_y = all_sequences(ka, n, max_sequences)
@@ -527,32 +525,19 @@ def build_codebook(
         chrono_y, first_y = _greedy_cover(cover1)
 
         # lexicographic codeword order; members keep their chronological owner
-        y_sel = sorted(chrono_y)
-        pos_of_candidate = {c: pos for pos, c in enumerate(y_sel)}
+        y_sel, y_pos = _lex_order(chrono_y)
         y_codes = cand_y[y_sel]
-        rank_to_pos = {r: pos_of_candidate[c] for r, c in enumerate(chrono_y)}
-
-        z_codes: list[np.ndarray] = []
-        z_first: list[dict[int, int]] = []  # per y position: member row -> z position
-        for pos in range(len(y_sel)):
-            cand_idx = y_sel[pos]
-            domain_rows = np.nonzero(cover1[cand_idx])[0]
-            domain = members[domain_rows]
-            cover2 = _cover_matrix(domain, cand_z, spec.d2.matrix, spec.D2, n)
-            chrono_z, first_z = _greedy_cover(cover2)
-            z_sel = sorted(chrono_z)
-            zpos_of_candidate = {c: p for p, c in enumerate(z_sel)}
-            zrank_to_pos = {r: zpos_of_candidate[c] for r, c in enumerate(chrono_z)}
-            z_codes.append(cand_z[z_sel])
-            z_first.append(
-                {int(domain_rows[m]): zrank_to_pos[int(first_z[m])] for m in range(len(domain_rows))}
-            )
-
         assign = np.zeros((members.shape[0], 2), dtype=np.int64)
-        for m in range(members.shape[0]):
-            ypos = rank_to_pos[int(first_y[m])]
-            assign[m, 0] = ypos
-            assign[m, 1] = z_first[ypos][m]
+        assign[:, 0] = y_pos[first_y]
+        z_codes: list[np.ndarray] = []
+        for pos, cand in enumerate(y_sel):
+            rows = np.flatnonzero(cover1[cand])
+            cover2 = _cover_matrix(members[rows], cand_z, spec.d2.matrix, spec.D2, n)
+            chrono_z, first_z = _greedy_cover(cover2)
+            z_sel, z_pos = _lex_order(chrono_z)
+            z_codes.append(cand_z[z_sel])
+            owned = assign[rows, 0] == pos
+            assign[rows[owned], 1] = z_pos[first_z[owned]]
         books.append(_TypeBook(type_id, t.counts, y_codes, z_codes, assign))
         book_members.append(members)
 
@@ -562,24 +547,30 @@ def build_codebook(
     return cb
 
 
+def _lex_order(chrono: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy picks in index order and, per chronological rank, the position
+    of that rank's pick in index order."""
+    order = np.argsort(chrono)
+    rank_pos = np.empty_like(order)
+    rank_pos[order] = np.arange(order.size)
+    return np.asarray(chrono, dtype=np.int64)[order], rank_pos
+
+
 def _check_budgets(cb: CoverCodebook) -> None:
-    spec, n = cb.spec, cb.n
-    m1 = cb.layer1_message_count()
-    if math.log2(m1 + 1) > n * spec.R1 + 1e-9:
-        biggest = max(cb.books, key=lambda b: len(b.y_codes), default=None)
-        name = biggest.counts if biggest else "(none)"
-        raise CodebookError(
-            f"layer-1 messages ({m1} patterns plus erasure) overflow 2^(n*R1); "
-            f"largest codebook at type {name}"
-        )
-    m2 = cb.layer2_message_count()
-    if math.log2(m2 + 1) > n * spec.R2 + 1e-9:
-        biggest = max(cb.books, key=lambda b: sum(len(z) for z in b.z_codes), default=None)
-        name = biggest.counts if biggest else "(none)"
-        raise CodebookError(
-            f"layer-2 messages ({m2} patterns plus erasure) overflow 2^(n*R2); "
-            f"largest refinement codebook at type {name}"
-        )
+    layers = [
+        (1, cb.layer1_message_count, cb.spec.R1, "codebook", lambda b: len(b.y_codes)),
+        (2, cb.layer2_message_count, cb.spec.R2, "refinement codebook",
+         lambda b: sum(len(z) for z in b.z_codes)),
+    ]
+    for layer, message_count, rate, what, size in layers:
+        m = message_count()
+        if math.log2(m + 1) > cb.n * rate + 1e-9:
+            biggest = max(cb.books, key=size, default=None)
+            name = biggest.counts if biggest else "(none)"
+            raise CodebookError(
+                f"layer-{layer} messages ({m} patterns plus erasure) overflow 2^(n*R{layer}); "
+                f"largest {what} at type {name}"
+            )
 
 
 def verify_covering(cb: CoverCodebook) -> None:
@@ -634,13 +625,14 @@ def encode(x: Iterable[int], keys: KeyPair, cb: CoverCodebook) -> tuple[Layer1Me
     k, ypos, zpos = hit
     b = cb.books[k]
     i, j = divmod(ypos, cb.cap1)
-    s1 = cb.s1(k, i)
+    s1 = _ceil_log2(min(cb.cap1, len(b.y_codes) - i * cb.cap1))
     cipher1 = j ^ _key_prefix(keys.k1, cb.bits1, s1)
     m1 = Layer1Message(b.type_id, i, cipher1, s1)
+    nz = len(b.z_codes[ypos])
     u, v = divmod(zpos, cb.cap2)
-    s2 = cb.s2(k, ypos, u)
+    s2 = _ceil_log2(min(cb.cap2, nz - u * cb.cap2))
     cipher2 = v ^ _key_prefix(keys.k2, cb.bits2, s2)
-    m2 = Layer2Message(u, _ceil_log2(cb.z_nbins(k, ypos)), cipher2, s2)
+    m2 = Layer2Message(u, _ceil_log2(-(-nz // cb.cap2)), cipher2, s2)
     return m1, m2
 
 
@@ -649,10 +641,10 @@ def _layer1_position(m1: Layer1Message, keys: KeyPair, cb: CoverCodebook) -> tup
     k = int(cb._book_of_type[m1.type_id]) if 0 <= m1.type_id < cb.total_types else -1
     if k < 0:
         raise CodebookError(f"message names unknown type id {m1.type_id}")
-    i = m1.bin_index
-    if not 0 <= i < cb.y_nbins(k):
+    i, ny = m1.bin_index, len(cb.books[k].y_codes)
+    if not 0 <= i < -(-ny // cb.cap1):
         raise CodebookError("layer-1 bin index out of range")
-    size1 = cb.y_bin_size(k, i)
+    size1 = min(cb.cap1, ny - i * cb.cap1)
     j = (m1.cipher ^ _key_prefix(keys.k1, cb.bits1, m1.cipher_width)) % size1
     return k, i * cb.cap1 + j
 
@@ -680,13 +672,11 @@ def decode(
         )
     k, ypos = _layer1_position(m1, keys, cb)
     b = cb.books[k]
-    nbz = cb.z_nbins(k, ypos)
-    u = m2.bin_index % nbz
-    size2 = min(cb.cap2, len(b.z_codes[ypos]) - u * cb.cap2)
-    s2 = cb.s2(k, ypos, u)
-    v = (m2.cipher ^ _key_prefix(keys.k2, cb.bits2, s2)) % size2
-    z = b.z_codes[ypos][u * cb.cap2 + v]
-    return DecodeResult(b.y_codes[ypos].copy(), z.copy(), False)
+    z_codes = b.z_codes[ypos]
+    u = m2.bin_index % -(-len(z_codes) // cb.cap2)
+    size2 = min(cb.cap2, len(z_codes) - u * cb.cap2)
+    v = (m2.cipher ^ _key_prefix(keys.k2, cb.bits2, _ceil_log2(size2))) % size2
+    return DecodeResult(b.y_codes[ypos].copy(), z_codes[u * cb.cap2 + v].copy(), False)
 
 
 def _encode_array(cb: CoverCodebook, seqs: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> _Messages:
@@ -782,8 +772,7 @@ def jep_exponent_threshold(alphabet_size: int, delta: float) -> int:
 
     The comparison reduces to (n+1)^|X| <= 2^(n*delta), independent of alpha.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    _require_delta(delta)
     for n in range(1, _THRESHOLD_N_CAP + 1):
         if alphabet_size * math.log2(n + 1) <= n * delta:
             return n

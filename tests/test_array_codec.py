@@ -232,6 +232,30 @@ def loop_end_to_end(spec, n, cb, scheme, loop_g2_sets=True):
     return total
 
 
+def loop_layer1_message_count(cb):
+    """Per book, per bin of ``cap1`` codewords (the last one short): the
+    patterns of its encrypted field."""
+    total = 0
+    for b in cb.books:
+        ny = len(b.y_codes)
+        for i in range(-(-ny // cb.cap1)):
+            total += 1 << typecodec._ceil_log2(min(cb.cap1, ny - i * cb.cap1))
+    return total
+
+
+def loop_layer2_message_count(cb):
+    """Per layer-1 codeword, per bin of its layer-2 codewords: collect the
+    (bin-index width, bin index, cipher width) shapes, then count patterns."""
+    shapes = set()
+    for b in cb.books:
+        for z in b.z_codes:
+            nbins = -(-len(z) // cb.cap2)
+            for u in range(nbins):
+                s2 = typecodec._ceil_log2(min(cb.cap2, len(z) - u * cb.cap2))
+                shapes.add((typecodec._ceil_log2(nbins), u, s2))
+    return sum(1 << s2 for _, _, s2 in shapes)
+
+
 def message_row(msgs, r):
     """Row r of the array encoder as the scalar message pair."""
     f = {name: int(getattr(msgs, name)[r]) for name in vars(msgs) if name != "erasure"}
@@ -407,6 +431,41 @@ def test_load_rejects_assignment_to_missing_codeword(tmp_path):
     save_codebook(cb, path)
     with pytest.raises(CodebookError, match="names a missing codeword"):
         load_codebook(path)
+
+
+# message counts beyond the parametrised books: an empty ball, and up to
+# four key bits per layer, so that some bins are short and some full
+COUNT_BOOKS = [
+    ("empty-ball", SystemSpec(Distribution([0.999, 0.001]), H2, H2, 0.2, 0.1, 1.0, 1.0,
+                              0.0, 0.0, 1e-6), 4, 1e-6),
+    ("binary-3-3", binary(r1=0.375, r2=0.375), 8, 0.2),
+    ("binary-4-1", binary(r1=0.5, r2=0.125, alpha=0.3), 8, 0.2),
+    ("binary-1-4", binary(p=0.4, r1=0.17, r2=0.5), 8, 0.2),
+    ("ternary-2-2", ternary(r1=0.34, r2=0.34), 6, 0.05),
+]
+
+
+def check_message_counts(cb):
+    assert cb.layer1_message_count() == loop_layer1_message_count(cb)
+    assert cb.layer2_message_count() == loop_layer2_message_count(cb)
+    assert cb.total_y_codewords() == sum(len(b.y_codes) for b in cb.books)
+    assert cb.total_z_codewords() == sum(len(z) for b in cb.books for z in b.z_codes)
+
+
+def test_message_counts_match_per_bin_loops(book):
+    check_message_counts(book)
+
+
+@pytest.mark.parametrize("name, spec, n, delta", COUNT_BOOKS, ids=[c[0] for c in COUNT_BOOKS])
+def test_message_counts_match_per_bin_loops_beyond_the_fixture(name, spec, n, delta):
+    cb = build_codebook(spec, n, delta)
+    check_message_counts(cb)
+    if name == "empty-ball":
+        assert cb.layer1_message_count() == cb.layer2_message_count() == 0
+        assert cb._y_offset.shape == cb._y_count.shape == (0,)
+        assert cb._z_offset.shape == cb._z_count.shape == (0,)
+    else:
+        assert any(len(b.y_codes) % cb.cap1 for b in cb.books) or cb.cap1 == 1
 
 
 def test_sequence_index_must_fit_int64():

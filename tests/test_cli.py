@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from srleak.cli import EXIT_CAP, EXIT_OK, EXIT_SPEC, load_system_spec, main
+from srleak.cli import EXIT_CAP, EXIT_OK, EXIT_SPEC, _json_dump, load_system_spec, main
 from srleak.typecodec import load_codebook, save_codebook
 
 
@@ -258,6 +258,37 @@ class TestCommands:
         assert run([argv[0], "--spec", spec_file, *argv[1:], "--out", str(out)]) == EXIT_SPEC
         assert capsys.readouterr().err == f"error: {err}\n"
         assert not out.exists()
+
+
+def strict_loads(text):
+    """json.loads that refuses the non-JSON tokens NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_rd_prints_null_sum_rate_below_layer1_rate(self, tmp_path):
+        # R1 = 0.05 is below R(P, D1) = 0.159, so no two-layer code exists
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(FIG_SPEC, R1=0.05)))
+        out = tmp_path / "rd.json"
+        assert run(["rd", "--spec", str(path), "--out", str(out)]) == EXIT_OK
+        data = strict_loads(out.read_text())
+        assert data["two_layer_sum_rate"] is None
+        assert data["rd_at_D1"] > 0.05
+
+    def test_simulate_rejects_infinite_delta(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        argv = ["simulate", "--spec", spec_file, "--n", "6", "--delta", "inf", "--out", str(out)]
+        assert run(argv) == EXIT_SPEC
+        assert capsys.readouterr().err == "error: delta must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_json_output_refuses_non_finite_numbers(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_dump({"value": value})
 
 
 class TestReproduce:

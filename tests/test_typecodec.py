@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -101,6 +102,12 @@ class TestBuild:
     def test_nan_delta_rejected(self):
         with pytest.raises(ValueError, match="delta must be positive"):
             build_codebook(make_spec(), 4, delta=math.nan)
+
+    def test_infinite_delta_rejected(self):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            build_codebook(make_spec(), 4, delta=math.inf)
+        with pytest.raises(ValueError, match="delta must be finite"):
+            jep_exponent_threshold(2, math.inf)
 
     def test_cap_guard(self):
         spec = make_spec()
@@ -296,8 +303,8 @@ class TestLeakage:
         # r1 high enough that each type codebook fits one bin
         spec = make_spec(r1=0.5, r2=0.5, alpha=0.15)
         cb = build_codebook(spec, 6, delta=0.1)
-        for k in range(len(cb.books)):
-            assert cb.y_nbins(k) == 1
+        for b in cb.books:
+            assert 1 <= len(b.y_codes) <= cb.cap1
         expect = math.log2(1 + len(cb.books))
         assert leakage_exact(cb, "M1") == pytest.approx(expect, abs=1e-12)
         assert leakage_oracle(cb, "M1") == pytest.approx(expect, abs=1e-12)
@@ -391,6 +398,29 @@ class TestSerialization:
         save_codebook(cb, path)
         with pytest.raises(CodebookError, match=f"layer-{layer} codeword .* outside the alphabet"):
             load_codebook(path)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CODEBOOKS))
+    def test_type_id_bit_flips_refused(self, tmp_path, name):
+        # an id that names another type or repeats one would decode that
+        # book's messages with the wrong codewords
+        spec, n, delta, _ = PINNED_CODEBOOKS[name]
+        cb = build_codebook(spec, n, delta)
+        path = tmp_path / "book.srcb"
+        save_codebook(cb, str(path))
+        clean = path.read_bytes()
+        kx, ka, kb = spec.source.alphabet_size, spec.d1.cols, spec.d2.cols
+        # magic, version, sizes, eight doubles, source law, both matrices, book count
+        offset = 4 + 2 + 8 + 64 + 8 * kx * (1 + ka + kb) + 4
+        for b in cb.books:
+            assert struct.unpack_from("<I", clean, offset) == (b.type_id,)
+            for bit in range(32):
+                raw = bytearray(clean)
+                raw[offset + bit // 8] ^= 1 << (bit % 8)
+                path.write_bytes(bytes(raw))
+                with pytest.raises(CodebookError, match="type id"):
+                    load_codebook(str(path))
+            offset += 4 + 4 * kx + 4 + n * len(b.y_codes) + 4 + 8 * len(b.member_assign)
+            offset += sum(4 + n * len(z) for z in b.z_codes)
 
     def test_bit_flips_fail_loudly_or_load_in_range(self, tmp_path):
         spec, n, delta, _ = PINNED_CODEBOOKS["binary-hamming"]
