@@ -34,13 +34,13 @@ from .exponents import (
     RegionPoint,
     SystemSpec,
     binary_plateau_alpha,
-    expected_distortion_exponents,
+    criterion_radius,
+    jep_floors,
     key_rate_thresholds,
     kl_ball_maximize,
     kl_ball_minimize,
-    leakage_exponent_joint,
-    leakage_exponent_joint_outer,
     leakage_exponent_m1,
+    leakage_floors,
     leakage_plateau_thresholds,
     partial_secrecy_holds,
     region_boundary,
@@ -103,13 +103,13 @@ __all__ = [
     "RegionPoint",
     "SystemSpec",
     "binary_plateau_alpha",
-    "expected_distortion_exponents",
+    "criterion_radius",
+    "jep_floors",
     "key_rate_thresholds",
     "kl_ball_maximize",
     "kl_ball_minimize",
-    "leakage_exponent_joint",
-    "leakage_exponent_joint_outer",
     "leakage_exponent_m1",
+    "leakage_floors",
     "leakage_plateau_thresholds",
     "partial_secrecy_holds",
     "region_boundary",

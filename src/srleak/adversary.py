@@ -22,12 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapExceededError
-from .exponents import (
-    RateModel,
-    SystemSpec,
-    leakage_exponent_joint_outer,
-    leakage_exponent_m1,
-)
+from .exponents import RateModel, SystemSpec, jep_floors
 from .probcore import (
     Distribution,
     all_sequences,
@@ -421,4 +416,5 @@ def end_to_end_lower_bound(
 
 def converse_leakage_bound(spec: SystemSpec) -> tuple[float, float]:
     """Asymptotic leakage floors certified by the guessing attack."""
-    return leakage_exponent_m1(spec), leakage_exponent_joint_outer(spec)
+    m1, _, joint_outer = jep_floors(RateModel(spec), spec.alpha)
+    return m1, joint_outer

@@ -44,12 +44,11 @@ from .exponents import (
     RegionPoint,
     SystemSpec,
     binary_plateau_alpha,
-    expected_distortion_exponents,
+    criterion_radius,
     jep_floors,
     key_rate_thresholds,
     keys_within_thresholds,
-    leakage_exponent_joint,
-    leakage_exponent_joint_outer,
+    leakage_floors,
     leakage_plateau_thresholds,
     partial_secrecy_holds,
     region_boundary,
@@ -182,18 +181,17 @@ def cmd_rd(args) -> int:
 
 def cmd_exponents(args) -> int:
     spec = load_system_spec(args.spec)
-    a1, a2 = leakage_plateau_thresholds(spec)
-    thresholds = key_rate_thresholds(spec)
+    model = RateModel(spec)
+    # null joint plateau when R1 fails the layer-1 check at the scan's top radius
+    a1, a2 = leakage_plateau_thresholds(model)
+    criteria = ("jep", "expected")
+    thresholds = {c: key_rate_thresholds(model, criterion_radius(spec, c)) for c in criteria}
     names = ("m1", "joint_inner", "joint_outer")
     out = {
-        "jep": dict(zip(names, jep_floors(RateModel(spec), spec.alpha))),
-        "expected": dict(zip(names, expected_distortion_exponents(spec))),
+        **{c: dict(zip(names, leakage_floors(model, c))) for c in criteria},
         "plateau_alpha": {"m1": a1, "joint": a2},
-        "partial_secrecy": {
-            "jep": keys_within_thresholds(spec, thresholds),
-            "expected": partial_secrecy_holds(spec, "expected"),
-        },
-        "key_rate_thresholds": dict(zip(("r1", "r2"), thresholds)),
+        "partial_secrecy": {c: keys_within_thresholds(spec, t) for c, t in thresholds.items()},
+        "key_rate_thresholds": dict(zip(("r1", "r2"), thresholds["jep"])),
     }
     _write(args.out, _json_dump(out))
     return EXIT_OK
@@ -220,7 +218,7 @@ def cmd_sweep(args) -> int:
 def cmd_region(args) -> int:
     spec = load_system_spec(args.spec)
     point = RegionPoint(args.L1, args.L2)
-    b = region_boundary(spec, args.criterion)
+    b = region_boundary(RateModel(spec), args.criterion)
     out = {
         "verdict": region_check(b, point),
         "boundary": {
@@ -344,18 +342,16 @@ def _hamming_spec(p, D1, D2, R1, R2, r1, r2, alpha) -> SystemSpec:
     return SystemSpec(Distribution.bernoulli(p), h, h, D1, D2, R1, R2, r1, r2, alpha)
 
 
-def _reproduce_keyrates() -> list[tuple[str, float, float, float]]:
-    spec = _hamming_spec(0.4, 0.2, 0.15, 1.0, 1.0, 0.1, 0.1, 0.03)
-    t1, t2 = key_rate_thresholds(spec)
+def _reproduce_keyrates(model: RateModel) -> list[tuple[str, float, float, float]]:
+    t1, t2 = key_rate_thresholds(model, model.spec.alpha)
     return [
         ("key-rate threshold r1", 0.162, t1, 1e-3),
         ("key-rate threshold r2", 0.112, t2, 1e-3),
     ]
 
 
-def _reproduce_plateau() -> list[tuple[str, float, float, float]]:
-    spec = _hamming_spec(0.3, 0.2, 0.1, 1.0, 1.0, 0.06, 0.1, 0.2)
-    a1, a2 = leakage_plateau_thresholds(spec)
+def _reproduce_plateau(model: RateModel) -> list[tuple[str, float, float, float]]:
+    a1, a2 = leakage_plateau_thresholds(model)
     closed = binary_plateau_alpha(0.3)
     return [
         ("plateau onset, first layer", closed, a1, 1e-6),
@@ -363,10 +359,8 @@ def _reproduce_plateau() -> list[tuple[str, float, float, float]]:
     ]
 
 
-def _reproduce_sweep() -> list[tuple[str, float, float, float]]:
-    spec = _hamming_spec(0.3, 0.2, 0.1, 1.0, 1.0, 0.06, 0.1, 0.2)
+def _reproduce_sweep(model: RateModel) -> list[tuple[str, float, float, float]]:
     alphas = np.linspace(0.0, 0.3, 200)
-    model = RateModel(spec)
     v1, v2 = [], []
     for a in alphas.tolist():
         v1.append(model.ball_max(model.m1, a))
@@ -382,22 +376,24 @@ def _reproduce_sweep() -> list[tuple[str, float, float, float]]:
     ]
 
 
-def _reproduce_match() -> list[tuple[str, float, float, float]]:
-    spec = _hamming_spec(0.4, 0.2, 0.15, 1.0, 1.0, 0.1, 0.1, 0.03)
-    holds = partial_secrecy_holds(spec, "jep")
-    inner = leakage_exponent_joint(spec)
-    outer = leakage_exponent_joint_outer(spec)
+def _reproduce_match(model: RateModel) -> list[tuple[str, float, float, float]]:
+    holds = partial_secrecy_holds(model, model.spec.alpha)
+    _, inner, outer = jep_floors(model, model.spec.alpha)
     return [
         ("matching conditions hold", 1.0, 1.0 if holds else 0.0, 0.0),
         ("inner equals outer", 0.0, abs(inner - outer), 1e-6),
     ]
 
 
+# the two pinned operating points, as _hamming_spec arguments; each target
+# checks the one model of its point
+_KEYRATE_POINT = (0.4, 0.2, 0.15, 1.0, 1.0, 0.1, 0.1, 0.03)
+_CURVE_POINT = (0.3, 0.2, 0.1, 1.0, 1.0, 0.06, 0.1, 0.2)
 _REPRODUCE = {
-    "keyrates": _reproduce_keyrates,
-    "plateau": _reproduce_plateau,
-    "sweep": _reproduce_sweep,
-    "match": _reproduce_match,
+    "keyrates": (_KEYRATE_POINT, _reproduce_keyrates),
+    "plateau": (_CURVE_POINT, _reproduce_plateau),
+    "sweep": (_CURVE_POINT, _reproduce_sweep),
+    "match": (_KEYRATE_POINT, _reproduce_match),
 }
 
 
@@ -408,8 +404,12 @@ def cmd_reproduce(args) -> int:
     header = f"{'target':<10} {'quantity':<32} {'expected':>22} {'computed':>22} {'tol':>9} verdict"
     lines.append(header)
     lines.append("-" * len(header))
+    models: dict[tuple, RateModel] = {}
     for t in targets:
-        for name, expected, computed, tol in _REPRODUCE[t]():
+        point, checks = _REPRODUCE[t]
+        if point not in models:
+            models[point] = RateModel(_hamming_spec(*point))
+        for name, expected, computed, tol in checks(models[point]):
             good = abs(computed - expected) <= tol
             ok &= good
             lines.append(

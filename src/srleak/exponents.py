@@ -11,7 +11,9 @@ scheme is governed by maximizations over the divergence ball
 
 Under the expected-distortion reliability criterion the ball degenerates to
 the point {P} and the same three clamped expressions apply.  ``RateModel``
-defines them once and takes alpha per ball search, so one model serves a loop.
+defines them once and takes the radius per ball search, so one model serves
+every query of a command; ``criterion_radius`` maps each criterion to its
+radius.
 
 For binary sources under Hamming distortion every inner quantity has a
 closed form, so ball extremizations reduce to exact one-dimensional searches
@@ -24,7 +26,7 @@ for solver-backed objectives, which cost milliseconds per evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -96,9 +98,6 @@ class SystemSpec:
     @property
     def is_binary_hamming(self) -> bool:
         return is_binary_hamming(self.d1, self.d2)
-
-    def with_alpha(self, alpha: float) -> "SystemSpec":
-        return replace(self, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -393,7 +392,7 @@ class RateModel:
         if not self.spec.R1 > ball_max - 1e-12:
             raise RateConditionError(
                 f"layer-1 rate {self.spec.R1} must strictly exceed the ball maximum "
-                f"of the rate-distortion function ({ball_max:.6f})"
+                f"of the rate-distortion function at radius {alpha:g} ({ball_max:.6f})"
             )
 
 
@@ -409,44 +408,43 @@ def jep_floors(model: RateModel, alpha: float) -> tuple[float, float, float]:
 
 
 def leakage_exponent_m1(spec: SystemSpec) -> float:
-    """Normalized maximal-leakage exponent of the first message."""
+    """Normalized maximal-leakage exponent of the first message.
+
+    A one-shot call: it builds its own model, which no later call reuses.
+    """
     model = RateModel(spec)
     return model.ball_max(model.m1, spec.alpha)
 
 
-def leakage_exponent_joint(spec: SystemSpec) -> float:
-    """Inner-bound exponent for the leakage of both messages together."""
-    model = RateModel(spec)
-    model.require_layer1_rate(spec.alpha)
-    return model.ball_max(model.joint, spec.alpha)
+def criterion_radius(spec: SystemSpec, criterion: Criterion) -> float:
+    """The divergence-ball radius of a reliability criterion.
 
-
-def leakage_exponent_joint_outer(spec: SystemSpec) -> float:
-    """Outer-bound exponent for the leakage of both messages together."""
-    model = RateModel(spec)
-    model.require_layer1_rate(spec.alpha)
-    return model.ball_max(model.joint_outer, spec.alpha)
-
-
-def expected_distortion_exponents(spec: SystemSpec) -> tuple[float, float, float]:
-    """The three leakage exponents under the expected-distortion criterion.
-
-    These are the same clamped objectives evaluated at the source itself,
-    the ball of radius zero.  Requires the strict rate margins of the
-    expected-distortion regime.
+    Joint excess-distortion probability uses the spec's alpha; expected
+    distortion uses the ball of radius zero, the source itself.
     """
-    model = RateModel(spec)
-    rd1 = model.rd(spec.source, 1)
-    if not spec.R1 > rd1 - 1e-12:
-        raise RateConditionError(
-            f"layer-1 rate {spec.R1} must strictly exceed R(P, D1) = {rd1:.6f}"
-        )
-    total = model.sum_rate(spec.source)
-    if not spec.R1 + spec.R2 > total - 1e-12:
-        raise RateConditionError(
-            f"sum rate {spec.R1 + spec.R2} must strictly exceed the two-layer minimum {total:.6f}"
-        )
-    return model.m1(spec.source), model.joint(spec.source), model.joint_outer(spec.source)
+    if criterion == "jep":
+        return spec.alpha
+    if criterion == "expected":
+        return 0.0
+    raise ValueError(f"unknown criterion {criterion!r}")
+
+
+def leakage_floors(model: RateModel, criterion: Criterion) -> tuple[float, float, float]:
+    """The three leakage floors under a reliability criterion.
+
+    Both criteria maximize the same objectives over the criterion's ball.
+    Expected distortion also requires the strict two-layer sum-rate margin
+    at P, checked after the layer-1 rate.
+    """
+    floors = jep_floors(model, criterion_radius(model.spec, criterion))
+    if criterion == "expected":
+        spec = model.spec
+        total = model.sum_rate(spec.source)
+        if not spec.R1 + spec.R2 > total - 1e-12:
+            raise RateConditionError(
+                f"sum rate {spec.R1 + spec.R2} must strictly exceed the two-layer minimum {total:.6f}"
+            )
+    return floors
 
 
 def divergence_ball_cap(p: Distribution) -> float:
@@ -454,7 +452,7 @@ def divergence_ball_cap(p: Distribution) -> float:
     return float(math.log2(1.0 / float(p.probs.min())) + 1e-9)
 
 
-def leakage_plateau_thresholds(spec: SystemSpec) -> tuple[float, float]:
+def leakage_plateau_thresholds(model: RateModel) -> tuple[float, float | None]:
     """Smallest alphas beyond which the two leakage exponents stop growing.
 
     Detected by a 200-point log-spaced scan of the monotone exponent curves
@@ -465,38 +463,41 @@ def leakage_plateau_thresholds(spec: SystemSpec) -> tuple[float, float]:
     For a binary source under Hamming measures the threshold equals the
     divergence from the entropy maximizer, D_b(0.5 || p), whenever the curve
     is not flat everywhere.
+    The joint curve needs the layer-1 rate condition on every ball it
+    visits.  It is checked once, at the scan's top radius, and the joint
+    threshold is None when it fails there.
     """
-    cap = divergence_ball_cap(spec.source)
-    model = RateModel(spec)
+    cap = divergence_ball_cap(model.spec.source)
+    m1 = _plateau_onset(lambda a: model.ball_max(model.m1, a), cap)
+    try:
+        model.require_layer1_rate(cap)
+    except RateConditionError:
+        return m1, None
+    return m1, _plateau_onset(lambda a: model.ball_max(model.joint, a), cap)
 
-    def joint(a: float) -> float:
-        model.require_layer1_rate(a)
-        return model.ball_max(model.joint, a)
 
-    out = []
-    for f in (lambda a: model.ball_max(model.m1, a), joint):
-        plateau = f(cap)
-        eps = _PLATEAU_VALUE_EPS * max(1.0, abs(plateau))
-        if f(0.0) >= plateau - eps:
-            out.append(0.0)
-            continue
-        alphas = np.logspace(math.log10(1e-6), math.log10(cap), _PLATEAU_SCAN_POINTS)
-        hit = cap
-        lo = 0.0
-        for a in alphas:
-            if f(float(a)) >= plateau - eps:
-                hit = float(a)
-                break
-            lo = float(a)
-        hi = hit
-        while hi - lo > _PLATEAU_TOL:
-            mid = 0.5 * (lo + hi)
-            if f(mid) >= plateau - eps:
-                hi = mid
-            else:
-                lo = mid
-        out.append(hi)
-    return out[0], out[1]
+def _plateau_onset(f: Callable[[float], float], cap: float) -> float:
+    """Smallest radius where the nondecreasing curve f reaches its value at cap."""
+    plateau = f(cap)
+    eps = _PLATEAU_VALUE_EPS * max(1.0, abs(plateau))
+    if f(0.0) >= plateau - eps:
+        return 0.0
+    alphas = np.logspace(math.log10(1e-6), math.log10(cap), _PLATEAU_SCAN_POINTS)
+    hit = cap
+    lo = 0.0
+    for a in alphas:
+        if f(float(a)) >= plateau - eps:
+            hit = float(a)
+            break
+        lo = float(a)
+    hi = hit
+    while hi - lo > _PLATEAU_TOL:
+        mid = 0.5 * (lo + hi)
+        if f(mid) >= plateau - eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def binary_plateau_alpha(p: float) -> float:
@@ -504,14 +505,9 @@ def binary_plateau_alpha(p: float) -> float:
     return binary_kl(0.5, p)
 
 
-def region_boundary(spec: SystemSpec, criterion: Criterion) -> RegionBoundary:
+def region_boundary(model: RateModel, criterion: Criterion) -> RegionBoundary:
     """The two-threshold boundary of the achievable leakage region."""
-    if criterion == "jep":
-        l1, l2_in, l2_out = jep_floors(RateModel(spec), spec.alpha)
-    elif criterion == "expected":
-        l1, l2_in, l2_out = expected_distortion_exponents(spec)
-    else:
-        raise ValueError(f"unknown criterion {criterion!r}")
+    l1, l2_in, l2_out = leakage_floors(model, criterion)
     return RegionBoundary(l1, l2_in, l2_out, matched=abs(l2_in - l2_out) <= 1e-9)
 
 
@@ -525,19 +521,14 @@ def region_check(boundary: RegionBoundary, point: RegionPoint) -> str:
     return VERDICT_OUTSIDE
 
 
-def partial_secrecy_holds(spec: SystemSpec, criterion: Criterion) -> bool:
+def partial_secrecy_holds(model: RateModel, alpha: float) -> bool:
     """True when the key rates are small enough that inner and outer bounds match.
 
-    Under the joint-excess-distortion criterion this requires, for every Q in
-    the divergence ball, r1 <= R(Q, D1) and r2 <= R(Q, R1, D1, D2) - R(Q, D1);
-    the expected-distortion criterion checks the same conditions at P alone,
-    which is the ball of radius zero.
+    This requires, for every Q in the divergence ball of radius alpha,
+    r1 <= R(Q, D1) and r2 <= R(Q, R1, D1, D2) - R(Q, D1).  The expected-
+    distortion criterion checks the same conditions at P alone, radius zero.
     """
-    if criterion == "expected":
-        spec = spec.with_alpha(0.0)
-    elif criterion != "jep":
-        raise ValueError(f"unknown criterion {criterion!r}")
-    return keys_within_thresholds(spec, key_rate_thresholds(spec))
+    return keys_within_thresholds(model.spec, key_rate_thresholds(model, alpha))
 
 
 def keys_within_thresholds(spec: SystemSpec, thresholds: tuple[float, float]) -> bool:
@@ -545,9 +536,8 @@ def keys_within_thresholds(spec: SystemSpec, thresholds: tuple[float, float]) ->
     return spec.r1 <= thresholds[0] + 1e-12 and spec.r2 <= thresholds[1] + 1e-12
 
 
-def key_rate_thresholds(spec: SystemSpec) -> tuple[float, float]:
-    """Largest key rates for which the inner and outer regions coincide."""
-    model = RateModel(spec)
-    t1 = model.ball_min(lambda q: model.rd(q, 1), spec.alpha)
-    t2 = model.ball_min(lambda q: model.sum_rate(q) - model.rd(q, 1), spec.alpha)
+def key_rate_thresholds(model: RateModel, alpha: float) -> tuple[float, float]:
+    """Largest key rates for which the inner and outer regions coincide at radius alpha."""
+    t1 = model.ball_min(lambda q: model.rd(q, 1), alpha)
+    t2 = model.ball_min(lambda q: model.sum_rate(q) - model.rd(q, 1), alpha)
     return t1, t2

@@ -4,6 +4,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -24,12 +25,13 @@ from srleak.adversary import (
 )
 from srleak.cli import main
 from srleak.exponents import (
+    RateModel,
     SystemSpec,
     binary_plateau_alpha,
-    expected_distortion_exponents,
+    jep_floors,
     key_rate_thresholds,
-    leakage_exponent_joint,
     leakage_exponent_m1,
+    leakage_floors,
     leakage_plateau_thresholds,
 )
 from srleak.probcore import (
@@ -86,7 +88,7 @@ def test_criterion_1_key_rate_thresholds():
     """Key-rate matching thresholds for Bern(0.4), D=(0.2, 0.15), alpha=0.03."""
     t0 = time.perf_counter()
     spec = spec_of(0.4, 0.2, 0.15, 1.0, 1.0, 0.1, 0.1, 0.03)
-    t1, t2 = key_rate_thresholds(spec)
+    t1, t2 = key_rate_thresholds(RateModel(spec), spec.alpha)
     elapsed = time.perf_counter() - t0
     assert t1 == pytest.approx(0.162, abs=1e-3), t1
     assert t2 == pytest.approx(0.112, abs=1e-3), t2
@@ -101,13 +103,13 @@ def test_criterion_2_exponent_curves():
     alphas = np.linspace(0.0, 0.3, 200)
     v1, v2 = [], []
     for a in alphas:
-        s = spec.with_alpha(float(a))
+        s = dataclasses.replace(spec, alpha=float(a))
         v1.append(leakage_exponent_m1(s))
-        v2.append(leakage_exponent_joint(s))
+        v2.append(jep_floors(RateModel(s), s.alpha)[1])
     for seq in (v1, v2):
         for x, y in zip(seq, seq[1:]):
             assert y >= x - 1e-9, "curve not monotone"
-    onset, _ = leakage_plateau_thresholds(spec)
+    onset, _ = leakage_plateau_thresholds(RateModel(spec))
     assert onset == pytest.approx(binary_plateau_alpha(0.3), abs=1e-3)
     assert v1[-1] == pytest.approx(1.0 - hb(0.2) - 0.06, abs=1e-6)
     assert v2[-1] == pytest.approx(1.0 - hb(0.1) - 0.16, abs=1e-6)
@@ -330,9 +332,9 @@ def test_criterion_8_criterion_equivalence():
     worst = 0.0
     for a in (0.01, 0.05, 0.1, 0.5, 1.0):
         spec = spec_of(0.5, 0.2, 0.1, 1.0, 1.0, 0.06, 0.1, float(a))
-        o1, o2, _ = expected_distortion_exponents(spec)
+        o1, o2, _ = leakage_floors(RateModel(spec), "expected")
         worst = max(worst, abs(leakage_exponent_m1(spec) - o1))
-        worst = max(worst, abs(leakage_exponent_joint(spec) - o2))
+        worst = max(worst, abs(jep_floors(RateModel(spec), spec.alpha)[1] - o2))
     assert worst <= 1e-6, worst
     report(8, f"exponents under both criteria agree to {worst:.1e} (<= 1e-6) at 5 alphas")
 

@@ -19,8 +19,9 @@ from srleak.adversary import (
     g2_success_probability,
 )
 from srleak.exponents import (
+    RateModel,
     SystemSpec,
-    leakage_exponent_joint_outer,
+    jep_floors,
     leakage_exponent_m1,
 )
 from srleak.probcore import Distribution, DistortionMeasure, all_sequences
@@ -228,7 +229,7 @@ class TestConverseBound:
         spec = make_spec(D1=0.2, D2=0.1, r1=0.06, r2=0.1, alpha=0.2)
         l1, l2 = converse_leakage_bound(spec)
         assert l1 == leakage_exponent_m1(spec)
-        assert l2 == leakage_exponent_joint_outer(spec)
+        assert l2 == jep_floors(RateModel(spec), spec.alpha)[2]
 
     def test_huge_keys_clamp_to_zero(self):
         spec = make_spec(r1=2.0, r2=2.0, alpha=0.2)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import srleak
 from srleak.cli import EXIT_CAP, EXIT_OK, EXIT_SPEC, _json_dump, load_system_spec, main
+from srleak.exponents import RateModel
 from srleak.typecodec import load_codebook, save_codebook
 
 
@@ -289,6 +291,73 @@ class TestStrictJson:
     def test_json_output_refuses_non_finite_numbers(self, value):
         with pytest.raises(ValueError, match="not JSON compliant"):
             _json_dump({"value": value})
+
+
+class TestLayer1RateCheck:
+    def test_exponents_accepts_a_rate_that_fails_only_beyond_alpha(self, tmp_path):
+        # R1 = 0.277 exceeds the ball maximum of R(Q, D1) at alpha = 0.1 (0.276643)
+        # but not at the plateau scan's top radius (0.278072)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(FIG_SPEC, R1=0.277)))
+        exp_out, region_out = tmp_path / "e.json", tmp_path / "r.json"
+        assert run(["exponents", "--spec", str(path), "--out", str(exp_out)]) == EXIT_OK
+        assert run(["region", "--spec", str(path), "--L1", "0", "--L2", "0", "--criterion", "jep",
+                    "--out", str(region_out)]) == EXIT_OK
+        data = strict_loads(exp_out.read_text())
+        boundary = strict_loads(region_out.read_text())["boundary"]
+        assert data["jep"] == {"m1": boundary["lambda1"], "joint_inner": boundary["lambda2_in"],
+                               "joint_outer": boundary["lambda2_out"]}
+        assert data["plateau_alpha"] == {"m1": 0.12576887950601617, "joint": None}
+
+    @pytest.mark.parametrize("criterion, radius, ball_max", [
+        ("jep", "0.1", "0.276643"),
+        ("expected", "0", "0.159363"),  # R(P, D1), the ball of radius zero
+    ])
+    def test_region_error_names_the_radius(self, tmp_path, capsys, criterion, radius, ball_max):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(FIG_SPEC, R1=0.05)))
+        argv = ["region", "--spec", str(path), "--L1", "0", "--L2", "0", "--criterion", criterion]
+        assert run(argv) == EXIT_SPEC
+        assert capsys.readouterr().err == (
+            "error: layer-1 rate 0.05 must strictly exceed the ball maximum of the "
+            f"rate-distortion function at radius {radius} ({ball_max})\n"
+        )
+
+
+class TestOneModelPerCommand:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        specs = []
+        init = RateModel.__init__
+
+        def spy(self, spec):
+            specs.append(spec)
+            init(self, spec)
+
+        monkeypatch.setattr(RateModel, "__init__", spy)
+        return specs
+
+    @pytest.mark.parametrize("argv", [
+        ["rd"],
+        ["exponents"],
+        ["sweep", "--alpha-range", "0:0.3:5"],
+        ["region", "--L1", "0.1", "--L2", "0.2", "--criterion", "jep"],
+        ["region", "--L1", "0.1", "--L2", "0.2", "--criterion", "expected"],
+    ], ids=["rd", "exponents", "sweep", "region-jep", "region-expected"])
+    def test_one_build_per_command(self, spec_file, tmp_path, builds, argv):
+        assert run([argv[0], "--spec", spec_file, *argv[1:], "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("target, alphas", [("all", {0.03, 0.2}), ("match", {0.03}), ("plateau", {0.2})])
+    def test_reproduce_builds_one_model_per_operating_point(self, tmp_path, builds, target, alphas):
+        assert run(["reproduce", "--target", target, "--out", str(tmp_path / "rep.txt")]) == EXIT_OK
+        assert len(builds) == len(alphas)
+        assert {s.alpha for s in builds} == alphas
+
+
+def test_public_names_resolve():
+    missing = [name for name in srleak.__all__ if not hasattr(srleak, name)]
+    assert missing == []
 
 
 class TestReproduce:

@@ -14,13 +14,13 @@ from srleak.exponents import (
     SystemSpec,
     binary_ball_interval,
     binary_plateau_alpha,
-    expected_distortion_exponents,
+    criterion_radius,
+    jep_floors,
     key_rate_thresholds,
     kl_ball_maximize,
     kl_ball_minimize,
-    leakage_exponent_joint,
-    leakage_exponent_joint_outer,
     leakage_exponent_m1,
+    leakage_floors,
     leakage_plateau_thresholds,
     partial_secrecy_holds,
     region_boundary,
@@ -47,6 +47,16 @@ def make_spec(p=0.3, D1=0.2, D2=0.1, R1=1.0, R2=1.0, r1=0.06, r2=0.1, alpha=0.2)
 
 
 FIG_SPEC = make_spec()  # p=0.3, D1=0.2, D2=0.1, r1=0.06, r2=0.1
+
+
+def jep(spec):
+    """The (m1, joint inner, joint outer) JEP floors at the spec's alpha, on a fresh model."""
+    return jep_floors(RateModel(spec), spec.alpha)
+
+
+def expected(spec):
+    """The three floors under the expected-distortion criterion, on a fresh model."""
+    return leakage_floors(RateModel(spec), "expected")
 
 
 class TestSystemSpec:
@@ -161,7 +171,7 @@ class TestPinnedSearchSettings:
         assert repr(leakage_exponent_m1(spec)) == "0.27807190511265056"
 
     def test_plateau_thresholds(self):
-        assert repr(leakage_plateau_thresholds(FIG_SPEC)) == (
+        assert repr(leakage_plateau_thresholds(RateModel(FIG_SPEC))) == (
             "(0.12576887950601617, 0.12576887950601617)"
         )
 
@@ -170,7 +180,7 @@ class TestBallMinimize:
     def test_keyrate_threshold_r1(self):
         # published sanity value: 0.162 for Bern(0.4), D1 = 0.2, alpha = 0.03
         spec = make_spec(p=0.4, D1=0.2, D2=0.15, alpha=0.03)
-        t1, t2 = key_rate_thresholds(spec)
+        t1, t2 = key_rate_thresholds(RateModel(spec), spec.alpha)
         assert t1 == pytest.approx(0.162, abs=1e-3)
         assert t2 == pytest.approx(0.112, abs=1e-3)
 
@@ -200,30 +210,33 @@ class TestLeakageExponents:
         spec = make_spec(alpha=binary_plateau_alpha(0.3) + 0.05)
         expect = 1.0 - hb(0.1) - 0.16
         assert expect == pytest.approx(0.3710044064107188, abs=1e-12)
-        assert leakage_exponent_joint(spec) == pytest.approx(expect, abs=1e-9)
-        assert leakage_exponent_joint_outer(spec) == pytest.approx(expect, abs=1e-9)
+        _, inner, outer = jep(spec)
+        assert inner == pytest.approx(expect, abs=1e-9)
+        assert outer == pytest.approx(expect, abs=1e-9)
 
     def test_joint_clamped(self):
         spec = make_spec(r1=2.0, r2=2.0)
-        assert leakage_exponent_joint(spec) == 0.0
-        assert leakage_exponent_joint_outer(spec) == 0.0
+        _, inner, outer = jep(spec)
+        assert inner == 0.0
+        assert outer == 0.0
 
     def test_rate_precondition_enforced(self):
         spec = make_spec(R1=0.05)
         with pytest.raises(RateConditionError):
-            leakage_exponent_joint(spec)
+            jep(spec)
 
     def test_outer_never_exceeds_inner(self):
         for r1, r2 in [(0.0, 0.0), (0.06, 0.1), (0.3, 0.05), (0.5, 0.5)]:
             spec = make_spec(r1=r1, r2=r2)
-            assert leakage_exponent_joint_outer(spec) <= leakage_exponent_joint(spec) + 1e-9
+            _, inner, outer = jep(spec)
+            assert outer <= inner + 1e-9
 
     def test_monotone_in_alpha(self):
         vals1, vals2 = [], []
         for a in np.linspace(0.0, 0.3, 31):
             spec = make_spec(alpha=float(a))
             vals1.append(leakage_exponent_m1(spec))
-            vals2.append(leakage_exponent_joint(spec))
+            vals2.append(jep(spec)[1])
         for seq in (vals1, vals2):
             for x, y in zip(seq, seq[1:]):
                 assert y >= x - 1e-9
@@ -256,7 +269,7 @@ class TestLeakageExponents:
             D1=0.1, D2=0.05, R1=spec.R1 + spec.R2, R2=0.0,
             r1=spec.r1 + spec.r2, r2=0.0, alpha=0.08,
         )
-        assert leakage_exponent_joint_outer(spec) == pytest.approx(
+        assert jep(spec)[2] == pytest.approx(
             leakage_exponent_m1(merged), abs=2e-3
         )
 
@@ -264,35 +277,35 @@ class TestLeakageExponents:
 class TestExpectedDistortion:
     def test_omega1_value(self):
         spec = make_spec(alpha=0.0)
-        o1, o2, o2_out = expected_distortion_exponents(spec)
+        o1, o2, o2_out = expected(spec)
         assert o1 == pytest.approx(hb(0.3) - hb(0.2) - 0.06, abs=1e-12)
 
     def test_huge_keys_zero(self):
         spec = make_spec(r1=2.0, r2=2.0)
-        assert expected_distortion_exponents(spec) == (0.0, 0.0, 0.0)
+        assert expected(spec) == (0.0, 0.0, 0.0)
 
     def test_rate_preconditions(self):
         with pytest.raises(RateConditionError):
-            expected_distortion_exponents(make_spec(R1=0.05))
+            expected(make_spec(R1=0.05))
         # layer-1 margin fine but the total rate sits below the two-layer
         # minimum 1 - hb(0.1) = 0.531 for the uniform source
         with pytest.raises(RateConditionError):
-            expected_distortion_exponents(make_spec(R1=0.4, R2=0.05, p=0.5))
+            expected(make_spec(R1=0.4, R2=0.05, p=0.5))
 
     def test_consistency_at_alpha_zero(self):
         spec = make_spec(alpha=0.0)
-        o1, o2, _ = expected_distortion_exponents(spec)
+        o1, o2, _ = expected(spec)
         assert leakage_exponent_m1(spec) == pytest.approx(o1, abs=1e-9)
-        assert leakage_exponent_joint(spec) == pytest.approx(o2, abs=1e-9)
+        assert jep(spec)[1] == pytest.approx(o2, abs=1e-9)
 
     def test_uniform_source_matches_jep(self):
         # with a uniform binary source the ball maximum sits at the center,
         # so the two criteria give identical exponents for every alpha
         for a in (0.01, 0.05, 0.1, 0.5, 1.0):
             spec = make_spec(p=0.5, alpha=float(a))
-            o1, o2, _ = expected_distortion_exponents(spec)
+            o1, o2, _ = expected(spec)
             assert leakage_exponent_m1(spec) == pytest.approx(o1, abs=1e-9)
-            assert leakage_exponent_joint(spec) == pytest.approx(o2, abs=1e-9)
+            assert jep(spec)[1] == pytest.approx(o2, abs=1e-9)
 
 
 class TestPlateau:
@@ -300,25 +313,25 @@ class TestPlateau:
         # oracle: D_b(0.5 || 0.3) = 0.5 log2(25/21)
         expect = 0.5 * math.log2(25.0 / 21.0)
         assert binary_plateau_alpha(0.3) == pytest.approx(expect, abs=1e-15)
-        a1, a2 = leakage_plateau_thresholds(FIG_SPEC)
+        a1, a2 = leakage_plateau_thresholds(RateModel(FIG_SPEC))
         assert a1 == pytest.approx(expect, abs=1e-6)
         assert a2 == pytest.approx(expect, abs=1e-6)
 
     def test_uniform_source_zero(self):
-        a1, a2 = leakage_plateau_thresholds(make_spec(p=0.5))
+        a1, a2 = leakage_plateau_thresholds(RateModel(make_spec(p=0.5)))
         assert a1 == 0.0 and a2 == 0.0
 
 
 class TestRegion:
     def test_boundary_point_inside(self):
         spec = make_spec(alpha=0.1)
-        b = region_boundary(spec, "jep")
+        b = region_boundary(RateModel(spec), "jep")
         verdict = region_check(b, RegionPoint(b.lambda1, b.lambda2_in))
         assert verdict == "inside_inner"
 
     def test_below_m1_bound_outside(self):
         spec = make_spec(alpha=0.1)
-        b = region_boundary(spec, "jep")
+        b = region_boundary(RateModel(spec), "jep")
         verdict = region_check(b, RegionPoint(max(b.lambda1 - 0.01, 0.0), 5.0))
         assert verdict == "outside_outer"
 
@@ -330,24 +343,23 @@ class TestRegion:
 
     def test_matched_region_has_no_between(self):
         spec = make_spec(p=0.4, D1=0.2, D2=0.15, alpha=0.03, r1=0.1, r2=0.1)
-        assert partial_secrecy_holds(spec, "jep")
-        b = region_boundary(spec, "jep")
+        assert partial_secrecy_holds(RateModel(spec), spec.alpha)
+        b = region_boundary(RateModel(spec), "jep")
         assert b.matched
 
     def test_partial_secrecy_false_when_r1_large(self):
         spec = make_spec(p=0.4, D1=0.2, D2=0.15, alpha=0.03, r1=0.2, r2=0.1)
-        assert not partial_secrecy_holds(spec, "jep")
+        assert not partial_secrecy_holds(RateModel(spec), spec.alpha)
 
     def test_zero_keys_always_match(self):
         spec = make_spec(r1=0.0, r2=0.0, alpha=0.15)
-        assert partial_secrecy_holds(spec, "jep")
-        assert partial_secrecy_holds(spec, "expected")
+        assert partial_secrecy_holds(RateModel(spec), spec.alpha)
+        assert partial_secrecy_holds(RateModel(spec), 0.0)
 
     def test_inner_outer_match_when_conditions_hold(self):
         spec = make_spec(p=0.4, D1=0.2, D2=0.15, alpha=0.03, r1=0.1, r2=0.1)
-        assert leakage_exponent_joint(spec) == pytest.approx(
-            leakage_exponent_joint_outer(spec), abs=1e-6
-        )
+        _, inner, outer = jep(spec)
+        assert inner == pytest.approx(outer, abs=1e-6)
 
 
 class TestSharedRateModel:
@@ -402,8 +414,7 @@ class TestSharedRateModel:
         for row in rows:
             a, *floors = (float(v) for v in row.split(","))
             s = dataclasses.replace(spec, alpha=a)
-            assert floors == [leakage_exponent_m1(s), leakage_exponent_joint(s),
-                              leakage_exponent_joint_outer(s)]
+            assert floors == [leakage_exponent_m1(s), *jep(s)[1:]]
 
     def test_no_model_outlives_a_call(self, counts):
         d3 = DistortionMeasure.hamming(3)
@@ -414,3 +425,36 @@ class TestSharedRateModel:
             leakage_exponent_m1(spec)
             calls.append(counts["solver"] - before)
         assert calls[0] == calls[1] > 0
+
+    def test_exponents_fields_equal_the_library_calls(self, counts, tmp_path):
+        # near-uniform source: the plateau onset falls below the scan's first
+        # radius, which keeps the ternary plateau scan short
+        path, out = tmp_path / "spec.json", tmp_path / "exponents.json"
+        path.write_text(json.dumps(dict(self.SPEC, source=[0.3334, 0.3333, 0.3333])))
+        assert main(["exponents", "--spec", str(path), "--out", str(out)]) == 0
+        assert counts["model"] == 1
+        data = json.loads(out.read_text())
+        spec = load_system_spec(str(path))
+        a1, a2 = leakage_plateau_thresholds(RateModel(spec))
+        t1, t2 = key_rate_thresholds(RateModel(spec), spec.alpha)
+        want = {
+            "plateau_alpha": {"m1": a1, "joint": a2},
+            "key_rate_thresholds": {"r1": t1, "r2": t2},
+            "partial_secrecy": {},
+        }
+        for c in ("jep", "expected"):
+            want[c] = dict(zip(("m1", "joint_inner", "joint_outer"), leakage_floors(RateModel(spec), c)))
+            want["partial_secrecy"][c] = partial_secrecy_holds(RateModel(spec), criterion_radius(spec, c))
+        assert data == want
+
+    @pytest.mark.parametrize("source, d1", [
+        ([0.7, 0.3], H2),
+        ([0.65, 0.35], DistortionMeasure([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]])),
+        ([0.36, 0.33, 0.31], DistortionMeasure.hamming(3)),
+    ], ids=["binary-hamming", "erasure-d1", "ternary"])
+    def test_expected_floors_are_the_radius_zero_ball(self, counts, source, d1):
+        p = Distribution(source)
+        d2 = DistortionMeasure.hamming(p.alphabet_size)
+        spec = SystemSpec(p, d1, d2, 0.3, 0.1, 1.0, 1.0, 0.05, 0.05, 0.03)
+        assert criterion_radius(spec, "expected") == 0.0
+        assert leakage_floors(RateModel(spec), "expected") == jep_floors(RateModel(spec), 0.0)
