@@ -213,19 +213,25 @@ def _ball_max_binary(
 
 
 def _project_to_ball(q: np.ndarray, p: Distribution, alpha: float) -> np.ndarray:
-    """Pull q toward p along the mixture line until it enters the ball."""
-    qd = Distribution(q / q.sum())
-    if kl_divergence(qd, p) <= alpha:
-        return qd.probs.copy()
-    lo, hi = 0.0, 1.0  # weight on p
+    """Pull q toward p along the mixture line until it enters the ball.
+
+    An 80-step bisection on the weight of p, with D(. || p) evaluated on the
+    raw arrays against one precomputed log2 p.
+    """
+    qn = q / q.sum()
+    log_p = np.log2(p.probs)
+    mask = qn > 0
+    if float((qn[mask] * (np.log2(qn[mask]) - log_p[mask])).sum()) <= alpha:
+        return qn
+    lo, hi = 0.0, 1.0  # weight on p; every mix with weight > 0 has full support
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        mix = (1.0 - mid) * qd.probs + mid * p.probs
-        if kl_divergence(Distribution(mix), p) <= alpha:
+        mix = (1.0 - mid) * qn + mid * p.probs
+        if float((mix * (np.log2(mix) - log_p)).sum()) <= alpha:
             hi = mid
         else:
             lo = mid
-    return (1.0 - hi) * qd.probs + hi * p.probs
+    return (1.0 - hi) * qn + hi * p.probs
 
 
 def _ball_max_general(

@@ -2,9 +2,18 @@
 
 Two convex programs over test channels:
 
-* ``rd_function``: the rate-distortion function R(Q, D), solved by
-  Blahut-Arimoto alternating minimization with bisection on the distortion
-  multiplier.
+* ``rd_function``: the rate-distortion function R(Q, D) as a certified
+  bracket.  Each distortion multiplier (slope) beta is one convex solve
+  over the output law: a few Blahut-Arimoto steps, then Newton steps on the
+  support.  An Illinois secant on beta replaces any bisection and stops as
+  soon as the two bounds meet: Blahut's lower bound, valid for any output
+  law and slope, and the I(X; Y) of a channel whose average distortion is
+  exactly D, the mix of the two channels that bracket D.  ``value`` is
+  that upper bound, attained by the returned ``optimizer``; ``lower`` is
+  the best lower bound; ``gap = value - lower``; status "converged" means
+  the gap is at most 1e-9, "unconverged" that the search stopped first
+  (iteration budget or multiplier resolution), and "boundary" that D is at
+  or above the zero-rate distortion.
 * ``min_sum_rate``: the smallest total description rate of a two-layer
   refinement code whose first layer is capped at R1 and whose two
   reconstructions meet distortion targets D1 and D2.  Solved by dual ascent
@@ -34,12 +43,14 @@ from .probcore import Distribution, DistortionMeasure, binary_entropy, type_coun
 
 _LOG_FLOOR = 1e-300
 
-# Blahut-Arimoto at one multiplier: channel-change tolerance, iteration cap
-_BA_TOL = 1e-14
-_BA_MAX_ITER = 5000
-# rd_function: zero-distortion rate tolerance, total iteration budget
-_RD_TOL = 1e-12
-_RD_MAX_ITER = 100_000
+# rd_function: certified bracket width, Blahut gap that ends one slope
+# solve, Blahut-Arimoto warm-up steps, largest multiplier of the doubling
+# search in units of one over the largest distortion, and iteration budget
+_RD_TOL = 1e-9
+_SLOPE_TOL = 1e-13
+_BA_WARMUP = 12
+_BETA_SPAN = 2.0**40
+_RD_MAX_ITER = 10_000
 # min_sum_rate: dual-ascent rounds, mirror steps per round, penalty-polish
 # steps, total iteration budget, and the first mirror step size
 _OUTER_ITERS = 220
@@ -54,11 +65,22 @@ _ORACLE_CHUNK = 128
 
 @dataclass
 class RdSolution:
+    """R(Q, D) bracketed: lower <= R(Q, D) <= value, gap = value - lower.
+
+    ``value`` is the I(X; Y) of ``optimizer``, whose average distortion is
+    at most D (to rounding); ``lower`` is Blahut's bound at the distortion
+    multiplier ``s`` (inf for the zero-distortion solve).  ``status`` is
+    "converged" when gap <= 1e-9, "unconverged" when the search stopped
+    first, and "boundary" on the zero-rate branch.
+    """
+
     value: float
     optimizer: np.ndarray
     status: str
     iterations: int
     gap: float
+    lower: float
+    s: float
 
 
 @dataclass
@@ -86,47 +108,169 @@ def _normalize_rows(w: np.ndarray) -> np.ndarray:
     return w / np.maximum(s, _LOG_FLOOR)
 
 
-def _ba_fixed_multiplier(
-    px: np.ndarray,
-    dmat: np.ndarray,
-    beta: float,
-    w: np.ndarray,
-) -> tuple[float, float, np.ndarray, int]:
-    """Blahut-Arimoto at fixed distortion multiplier beta.
+# one solved multiplier: its average distortion and its channel on the support rows
+_Point = namedtuple("_Point", "beta dist w")
 
-    Returns (rate, distortion, channel, iterations) at the curve point whose
-    supporting line has slope -beta.  Convergence is tested on the channel
-    iterate itself, which is cheaper than re-evaluating the objective.
+
+def _psd_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve h x = b for a small positive semidefinite h.
+
+    An LDL^T elimination in numpy, not ``numpy.linalg``: the first LAPACK
+    call maps about 0.8 MB of code, which every process's peak RSS would
+    carry.  A pivot below 1e-12 of the largest diagonal entry marks a flat
+    direction: one with a slope in b (above rounding) gets the floor as its
+    pivot, a long step the caller's line search cuts at the boundary; one
+    without a slope is left alone.
     """
-    gain = np.exp2(-beta * dmat)
-    it = 0
-    for it in range(1, _BA_MAX_ITER + 1):
-        m = px @ w
-        new_w = _normalize_rows(gain * m[None, :])
-        delta = float(np.abs(new_w - w).max())
-        w = new_w
-        if delta < _BA_TOL:
-            break
-    rate = _mutual_information(px, w)
-    dist = float((px[:, None] * w * dmat).sum())
-    return rate, dist, w, it
+    a = h.copy()
+    y = b.copy()
+    n = y.size
+    floor = max(1e-12 * float(a.diagonal().max()), _LOG_FLOOR)
+    for k in range(n):
+        if a[k, k] <= floor:
+            a[k, k] = floor
+            if abs(y[k]) <= 1e-15:
+                y[k] = 0.0
+        col = a[k + 1:, k] / a[k, k]
+        a[k + 1:, k + 1:] -= np.outer(col, a[k, k + 1:])
+        y[k + 1:] -= col * y[k]
+        a[k + 1:, k] = col
+    x = y / a.diagonal()
+    for k in range(n - 2, -1, -1):
+        x[k] -= a[k + 1:, k] @ x[k + 1:]
+    return x
 
 
-def _rd_zero_distortion(px: np.ndarray, dmat: np.ndarray) -> RdSolution:
-    # restrict the channel support to zero-distortion entries and minimize I
-    allowed = (dmat <= 0).astype(np.float64)
-    w = _normalize_rows(allowed.copy())
-    rate = math.inf
-    it = 0
-    for it in range(1, _RD_MAX_ITER + 1):
-        m = px @ w
-        w = _normalize_rows(allowed * m[None, :])
-        new_rate = _mutual_information(px, w)
-        if abs(new_rate - rate) < _RD_TOL:
-            rate = new_rate
+def _slope_solve(
+    qs: np.ndarray,
+    kern: np.ndarray,
+    r: np.ndarray,
+    warmup: int,
+    budget: int,
+) -> tuple[np.ndarray, float, float, int]:
+    """Minimise F(r) = -sum_x q(x) log2 (kern @ r)(x) over output laws r.
+
+    With c(y) = sum_x q(x) kern(x, y) / (kern @ r)(x), the negative
+    gradient of F in nats, Blahut-Arimoto steps r <- r c pick the support;
+    Newton steps then solve the KKT system on it.  A step that drives a
+    letter to zero drops it, and a letter off the support whose c(y)
+    exceeds the support's joins it.  Every move lowers F, except a full
+    Newton step once F is flat to rounding.  Stops
+    once Blahut's gap log2 max_y c(y), an upper bound on F(r) - min F, is
+    at most ``_SLOPE_TOL``, or when ``budget`` steps are spent.  Returns
+    (r, F(r) in bits, gap, steps).
+    """
+    def nats(x: np.ndarray) -> float:  # F(x) in nats, inf off its domain
+        vx = kern @ x
+        return -float(qs @ np.log(vx)) if vx.min() > 0 else math.inf
+
+    steps = 0
+    for _ in range(min(warmup, budget)):
+        r = r * ((qs / (kern @ r)) @ kern)
+        r /= r.sum()
+        steps += 1
+    r = np.where(r > 1e-12 * r.max(), r, 0.0)
+    r /= r.sum()
+    while True:
+        v = kern @ r
+        c = (qs / v) @ kern
+        gap = math.log2(c.max())
+        if gap <= _SLOPE_TOL or steps >= budget:
             break
-        rate = new_rate
-    return RdSolution(max(rate, 0.0), w, "converged", it, 0.0)
+        steps += 1
+        f = -float(qs @ np.log(v))
+        on = r > 0
+        off = np.flatnonzero(~on)
+        join = -1
+        if off.size and c[off].max() > c[on].max():
+            # the best letter off the support joins the Newton step
+            join = int(off[c[off].argmax()])
+            on[join] = True
+        idx = np.flatnonzero(on)
+        a = kern[:, idx]
+        h = ((a * (qs / (v * v))[:, None])[:, :, None] * a[:, None, :]).sum(axis=0)
+        # Newton step in the plane sum(step) = 0: the Hessian and gradient
+        # projected on it, plus the all-ones direction at the Hessian's scale
+        h -= h.sum(axis=0) / idx.size
+        h -= h.sum(axis=1, keepdims=True) / idx.size
+        h += np.trace(h) / idx.size**2
+        step = _psd_solve(h, c[idx] - c[idx].sum() / idx.size)
+        if join >= 0 and step[np.count_nonzero(on[:join])] <= 0:
+            # the Newton model keeps it out: it joins at the mass of one
+            # Newton step on F((1 - e) r + e 1_y), halved until F drops
+            e = min(0.5, (c[join] - 1.0) / float(qs @ ((kern[:, join] - v) / v) ** 2))
+            while e > 1e-15:
+                cand = (1.0 - e) * r
+                cand[join] += e
+                if nats(cand) < f:
+                    r = cand
+                    break
+                e *= 0.5
+            continue
+        decrement = float(c[idx] @ step)
+        neg = step < 0
+        ratio = np.where(neg, -1.0 * r[idx] / np.where(neg, step, -1.0), math.inf)
+        reach = float(ratio.min())
+
+        def moved(t: float) -> np.ndarray:
+            x = r.copy()
+            x[idx] += t * step
+            if t == reach:  # the blocking letters leave the support
+                x[idx[ratio <= reach]] = 0.0
+            return np.maximum(x, 0.0)
+
+        new = None
+        if reach >= 1.0 and decrement < 1e-12:
+            new = moved(1.0)  # quadratic convergence: F is flat to rounding here
+        else:
+            # Armijo backtracking; a step blocked by the boundary also tries
+            # stopping halfway, and keeps whichever lowers F more
+            t = min(1.0, reach)
+            while new is None and t >= 1e-12:
+                trials = [moved(t)] + ([moved(0.5 * t)] if t == reach else [])
+                fs = [nats(x) for x in trials]
+                k = int(np.argmin(fs))
+                if fs[k] <= f - 1e-4 * t * (0.5 if k else 1.0) * decrement:
+                    new = trials[k]
+                t *= 0.5
+        # otherwise one Blahut-Arimoto step, which never increases F
+        r = r * c if new is None else new
+        r /= r.sum()
+    f = -float(qs @ np.log2(v))
+    return r, f, gap, steps
+
+
+def _channel(kern: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The test channel W(y | x) = r(y) kern(x, y) / (kern @ r)(x)."""
+    return _normalize_rows(kern * r[None, :])
+
+
+def _full_channel(keep: np.ndarray, dmat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The channel on every source letter: zero-mass letters go to a zero-distortion output."""
+    if keep.all():
+        return w
+    full = np.zeros_like(dmat)
+    full[keep] = w
+    absent = np.flatnonzero(~keep)
+    full[absent, dmat[absent].argmin(axis=1)] = 1.0
+    return full
+
+
+def _certified(value: float, lower: float) -> str:
+    return "converged" if value - lower <= _RD_TOL else "unconverged"
+
+
+def _rd_zero_distortion(qs: np.ndarray, dm: np.ndarray) -> tuple[float, float, np.ndarray, int]:
+    """R(Q, 0) from the slope solve with the indicator kernel 1[d = 0], the beta -> inf limit.
+
+    Returns (value, lower, channel, iterations); the channel has zero
+    distortion, and lower is Blahut's bound F(r) - log2 max_y c(y).
+    """
+    kern = (dm <= 0).astype(np.float64)
+    r0 = np.full(dm.shape[1], 1.0 / dm.shape[1])
+    r, f, gap, it = _slope_solve(qs, kern, r0, _BA_WARMUP, _RD_MAX_ITER)
+    w = _channel(kern, r)
+    return max(_mutual_information(qs, w), 0.0), f - gap, w, it
 
 
 def rd_function(
@@ -134,72 +278,99 @@ def rd_function(
     d: DistortionMeasure,
     D: float,
 ) -> RdSolution:
-    """Rate-distortion function R(Q, D) in bits.
+    """Rate-distortion function R(Q, D) in bits, as a certified bracket.
 
-    Blahut-Arimoto with bisection on the distortion multiplier.  The
-    returned channel is feasible (average distortion within ``1e-9`` of D or
-    smaller) and the value is the bisection point corrected along the
-    supporting line, so it matches closed forms to solver precision.
+    Each distortion multiplier beta is one convex solve (``_slope_solve``);
+    its Blahut bound F_beta(r) - log2 max_y c(y) - beta D is a lower bound
+    on R(Q, D) for any output law r.  An Illinois secant on beta, started
+    from a doubling search, brackets D between the distortions of two
+    solved channels; their mix with average distortion exactly D is
+    feasible, and its I(X; Y) is the upper bound.  The search stops once
+    the upper bound is within ``_RD_TOL`` of the best lower bound.  Levels
+    up to 1e-14 are solved as D = 0, and levels at or above the zero-rate
+    distortion return the single-output channel with status "boundary".
     """
     if d.rows != q.alphabet_size:
         raise DimensionError("rd_function: source alphabet does not match distortion rows")
-    if D < 0:
-        raise ValueError("rd_function: distortion level must be nonnegative")
-    px = q.probs
-    dmat = d.matrix
+    if not D >= 0:
+        raise ValueError("rd_function: distortion level must be a nonnegative number")
+    keep = q.probs > 0
+    qs = q.probs[keep]
+    dm = d.matrix[keep]
 
     if D <= 1e-14:
-        return _rd_zero_distortion(px, dmat)
+        value, lower, w, it = _rd_zero_distortion(qs, dm)
+        status = _certified(value, lower)
+        return RdSolution(value, _full_channel(keep, d.matrix, w), status, it,
+                          value - lower, lower, math.inf)
 
-    col_dist = px @ dmat
+    col_dist = qs @ dm
     d_max = float(col_dist.min())
+    zero_rate = np.zeros_like(dm)
+    zero_rate[:, int(col_dist.argmin())] = 1.0
     if D >= d_max - 1e-14:
-        w = np.zeros_like(dmat)
-        w[:, int(col_dist.argmin())] = 1.0
-        return RdSolution(0.0, w, "boundary", 0, 0.0)
+        return RdSolution(0.0, _full_channel(keep, d.matrix, zero_rate), "boundary", 0,
+                          0.0, 0.0, 0.0)
 
-    w = _normalize_rows(np.ones_like(dmat))
-    total_it = 0
-
-    def ba(beta: float, warm: np.ndarray):
-        nonlocal total_it
-        # keep every output letter slightly warm so a collapsed marginal from
-        # a previous multiplier cannot trap the iteration on a face
-        warm = _normalize_rows(warm + 1e-4)
-        rate, dist, out, it = _ba_fixed_multiplier(px, dmat, beta, warm)
-        total_it += it
-        return rate, dist, out
-
-    beta_hi = 1.0
-    rate_hi, dist_hi, w = ba(beta_hi, w)
-    while dist_hi > D and beta_hi < 1e9:
-        beta_hi *= 2.0
-        rate_hi, dist_hi, w = ba(beta_hi, w)
-    beta_lo = 0.0
-    # invariant: `feas` holds an evaluated point with distortion <= D (up to
-    # a grazing 1e-13) whose supporting-line correction gives the value
-    feas = (beta_hi, rate_hi, dist_hi, w)
-
-    for _ in range(100):
-        if beta_hi - beta_lo < 1e-10 * max(beta_hi, 1.0):
-            break
-        beta = 0.5 * (beta_lo + beta_hi)
-        rate, dist, w = ba(beta, w)
-        if abs(dist - D) < 1e-13:
-            feas = (beta, rate, dist, w)
-            break
-        if dist > D:
-            beta_lo = beta
+    # lo and hi bracket D from above and below; beta = 0 is the zero-rate end
+    lo, hi = _Point(0.0, d_max, zero_rate), None
+    g_lo = g_hi = 0.0
+    last = ""
+    lower, s = 0.0, 0.0
+    value, best = math.inf, zero_rate
+    r = np.full(dm.shape[1], 1.0 / dm.shape[1])
+    warmup = _BA_WARMUP
+    beta = beta0 = 1.0 / float(dm.max())
+    it = 0
+    while it < _RD_MAX_ITER:
+        kern = np.exp2(-beta * dm)
+        r, f, gap, used = _slope_solve(qs, kern, r, warmup, _RD_MAX_ITER - it)
+        warmup = 0
+        it += used
+        if f - gap - beta * D > lower:
+            lower, s = f - gap - beta * D, beta
+        w = _channel(kern, r)
+        pt = _Point(beta, float((qs[:, None] * w * dm).sum()), w)
+        # Illinois: an end kept twice in a row has its log-distortion halved
+        g = math.log(max(pt.dist, _LOG_FLOOR) / D)
+        if pt.dist > D:
+            lo, g_lo = pt, g
+            if last == "lo":
+                g_hi *= 0.5
+            last = "lo"
         else:
-            beta_hi = beta
-            feas = (beta, rate, dist, w)
-        if total_it > _RD_MAX_ITER:
+            hi, g_hi = pt, g
+            if last == "hi":
+                g_lo *= 0.5
+            last = "hi"
+        if hi is None:
+            if beta >= _BETA_SPAN * beta0:
+                break
+            beta *= 2.0
+            continue
+        # the chord between the bracketing channels meets E d = D
+        t = (lo.dist - D) / (lo.dist - hi.dist)
+        mix = (1.0 - t) * lo.w + t * hi.w
+        mix_rate = _mutual_information(qs, mix)
+        if mix_rate < value:
+            value, best = mix_rate, mix
+        if value - lower <= _RD_TOL or hi.beta - lo.beta <= 1e-15 * hi.beta:
             break
+        beta = (lo.beta * g_hi - hi.beta * g_lo) / (g_hi - g_lo)
+        if not lo.beta < beta < hi.beta:
+            beta = 0.5 * (lo.beta + hi.beta)
 
-    beta, rate, dist, w = feas
-    value = max(rate + beta * (dist - D), 0.0)
-    status = "converged" if total_it <= _RD_MAX_ITER else "boundary"
-    return RdSolution(value, w, status, total_it, abs(dist - D))
+    if hi is None:
+        # the multiplier cap was reached above D: fall back on the zero-distortion channel
+        _, _, w0, used = _rd_zero_distortion(qs, dm)
+        it += used
+        t = (lo.dist - D) / lo.dist
+        best = (1.0 - t) * lo.w + t * w0
+        value = _mutual_information(qs, best)
+    value = max(value, 0.0)
+    status = _certified(value, lower)
+    return RdSolution(value, _full_channel(keep, d.matrix, best), status, it,
+                      value - lower, lower, s)
 
 
 def rd_binary_hamming(p: float, D: float) -> float:
@@ -369,15 +540,15 @@ def min_sum_rate(
     infeasible sentinel (value = inf) when the layer-1 cap is below the
     rate-distortion function at D1, since the constraint set is then empty.
     """
-    if D1 < 0 or D2 < 0:
-        raise ValueError("min_sum_rate: distortion levels must be nonnegative")
-    if R1 < 0:
-        raise ValueError("min_sum_rate: rate cap must be nonnegative")
+    if not (D1 >= 0 and D2 >= 0):
+        raise ValueError("min_sum_rate: distortion levels must be nonnegative numbers")
+    if not R1 >= 0:
+        raise ValueError("min_sum_rate: rate cap must be a nonnegative number")
     prob = _SumRateProblem(q, d1, d2, R1, D1, D2)
     px = prob.px
 
     rd1 = rd_function(q, d1, D1)
-    if R1 < rd1.value - 1e-9:
+    if R1 < rd1.lower - 1e-9:
         empty = np.zeros((prob.kx, prob.cells))
         return SumRateSolution(math.inf, empty, "infeasible", rd1.iterations, math.inf)
 

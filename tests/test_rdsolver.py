@@ -112,6 +112,120 @@ class TestRdFunction:
             assert rd_function(u3, d3, D).value == pytest.approx(closed, abs=1e-8)
 
 
+
+# ---------------------------------------------------------------------------
+# the certified bracket of rd_function
+# ---------------------------------------------------------------------------
+
+# lower <= closed form <= value is checked up to this rounding allowance: the
+# closed forms and the bracket ends are each evaluated in floating point
+ROUNDING = 1e-12
+
+
+def assert_certified(q: Distribution, d: DistortionMeasure, D: float, closed: float):
+    sol = rd_function(q, d, D)
+    assert sol.lower - ROUNDING <= closed <= sol.value + ROUNDING, (sol.lower, closed, sol.value)
+    if sol.status == "boundary":
+        assert sol.value == sol.lower == sol.gap == 0.0
+    else:
+        assert sol.status == "converged"
+        assert sol.gap == sol.value - sol.lower
+        assert sol.gap <= 1e-9
+    # the optimizer attains the value and stays within the distortion level
+    px, w = q.probs, sol.optimizer
+    assert np.all(w >= 0) and np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert float((px[:, None] * w * d.matrix).sum()) <= D + 1e-12
+    m = px @ w
+    joint = px[:, None] * w
+    mask = joint > 0
+    own = float((joint[mask] * (np.log2(joint[mask]) - np.log2((px[:, None] * m[None, :])[mask]))).sum())
+    assert own == pytest.approx(sol.value, abs=ROUNDING)
+    return sol
+
+
+def erokhin(q: np.ndarray, D: float) -> float:
+    """R(Q, D) = H(Q) - h(D) - D log2(K - 1) under Hamming, for D <= (K - 1) min Q."""
+    return float(-(q * np.log2(q)).sum()) - hb(D) - D * math.log2(q.size - 1)
+
+
+class TestRdBracket:
+    def test_binary_grid(self):
+        # the acceptance criterion 3 grid
+        for p in np.linspace(0.05, 0.95, 20):
+            for D in np.linspace(0.0, 0.5, 20):
+                q = Distribution.bernoulli(float(p))
+                assert_certified(q, H2, float(D), rd_binary_hamming(float(p), float(D)))
+
+    def test_uniform_ternary(self):
+        d3 = DistortionMeasure.hamming(3)
+        for D in (0.0, 0.01, 0.05, 0.2, 0.4, 0.6, 0.66, 0.7):
+            closed = math.log2(3) - hb(D) - D if D < 2 / 3 else 0.0
+            assert_certified(Distribution.uniform(3), d3, D, closed)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_random_laws_in_the_erokhin_region(self, k):
+        rng = np.random.default_rng(40 + k)
+        for _ in range(40):
+            q = rng.dirichlet(np.ones(k))
+            D = float(rng.uniform(0.01, 1.0)) * (k - 1) * float(q.min())
+            assert_certified(Distribution(q), DistortionMeasure.hamming(k), D, erokhin(q, D))
+
+    def test_ordinal_measure_is_certified(self):
+        rng = np.random.default_rng(8)
+        d = DistortionMeasure([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        for _ in range(20):
+            q = Distribution(rng.dirichlet(np.ones(3)))
+            D = float(rng.uniform(0.05, 0.9)) * float((q.probs @ d.matrix).min())
+            sol = rd_function(q, d, D)
+            assert sol.status == "converged" and sol.gap <= 1e-9
+            assert float((q.probs[:, None] * sol.optimizer * d.matrix).sum()) <= D + 1e-12
+
+    def test_zero_mass_letters_and_repeated_outputs(self):
+        # a type with an empty letter, and an output column repeated
+        q = Distribution([0.6, 0.4, 0.0])
+        assert_certified(q, DistortionMeasure.hamming(3), 0.1, hb(0.4) - hb(0.1))
+        d = DistortionMeasure([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        assert_certified(Distribution.bernoulli(0.3), d, 0.1, hb(0.3) - hb(0.1))
+
+    def test_zero_distortion_is_certified(self):
+        # two source letters share a zero-distortion output: R(0) = H of the groups
+        d = DistortionMeasure([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        sol = assert_certified(Distribution([0.2, 0.3, 0.5]), d, 0.0, 1.0)
+        assert math.isinf(sol.s)
+
+    def test_exhausted_budget_is_flagged(self, monkeypatch):
+        # each source letter has two zero-distortion outputs, so neither
+        # level is solved by the first output law
+        d = DistortionMeasure([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        q = Distribution([0.5, 0.3, 0.2])
+        full = [rd_function(q, d, D) for D in (0.0, 0.05)]
+        monkeypatch.setattr("srleak.rdsolver._RD_MAX_ITER", 3)
+        for D, ref in zip((0.0, 0.05), full):
+            assert ref.status == "converged"
+            sol = rd_function(q, d, D)
+            assert sol.status == "unconverged"
+            assert sol.lower - ROUNDING <= ref.value and ref.lower - ROUNDING <= sol.value
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            rd_function(Distribution.bernoulli(0.3), H2, math.nan)
+
+
+class TestSumRateInputs:
+    @pytest.mark.parametrize("R1, D1, D2", [(0.6, math.nan, 0.1), (0.6, 0.2, math.nan),
+                                            (math.nan, 0.2, 0.1)])
+    def test_rejects_nan(self, R1, D1, D2):
+        with pytest.raises(ValueError):
+            min_sum_rate(Distribution.bernoulli(0.4), H2, H2, R1, D1, D2)
+
+    def test_infeasible_below_the_certified_lower_bound_only(self):
+        q = Distribution([0.5, 0.3, 0.2])
+        d3 = DistortionMeasure.hamming(3)
+        rd1 = rd_function(q, d3, 0.3)
+        assert min_sum_rate(q, d3, d3, rd1.lower - 2e-9, 0.3, 0.1).status == "infeasible"
+        assert min_sum_rate(q, d3, d3, rd1.lower - 5e-10, 0.3, 0.1).status != "infeasible"
+
+
 def random_instance(rng):
     # Hamming pair with grid-friendly distortion targets: the optimal channel
     # is then representable on the oracle's simplex grid, so a 2e-3 agreement
@@ -324,23 +438,23 @@ P532 = Distribution([0.5, 0.3, 0.2])
 PINNED = {
     "uniform-ternary R1=0.7": (
         (Distribution.uniform(3), H3, H3, 0.7, 0.3, 0.1),
-        ("1.115111182027134", "boundary", 7226, "0.14053186134700302",
-         "5d218900c39e92e1b35b8edcfa6cfc5b443628ec6b9d1dd6ee45f5180c746fbd"),
+        ("1.0159669071318804", "boundary", 7700, "0.031573221008501795",
+         "e01ae20981f1e4757ba2cc47dc6f1edca20a8fb5ea42db3839216c592e229b78"),
     ),
     "uniform-ternary R1=1.2": (
         (Distribution.uniform(3), H3, H3, 1.2, 0.3, 0.1),
-        ("1.0159669071319564", "boundary", 8801, "0.00013857719972043547",
-         "65917f551c209e3a647e94d7ec08fa2f8418aca544545692b0645a75c08d76d4"),
+        ("1.0159669071318507", "boundary", 8821, "0.0001385772026396559",
+         "2712e082f7b5e668c09e7ca09e3a70ccb3912a056a17adf5c02486049b5aee53"),
     ),
     "(0.5, 0.3, 0.2) R1=0.55": (
         (P532, H3, H3, 0.55, 0.3, 0.1),
-        ("1.008408288163766", "boundary", 7367, "0.14720250967231685",
-         "2916c6f09e5ed78c658c6128417003b701bd7944217b1f803adda58bce60bd31"),
+        ("1.008408288382335", "boundary", 7382, "0.14720251055838496",
+         "cd2c8bb453fa9ad8689f11761fe87b40039c9629351300823dbc2d4bdbdb3d5c"),
     ),
     "ordinal |i-j| R1=0.8": (
         (P532, ORDINAL3, ORDINAL3, 0.8, 0.4, 0.2),
-        ("0.667210482996399", "converged", 10105, "6.991433376679623e-08",
-         "bfc252fdfe1fde4b1b8140052be54576f268c75ae5d29b9026cafa25ed64a45f"),
+        ("0.6672104829964265", "converged", 10077, "6.991475109963119e-08",
+         "7fb059d8c4d1438f74ecb55041ce923cedb0eeaaa1c6532c7a7098ed010d226d"),
     ),
     "binary Markov start (F-ordered) R1=0.3": (
         (Distribution.bernoulli(0.3), H2, H2, 0.3, 0.15, 0.05),
@@ -349,8 +463,8 @@ PINNED = {
     ),
     "erasure d1 R1=0.6": (
         (Distribution.bernoulli(0.3), ERASURE_D1, H2, 0.6, 0.3, 0.1),
-        ("0.41229530247148627", "boundary", 9688, "7.317751361107794e-05",
-         "9b50eae140309eb88f6f6da81e34bf5a593aa8219b18db482fc75adce3fbf062"),
+        ("0.4122953024714864", "boundary", 9677, "7.317751830027142e-05",
+         "cb1811481352b6dfc8847aa505e68d651b1716a308260cd28535217f721a714e"),
     ),
 }
 
@@ -363,7 +477,10 @@ def test_pinned_solver_outputs(name):
     values included (the true uniform-ternary value is R(D2) = 1.015967 at
     every R1 >= R(D1)), so that a speed-up of the same algorithm is checked
     to change no bit of value, status, iterations, gap or optimizer.  The
-    certified solver of ROADMAP item 1 changes them: update the pins there.
+    solver starts from the product of the two ``rd_function`` channels, so
+    any change to those channels moves these pins too (at R1 = 0.7 the
+    start alone moves the value by 0.1 bit).  The certified solver of
+    ROADMAP item 1 changes them: update the pins there.
     """
     args, (value, status, iterations, gap, digest) = PINNED[name]
     sol = min_sum_rate(*args)
