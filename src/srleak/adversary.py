@@ -415,6 +415,12 @@ def end_to_end_lower_bound(
 
 
 def converse_leakage_bound(spec: SystemSpec) -> tuple[float, float]:
-    """Asymptotic leakage floors certified by the guessing attack."""
+    """The layer-1 and joint outer JEP floors at the spec's alpha.
+
+    These are ``jep_floors``' first and third values, the divergence-ball
+    maxima of {R(Q, D1) - r1}^+ and {R(Q, R1, D1, D2) - r1 - r2}^+, from
+    one fresh model.  No attack is run and nothing here certifies them;
+    the name is kept for existing callers.
+    """
     m1, _, joint_outer = jep_floors(RateModel(spec), spec.alpha)
     return m1, joint_outer

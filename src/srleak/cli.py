@@ -182,7 +182,7 @@ def cmd_rd(args) -> int:
 def cmd_exponents(args) -> int:
     spec = load_system_spec(args.spec)
     model = RateModel(spec)
-    # null joint plateau when R1 fails the layer-1 check at the scan's top radius
+    # null joint plateau when R1 fails the layer-1 check at the cap radius (the whole simplex)
     a1, a2 = leakage_plateau_thresholds(model)
     criteria = ("jep", "expected")
     thresholds = {c: key_rate_thresholds(model, criterion_radius(spec, c)) for c in criteria}

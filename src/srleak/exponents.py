@@ -58,11 +58,12 @@ _GRID_RESOLUTION = 12
 _SEED = 0
 _GOLDEN_ITERS = 90
 
-# plateau detection: log-spaced scan points, bisection width on alpha, and
-# the relative distance from the terminal value that counts as reached
+# plateau detection: the relative distance from the terminal value that
+# counts as reached, and for alphabets beyond binary the log-spaced scan
+# points and the bisection width on alpha
+_PLATEAU_VALUE_EPS = 5e-13
 _PLATEAU_SCAN_POINTS = 200
 _PLATEAU_TOL = 1e-8
-_PLATEAU_VALUE_EPS = 5e-13
 
 
 @dataclass(frozen=True)
@@ -178,9 +179,10 @@ def _ball_max_binary(
     alpha: float,
     objective: Callable[[Distribution], float],
     entropy_monotone: bool,
+    interval: tuple[float, float] | None,
 ) -> BallOptimum:
     pb = float(p.probs[1])
-    q_lo, q_hi = binary_ball_interval(pb, alpha)
+    q_lo, q_hi = binary_ball_interval(pb, alpha) if interval is None else interval
 
     def f(qv: float) -> float:
         return objective(Distribution.bernoulli(qv))
@@ -298,14 +300,19 @@ def kl_ball_maximize(
     objective: Callable[[Distribution], float],
     *,
     entropy_monotone: bool = False,
+    interval: tuple[float, float] | None = None,
 ) -> BallOptimum:
     """Maximize a scalar objective over {Q : D(Q || P) <= alpha}.
 
-    Binary alphabets use an interval search (boundary roots by bisection, a
-    41-point scan plus golden-section refinement).  Larger alphabets use
-    projected ascent from the best of six seeded random starts, the
-    vertices pulled into the ball and, for ternary alphabets, the in-ball
-    points of the denominator-12 simplex grid; the search is deterministic.
+    Binary alphabets use an interval search over the Bernoulli parameters
+    of the ball, ``binary_ball_interval(P(1), alpha)``: a 41-point scan plus
+    golden-section refinement, then the interval ends, P and 1/2 when the
+    ball holds it.  A caller that searches one radius several times passes
+    that interval as ``interval`` so its two roots are solved once; it is
+    used as given.  Larger alphabets use projected ascent from the best of
+    six seeded random starts, the vertices pulled into the ball and, for
+    ternary alphabets, the in-ball points of the denominator-12 simplex
+    grid; the search is deterministic.
     Setting ``entropy_monotone`` asserts that the objective's extrema over
     any Bernoulli-parameter interval sit at its ends or at the entropy
     maximizer, which skips the scan (binary alphabets only).
@@ -317,7 +324,7 @@ def kl_ball_maximize(
     if alpha == 0.0:
         return BallOptimum(objective(p), p)
     if p.alphabet_size == 2:
-        return _ball_max_binary(p, alpha, objective, entropy_monotone)
+        return _ball_max_binary(p, alpha, objective, entropy_monotone, interval)
     return _ball_max_general(p, alpha, objective)
 
 
@@ -327,9 +334,11 @@ def kl_ball_minimize(
     objective: Callable[[Distribution], float],
     *,
     entropy_monotone: bool = False,
+    interval: tuple[float, float] | None = None,
 ) -> BallOptimum:
     """Minimize a scalar objective over the divergence ball (mirror of maximize)."""
-    out = kl_ball_maximize(p, alpha, lambda q: -objective(q), entropy_monotone=entropy_monotone)
+    out = kl_ball_maximize(p, alpha, lambda q: -objective(q),
+                           entropy_monotone=entropy_monotone, interval=interval)
     return BallOptimum(-out.value, out.argopt)
 
 
@@ -342,7 +351,8 @@ class RateModel:
     """R(Q, D1), R(Q, D2), the sum rate R(Q, R1, D1, D2) and the leakage objectives of a spec.
 
     A binary source under Hamming measures uses the closed forms; any other
-    spec calls the solvers, once per candidate law.
+    spec calls the solvers, once per candidate law.  For a binary source the
+    model also keeps the Bernoulli interval of each ball radius it searches.
     """
 
     def __init__(self, spec: SystemSpec) -> None:
@@ -350,6 +360,7 @@ class RateModel:
         self.closed_form = spec.is_binary_hamming
         self._rd: dict[tuple[bytes, int], float] = {}
         self._sum: dict[bytes, float] = {}
+        self._interval: dict[float, tuple[float, float]] = {}
 
     def rd(self, q: Distribution, layer: int) -> float:
         """R(Q, D_layer) under the spec's measure for that layer."""
@@ -382,15 +393,27 @@ class RateModel:
     def joint_outer(self, q: Distribution) -> float:
         return _pos(self.sum_rate(q) - self.spec.r1 - self.spec.r2)
 
-    # closed-form rate objectives are monotone in the binary entropy, so the
-    # ball search's four-candidate fast path is exact for them
+    def _search_options(self, alpha: float) -> dict:
+        # closed-form rate objectives are monotone in the binary entropy, so the
+        # ball search's four-candidate fast path is exact for them; the ball's
+        # Bernoulli interval is solved once per radius (a nonpositive or NaN
+        # radius never reaches it)
+        options: dict = {"entropy_monotone": self.closed_form}
+        if self.spec.source.alphabet_size == 2 and alpha > 0.0:
+            if alpha not in self._interval:
+                self._interval[alpha] = binary_ball_interval(float(self.spec.source.probs[1]), alpha)
+            options["interval"] = self._interval[alpha]
+        return options
+
+    def ball_search(self, objective: Callable[[Distribution], float], alpha: float) -> BallOptimum:
+        return kl_ball_maximize(self.spec.source, alpha, objective, **self._search_options(alpha))
+
     def ball_max(self, objective: Callable[[Distribution], float], alpha: float) -> float:
-        return kl_ball_maximize(self.spec.source, alpha, objective,
-                                entropy_monotone=self.closed_form).value
+        return self.ball_search(objective, alpha).value
 
     def ball_min(self, objective: Callable[[Distribution], float], alpha: float) -> float:
         return kl_ball_minimize(self.spec.source, alpha, objective,
-                                entropy_monotone=self.closed_form).value
+                                **self._search_options(alpha)).value
 
     def require_layer1_rate(self, alpha: float) -> None:
         """Raise unless R1 exceeds the ball maximum of R(Q, D1) at radius alpha."""
@@ -461,25 +484,86 @@ def divergence_ball_cap(p: Distribution) -> float:
 def leakage_plateau_thresholds(model: RateModel) -> tuple[float, float | None]:
     """Smallest alphas beyond which the two leakage exponents stop growing.
 
-    Detected by a 200-point log-spaced scan of the monotone exponent curves
-    followed by bisection to 1e-8 on the predicate "curve within a relative
-    5e-13 of its terminal value".  The exponent curves are flat (quadratic)
-    at the plateau onset, so the alpha resolution is roughly the square root
-    of that 5e-13.
-    For a binary source under Hamming measures the threshold equals the
-    divergence from the entropy maximizer, D_b(0.5 || p), whenever the curve
-    is not flat everywhere.
+    Each exponent curve is nondecreasing in alpha and reaches its terminal
+    value, the objective's maximum G over the whole simplex, once the ball
+    holds a law whose objective is within a relative 5e-13 of G.
+    For a binary source the onset is therefore the smallest D_b(q || p)
+    over such laws q: one search over the whole interval [0, 1] gives G,
+    and a bisection on q finds the nearest such law on each side of p
+    (``_binary_plateau_onset``).  Under Hamming measures this is the
+    divergence from the entropy maximizer, D_b(0.5 || p), to within the
+    tolerance's resolution (laws about sqrt(5e-13) from 1/2 reach G),
+    unless the curve is flat everywhere (0) or has a flat top (less).
+    Larger alphabets scan the curve instead: 200 log-spaced radii, then a
+    bisection to 1e-8 on alpha (``_plateau_onset``); the curves are flat
+    (quadratic) at the onset, so that alpha resolution is roughly the
+    square root of the 5e-13.
     The joint curve needs the layer-1 rate condition on every ball it
-    visits.  It is checked once, at the scan's top radius, and the joint
-    threshold is None when it fails there.
+    visits.  It is checked once, at the cap radius whose ball is the whole
+    simplex, and the joint threshold is None when it fails there.
     """
     cap = divergence_ball_cap(model.spec.source)
-    m1 = _plateau_onset(lambda a: model.ball_max(model.m1, a), cap)
+
+    def onset(objective: Callable[[Distribution], float]) -> float:
+        if model.spec.source.alphabet_size == 2:
+            return _binary_plateau_onset(model, objective, cap)
+        return _plateau_onset(lambda a: model.ball_max(objective, a), cap)
+
+    m1 = onset(model.m1)
     try:
         model.require_layer1_rate(cap)
     except RateConditionError:
         return m1, None
-    return m1, _plateau_onset(lambda a: model.ball_max(model.joint, a), cap)
+    return m1, onset(model.joint)
+
+
+def _binary_plateau_onset(
+    model: RateModel, objective: Callable[[Distribution], float], cap: float
+) -> float:
+    """Smallest radius whose ball holds a law within the plateau tolerance of G.
+
+    G is the ball maximum at ``cap``, the whole interval [0, 1].  The laws
+    that reach it are bracketed on each side of p: for a closed-form
+    objective, nondecreasing in the binary entropy, they form an interval
+    around 1/2, so the bracket is (p, 1/2); otherwise the brackets come
+    from the 41-point grid of [0, 1] and the search's maximiser.  Each
+    bracket is bisected on q to machine precision, and the smaller
+    divergence of the reaching ends wins.
+    """
+    p = float(model.spec.source.probs[1])
+    top = model.ball_search(objective, cap)
+    floor = top.value - _PLATEAU_VALUE_EPS * max(1.0, abs(top.value))
+    if model.ball_max(objective, 0.0) >= floor:
+        return 0.0
+
+    def reaches(q: float) -> bool:
+        return objective(Distribution.bernoulli(q)) >= floor
+
+    if model.closed_form:
+        brackets = [(p, 0.5)]
+    else:
+        known = sorted({*np.linspace(0.0, 1.0, _SCAN_POINTS).tolist(), float(top.argopt.probs[1])})
+        hits = [q for q in known if reaches(q)]
+        brackets = []
+        right = [q for q in hits if q > p]
+        if right:
+            hit = min(right)
+            brackets.append((max([p] + [q for q in known if q < hit]), hit))
+        left = [q for q in hits if q < p]
+        if left:
+            hit = max(left)
+            brackets.append((min([p] + [q for q in known if q > hit]), hit))
+    best = math.inf
+    for miss, hit in brackets:
+        if binary_kl(miss, p) >= best:
+            continue  # every law of this bracket is farther from p than the best found
+        while (mid := 0.5 * (miss + hit)) not in (miss, hit):
+            if reaches(mid):
+                hit = mid
+            else:
+                miss = mid
+        best = min(best, binary_kl(hit, p))
+    return best
 
 
 def _plateau_onset(f: Callable[[float], float], cap: float) -> float:

@@ -60,10 +60,19 @@ class Distribution:
 
     @classmethod
     def bernoulli(cls, p: float) -> "Distribution":
-        """Binary pmf with P(X=1) = p."""
+        """Binary pmf with P(X=1) = p.
+
+        Built without the constructor's validation: 0 <= p <= 1 already
+        makes both entries finite, nonnegative and sum to one within a
+        rounding, so the array is the one ``cls([1 - p, p])`` would hold.
+        """
         if not 0.0 <= p <= 1.0:
             raise ValueError("bernoulli parameter must lie in [0, 1]")
-        return cls([1.0 - p, p])
+        probs = np.array([1.0 - p, p], dtype=np.float64)
+        probs.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "probs", probs)
+        return out
 
     @classmethod
     def uniform(cls, k: int) -> "Distribution":

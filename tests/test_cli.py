@@ -307,7 +307,7 @@ class TestLayer1RateCheck:
         boundary = strict_loads(region_out.read_text())["boundary"]
         assert data["jep"] == {"m1": boundary["lambda1"], "joint_inner": boundary["lambda2_in"],
                                "joint_outer": boundary["lambda2_out"]}
-        assert data["plateau_alpha"] == {"m1": 0.12576887950601617, "joint": None}
+        assert data["plateau_alpha"] == {"m1": 0.12576887467401637, "joint": None}
 
     @pytest.mark.parametrize("criterion, radius, ball_max", [
         ("jep", "0.1", "0.276643"),

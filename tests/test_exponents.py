@@ -16,6 +16,7 @@ from srleak.exponents import (
     binary_ball_interval,
     binary_plateau_alpha,
     criterion_radius,
+    divergence_ball_cap,
     jep_floors,
     key_rate_thresholds,
     kl_ball_maximize,
@@ -175,7 +176,7 @@ class TestPinnedSearchSettings:
 
     def test_plateau_thresholds(self):
         assert repr(leakage_plateau_thresholds(RateModel(FIG_SPEC))) == (
-            "(0.12576887950601617, 0.12576887950601617)"
+            "(0.12576887467401637, 0.12576887467401637)"
         )
 
 
@@ -215,6 +216,175 @@ def test_project_to_ball_matches_reference_bit_for_bit():
         got = _project_to_ball(q, p, alpha)
         want = reference_project_to_ball(q, p, alpha)
         assert got.tobytes() == want.tobytes(), (trial, q, p.probs, alpha)
+
+
+class TestBallInterval:
+    """A binary model solves the ball's Bernoulli interval once per radius."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+
+        def counted(p, alpha):
+            calls.append(alpha)
+            return binary_ball_interval(p, alpha)
+
+        monkeypatch.setattr("srleak.exponents.binary_ball_interval", counted)
+        return calls
+
+    def test_one_interval_per_radius_and_model(self, spy):
+        model = RateModel(FIG_SPEC)
+        jep_floors(model, 0.1)
+        assert spy == [0.1]  # the layer-1 check and three floors share it
+        jep_floors(model, 0.1)
+        key_rate_thresholds(model, 0.1)
+        assert spy == [0.1]
+        jep_floors(model, 0.05)
+        assert spy == [0.1, 0.05]
+        jep_floors(RateModel(FIG_SPEC), 0.1)  # no interval outlives its model
+        assert spy == [0.1, 0.05, 0.1]
+
+    def test_radius_zero_and_nan_solve_no_interval(self, spy):
+        model = RateModel(FIG_SPEC)
+        assert model.ball_max(model.m1, 0.0) == model.m1(FIG_SPEC.source)
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            model.ball_max(model.m1, math.nan)
+        assert spy == []
+
+    @pytest.mark.parametrize("spec", [
+        FIG_SPEC,
+        SystemSpec(Distribution([0.65, 0.35]), DistortionMeasure([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]),
+                   H2, 0.2, 0.1, 1.6, 1.6, 0.0, 0.0, 0.1),
+    ], ids=["hamming", "erasure-d1"])
+    def test_searches_equal_the_uninformed_search(self, spec):
+        # the rate gap between the layers, not the joint objectives: the erasure
+        # spec's would call the sum-rate solver, ~0.5 s per law
+        model = RateModel(spec)
+        for a in (0.01, 0.1, 2.0):
+            for f in (model.m1, lambda q: model.rd(q, 2) - model.rd(q, 1)):
+                want = kl_ball_maximize(spec.source, a, f, entropy_monotone=model.closed_form)
+                got = model.ball_search(f, a)
+                assert (got.value, got.argopt) == (want.value, want.argopt)
+            want = kl_ball_minimize(spec.source, a, model.m1, entropy_monotone=model.closed_form).value
+            assert model.ball_min(model.m1, a) == want
+
+
+def reference_plateau_onset(f, cap):
+    """The plateau onset as first written, the oracle of the binary search:
+    a 200-point log-spaced scan of the nondecreasing curve f, then a
+    bisection to 1e-8 on the predicate "f within a relative 5e-13 of f(cap)"."""
+    plateau = f(cap)
+    eps = 5e-13 * max(1.0, abs(plateau))
+    if f(0.0) >= plateau - eps:
+        return 0.0
+    alphas = np.logspace(math.log10(1e-6), math.log10(cap), 200)
+    hit = cap
+    lo = 0.0
+    for a in alphas:
+        if f(float(a)) >= plateau - eps:
+            hit = float(a)
+            break
+        lo = float(a)
+    hi = hit
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if f(mid) >= plateau - eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def scan_thresholds(model):
+    """Both plateau onsets from the reference scan, with the library's layer-1 check."""
+    cap = divergence_ball_cap(model.spec.source)
+    m1 = reference_plateau_onset(lambda a: model.ball_max(model.m1, a), cap)
+    try:
+        model.require_layer1_rate(cap)
+    except RateConditionError:
+        return m1, None
+    return m1, reference_plateau_onset(lambda a: model.ball_max(model.joint, a), cap)
+
+
+def assert_onsets_agree(got, want):
+    for g, w in zip(got, want):
+        if w is None or w == 0.0:
+            assert g == w
+        else:
+            assert g == pytest.approx(w, abs=1e-8)
+
+
+class TestPlateauOracle:
+    """The one-search binary plateau onset against the alpha scan."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.3, 0.45, 0.62, 0.8])
+    @pytest.mark.parametrize("r1, r2", [(0.0, 0.0), (0.06, 0.1), (0.2, 0.3), (0.02, 0.6)])
+    def test_binary_hamming_grid(self, p, r1, r2):
+        model = RateModel(make_spec(p=p, r1=r1, r2=r2))
+        got = leakage_plateau_thresholds(model)
+        assert_onsets_agree(got, scan_thresholds(RateModel(model.spec)))
+        for onset in got:
+            if onset:  # the curve is not flat: 1/2 reaches it, and so do laws ~sqrt(5e-13) nearer p
+                assert 0.0 <= binary_plateau_alpha(p) - onset <= 1e-5
+
+    def test_flat_topped_joint_curve(self):
+        # r1 exceeds every R(Q, D1), so the joint curve is R(Q, D2) - R(Q, D1) - r2,
+        # constant once min(q, 1 - q) >= D1: the onset is D_b(0.2 || 0.15), not D_b(0.5 || 0.15)
+        spec = make_spec(p=0.15, D1=0.2, D2=0.1, r1=0.3, r2=0.05)
+        got = leakage_plateau_thresholds(RateModel(spec))
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(binary_kl(0.2, 0.15), abs=1e-8)
+        assert got[1] < binary_plateau_alpha(0.15) - 0.4
+        assert_onsets_agree(got, scan_thresholds(RateModel(spec)))
+
+    @pytest.fixture
+    def stand_in(self, monkeypatch):
+        """Cheap solver stand-ins for a binary non-Hamming spec: R(Q, D) is a
+        parabola in Q(1) peaked at 0.4 + D, or at 0.2 and 0.8 when bimodal."""
+        shape = {"bimodal": False}
+
+        def rd(q, d, D):
+            x = float(q.probs[1])
+            dist = min(abs(x - 0.2), abs(x - 0.8)) if shape["bimodal"] else abs(x - 0.4 - D)
+            return types.SimpleNamespace(value=1.0 - D - dist**2)
+
+        def sum_rate(q, d1, d2, R1, D1, D2):
+            need = rd(q, d1, D1).value
+            return types.SimpleNamespace(value=math.inf if R1 < need - 1e-9 else rd(q, d2, D2).value)
+
+        monkeypatch.setattr("srleak.exponents.rd_function", rd)
+        monkeypatch.setattr("srleak.exponents.min_sum_rate", sum_rate)
+        return shape
+
+    @pytest.mark.parametrize("bimodal", [False, True])
+    @pytest.mark.parametrize("p, r1, r2", [(0.35, 0.05, 0.05), (0.7, 0.1, 0.0), (0.5, 0.0, 0.2)])
+    def test_solver_backed_branch(self, stand_in, bimodal, p, r1, r2):
+        stand_in["bimodal"] = bimodal
+        erasure = DistortionMeasure([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]])
+        spec = SystemSpec(Distribution.bernoulli(p), erasure, H2, 0.23, 0.1, 1.5, 1.5, r1, r2, 0.1)
+        model = RateModel(spec)
+        assert not model.closed_form
+        got = leakage_plateau_thresholds(model)
+        assert got[0] > 0.0 and got[1] is not None
+        assert_onsets_agree(got, scan_thresholds(RateModel(spec)))
+
+    def test_erasure_m1_onset(self, monkeypatch):
+        # the real rate-distortion solver; R1 below the whole-simplex maximum of
+        # R(Q, D1) (0.1187) fails the layer-1 check at the cap, so the joint
+        # curve is None and the sum-rate solver never runs
+        def no_sum_rate(*args):
+            raise AssertionError("min_sum_rate called")
+
+        monkeypatch.setattr("srleak.exponents.min_sum_rate", no_sum_rate)
+        erasure = DistortionMeasure([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]])
+        spec = SystemSpec(Distribution([0.65, 0.35]), erasure, H2, 0.3, 0.1, 0.1, 1.0, 0.05, 0.05, 0.03)
+        model = RateModel(spec)
+        onset, joint = leakage_plateau_thresholds(model)
+        assert joint is None
+        plateau = model.ball_max(model.m1, divergence_ball_cap(spec.source))
+        floor = plateau - 5e-13 * max(1.0, plateau)
+        assert model.ball_max(model.m1, onset + 1e-8) >= floor
+        assert model.ball_max(model.m1, onset - 1e-6) < floor
 
 
 class TestBallMinimize:

@@ -59,6 +59,38 @@ class TestDistribution:
         assert d.probs.tolist() == [0.5, 0.5]
 
 
+class TestBernoulli:
+    """``Distribution.bernoulli`` skips the constructor's validation; its
+    result must be the validated constructor's, bit for bit."""
+
+    EDGES = [0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0**-53, 0.3, -0.0]
+
+    @pytest.mark.parametrize("p", EDGES + np.random.default_rng(5).random(40).tolist())
+    def test_equals_the_validated_constructor(self, p):
+        fast, slow = Distribution.bernoulli(p), Distribution([1.0 - p, p])
+        assert type(fast) is Distribution
+        assert fast.probs.tobytes() == slow.probs.tobytes()
+        assert fast.probs.dtype == slow.probs.dtype == np.float64
+        assert fast.probs.shape == (2,)
+        assert fast.probs.flags.writeable is slow.probs.flags.writeable is False
+        assert fast == slow and hash(fast) == hash(slow)
+        with pytest.raises(ValueError, match="read-only"):
+            fast.probs[0] = 0.5
+        with pytest.raises(AttributeError, match="immutable"):
+            fast.probs = slow.probs
+        with pytest.raises(AttributeError, match="immutable"):
+            fast.extra = 1
+
+    def test_numpy_scalar_parameter(self):
+        for p in (np.float64(0.3), np.float32(0.3)):
+            assert Distribution.bernoulli(p).probs.tobytes() == Distribution([1.0 - p, p]).probs.tobytes()
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, -0.1, 1.1])
+    def test_rejects_parameters_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"^bernoulli parameter must lie in \[0, 1\]$"):
+            Distribution.bernoulli(p)
+
+
 class TestDistortionMeasure:
     def test_hamming(self):
         d = DistortionMeasure.hamming(3)
