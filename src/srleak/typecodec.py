@@ -171,6 +171,19 @@ class _Messages:
         return np.column_stack(cols).astype(np.int64)
 
 
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows of a 2-D integer array, grouped by one sort.
+
+    Returns the permutation that sorts the rows lexicographically and the
+    positions in it where each run of equal rows starts, so that
+    ``rows[order[starts]]`` are the rows of ``np.unique(rows, axis=0)``.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.concatenate([[rows.shape[0] > 0], (ranked[1:] != ranked[:-1]).any(axis=1)])
+    return order, np.flatnonzero(new)
+
+
 def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
@@ -264,10 +277,10 @@ class CoverCodebook:
 
         # realized message structure: layer-1 bins, and (bin, second-layer shape)
         f = self._fields(self._seq_book, self._seq_ypos, self._seq_zpos)
-        self._realized_bins = len(np.unique(np.column_stack([self._seq_book, f["i"]]), axis=0))
-        self._realized_shapes = len(np.unique(
-            np.column_stack([self._seq_book, f["i"], f["wu"], f["u"], f["s2"]]), axis=0
-        ))
+        self._realized_bins = _group_rows(np.column_stack([self._seq_book, f["i"]]))[1].size
+        self._realized_shapes = _group_rows(
+            np.column_stack([self._seq_book, f["i"], f["wu"], f["u"], f["s2"]])
+        )[1].size
 
     def _fields(self, k: np.ndarray, ypos: np.ndarray, zpos: np.ndarray) -> dict[str, np.ndarray]:
         """Bin arithmetic of ``encode`` for many (book, y position, z position) rows."""
@@ -295,11 +308,12 @@ class CoverCodebook:
         nbins = -(-self._z_count // self.cap2)
         nz = np.repeat(self._z_count, nbins)
         u = np.arange(nz.size) - np.repeat(_offsets(nbins), nbins)
-        shapes = np.unique(np.column_stack([
+        shapes = np.column_stack([
             np.repeat(_ceil_log2_array(nbins), nbins), u,
             _ceil_log2_array(np.minimum(self.cap2, nz - u * self.cap2)),
-        ]), axis=0)
-        return int((1 << shapes[:, 2]).sum())
+        ])
+        order, starts = _group_rows(shapes)
+        return int((1 << shapes[order[starts], 2]).sum())
 
     def total_y_codewords(self) -> int:
         return len(self._Y)
@@ -354,6 +368,51 @@ def _half_table(dmat: np.ndarray, length: int) -> np.ndarray:
     return table
 
 
+def _cover_band(dmat: np.ndarray, n: int) -> float:
+    """Rounding band of a distortion sum over ``n`` positions.
+
+    Any summation order of n terms is within (n - 1) (eps / 2) n max|d| of
+    the exact sum, less than a quarter of this band, so two orders differ by
+    less than half of it.
+    """
+    return 1e-12 + 2.0 * n * n * float(np.abs(dmat).max()) * np.finfo(np.float64).eps
+
+
+def _candidate_types(candidates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Type index of each candidate over ``k`` symbols, and one representative
+    (the first candidate in index order) per type."""
+    n = candidates.shape[1]
+    counts = np.stack([np.count_nonzero(candidates == s, axis=1) for s in range(k)], axis=1)
+    _, first, of = np.unique(_lex_index(counts, n + 1), return_index=True, return_inverse=True)
+    return of.ravel(), candidates[first]
+
+
+def _reachable(
+    members: np.ndarray, types: tuple[np.ndarray, np.ndarray], dmat: np.ndarray, level: float, n: int
+) -> np.ndarray:
+    """Ascending indices of the candidates whose type can cover a member.
+
+    ``members`` is a whole type class and ``types`` is what
+    :func:`_candidate_types` returns for the candidates.  A candidate type is
+    kept when the in-order distortion sum from its representative to some
+    member is at most ``budget + band``, with the budget and band of
+    :func:`_cover_matrix`.  Dropping the rest is exact: a permutation of
+    positions maps any (member, candidate) pair onto a (member', representative)
+    pair with the same multiset of symbol pairs, and member' is in the class,
+    so both exact sums are equal.  Each in-order float sum is within band / 4
+    of its exact sum, so a candidate whose cell is True in
+    :func:`_cover_matrix` (in-order sum at most the budget) has a type whose
+    representative sums to at most ``budget + band / 2`` for some member.
+    Every cell of a dropped candidate is therefore False.
+    """
+    of, reps = types
+    sums = np.zeros((reps.shape[0], members.shape[0]))
+    for t in range(n):
+        sums += dmat[members[None, :, t], reps[:, t, None]]
+    live = sums.min(axis=1) <= level * n + 1e-9 + _cover_band(dmat, n)
+    return np.flatnonzero(live[of])
+
+
 def _cover_matrix(
     members: np.ndarray, candidates: np.ndarray, dmat: np.ndarray, level: float, n: int
 ) -> np.ndarray:
@@ -373,9 +432,7 @@ def _cover_matrix(
     n_members = members.shape[0]
     out = np.zeros((candidates.shape[0], n_members), dtype=bool, order="F")
     budget = level * n + 1e-9
-    # any summation order of n terms is within (n - 1) (eps / 2) n max|d| of
-    # the exact sum, so two orders differ by less than half of this band
-    band = 1e-12 + 2.0 * n * n * float(np.abs(dmat).max()) * np.finfo(np.float64).eps
+    band = _cover_band(dmat, n)
     # per half: rows indexed by candidate half, columns by member
     left = np.take(_half_table(dmat, h), _lex_index(members[:, :h], kx), axis=1)
     right = np.take(_half_table(dmat, n - h), _lex_index(members[:, h:], kx), axis=1)
@@ -421,14 +478,15 @@ def _greedy_cover(cover: np.ndarray) -> tuple[list[int], np.ndarray]:
     uncovered = np.ones(n_members, dtype=bool)
     selected: list[int] = []
     first_cover = np.full(n_members, -1, dtype=np.int64)
-    gains = np.count_nonzero(by_member, axis=0)
+    as_int = by_member.view(np.uint8)
+    gains = np.add.reduce(as_int, axis=0, dtype=np.int32)
     while uncovered.any():
         best = int(np.argmax(gains))
         newly = by_member[:, best] & uncovered
         first_cover[newly] = len(selected)
         selected.append(best)
         uncovered &= ~newly
-        gains -= np.count_nonzero(by_member[newly], axis=0)
+        gains -= np.add.reduce(as_int[newly], axis=0, dtype=np.int32)
     return selected, first_cover
 
 
@@ -488,6 +546,11 @@ def build_codebook(
     CodebookError when a type's rate requirement or the message-space budget
     conflicts with the configured rates, naming the offending type.  The
     covering is verified before the codebook is returned.
+
+    Each cover is computed only against the candidates of the types that can
+    cover a member of the class (:func:`_reachable`), and the layer-2 covers
+    of one type are the column slices of one matrix; the greedy picks, and so
+    the codebook, are those of covers over every candidate.
     """
     if n < 1:
         raise ValueError("blocklength must be positive")
@@ -504,6 +567,8 @@ def build_codebook(
     threshold = spec.alpha + delta
     cand_y = all_sequences(ka, n, max_sequences)
     cand_z = all_sequences(kb, n, max_sequences)
+    types_y = _candidate_types(cand_y, ka)
+    types_z = _candidate_types(cand_z, kb)
 
     books: list[_TypeBook] = []
     book_members: list[np.ndarray] = []
@@ -521,21 +586,32 @@ def build_codebook(
             raise CapExceededError(
                 f"cover matrix for type {t.counts} exceeds {max_cover_cells} cells"
             )
-        cover1 = _cover_matrix(members, cand_y, spec.d1.matrix, spec.D1, n)
+        live_z = _reachable(members, types_z, spec.d2.matrix, spec.D2, n)
+        if members.shape[0] * live_z.size > max_cover_cells:
+            raise CapExceededError(
+                f"layer-2 cover matrix for type {t.counts} exceeds {max_cover_cells} cells"
+            )
+        live_y = _reachable(members, types_y, spec.d1.matrix, spec.D1, n)
+        cover1 = _cover_matrix(members, cand_y[live_y], spec.d1.matrix, spec.D1, n)
         chrono_y, first_y = _greedy_cover(cover1)
 
         # lexicographic codeword order; members keep their chronological owner
         y_sel, y_pos = _lex_order(chrono_y)
-        y_codes = cand_y[y_sel]
+        y_codes = cand_y[live_y[y_sel]]
         assign = np.zeros((members.shape[0], 2), dtype=np.int64)
         assign[:, 0] = y_pos[first_y]
+        y_rows = [np.flatnonzero(cover1[c]) for c in y_sel]
+        del cover1  # before the layer-2 matrix is allocated, to keep the peak down
+        # one layer-2 matrix per type; a codeword's cover is its members' columns,
+        # cut to the candidates that cover one of them (dropped rows have no gain)
+        by_member = _cover_matrix(members, cand_z[live_z], spec.d2.matrix, spec.D2, n).T
         z_codes: list[np.ndarray] = []
-        for pos, cand in enumerate(y_sel):
-            rows = np.flatnonzero(cover1[cand])
-            cover2 = _cover_matrix(members[rows], cand_z, spec.d2.matrix, spec.D2, n)
-            chrono_z, first_z = _greedy_cover(cover2)
+        for pos, rows in enumerate(y_rows):
+            sub = by_member[rows]
+            keep = np.flatnonzero(sub.any(axis=0))
+            chrono_z, first_z = _greedy_cover(sub[:, keep].T)
             z_sel, z_pos = _lex_order(chrono_z)
-            z_codes.append(cand_z[z_sel])
+            z_codes.append(cand_z[live_z[keep[z_sel]]])
             owned = assign[rows, 0] == pos
             assign[rows[owned], 1] = z_pos[first_z[owned]]
         books.append(_TypeBook(type_id, t.counts, y_codes, z_codes, assign))
@@ -863,8 +939,10 @@ def leakage_oracle(cb: CoverCodebook, which: Which, *, max_enum: int = DEFAULT_E
         ).columns(which)
         owner = np.repeat(np.arange(reps, dtype=np.int64), keyspace)
         # keys per (sequence, message), then the largest count per message
-        local, counts = np.unique(np.column_stack([owner, fields]), axis=0, return_counts=True)
-        block_msgs, top = _max_by_row(local[:, 1:], counts)
+        keyed = np.column_stack([owner, fields])
+        order, starts = _group_rows(keyed)
+        counts = np.diff(starts, append=order.size)
+        block_msgs, top = _max_by_row(keyed[order[starts], 1:], counts)
         msgs.append(block_msgs)
         tops.append(top)
     _, best = _max_by_row(np.concatenate(msgs), np.concatenate(tops))
@@ -873,10 +951,8 @@ def leakage_oracle(cb: CoverCodebook, which: Which, *, max_enum: int = DEFAULT_E
 
 def _max_by_row(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows and, per distinct row, the largest of its values."""
-    distinct, inv = np.unique(rows, axis=0, return_inverse=True)
-    top = np.zeros(len(distinct), dtype=values.dtype)
-    np.maximum.at(top, inv.ravel(), values)
-    return distinct, top
+    order, starts = _group_rows(rows)
+    return rows[order[starts]], np.maximum.reduceat(values[order], starts)
 
 
 @dataclass

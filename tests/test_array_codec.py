@@ -36,6 +36,7 @@ from srleak.typecodec import (
     Layer2Message,
     _decode_array,
     _encode_array,
+    _group_rows,
     build_codebook,
     decode,
     decode_layer1,
@@ -379,6 +380,22 @@ def test_leakage_oracle_batches_agree(monkeypatch):
     whole = leakage_oracle(cb, "M1M2")
     monkeypatch.setattr(typecodec, "_CODEC_CHUNK", 48)  # three sequences per batch
     assert leakage_oracle(cb, "M1M2") == whole == loop_leakage_oracle(cb, "M1M2")
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 500, 3000])
+@pytest.mark.parametrize("width", [1, 5, 9])
+def test_group_rows_equals_unique(n_rows, width):
+    # rows drawn from a small pool repeat; fields hold -1 (the type id and
+    # bin2 of an erasure) and large values of both signs
+    rng = np.random.default_rng(n_rows * 31 + width)
+    pool = rng.integers(-1, 3, size=(max(n_rows // 4, 1), width))
+    pool[::2, -1] = rng.integers(-2**40, 2**40, size=pool[::2].shape[0])
+    rows = pool[rng.integers(len(pool), size=n_rows)].astype(np.int64)
+    order, starts = _group_rows(rows)
+    distinct, counts = np.unique(rows, axis=0, return_counts=True)
+    assert np.array_equal(np.sort(order), np.arange(n_rows))
+    assert np.array_equal(rows[order[starts]], distinct)
+    assert np.array_equal(np.diff(starts, append=order.size), counts)
 
 
 def test_leakage_oracle_rejects_unknown_target():

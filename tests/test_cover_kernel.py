@@ -1,10 +1,12 @@
 """The meet-in-the-middle cover kernel and the incremental greedy against
-the straightforward implementations they replace.
+the straightforward implementations they replace, and the candidate-type
+filter and per-type layer-2 matrix that ``build_codebook`` feeds them.
 
 The oracles below sum distortions position by position and rescan the
 uncovered columns at every greedy step.  Both the cover matrix and the greedy
 selection must match them exactly, because codebooks (and every number
-derived from them) depend on each boolean and on the tie-break.
+derived from them) depend on each boolean and on the tie-break.  The filter
+may only drop candidates whose every cell is False.
 """
 
 import numpy as np
@@ -13,8 +15,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from srleak.errors import CodebookError
-from srleak.probcore import all_sequences
-from srleak.typecodec import _cover_matrix, _greedy_cover
+from srleak.exponents import SystemSpec
+from srleak.probcore import (
+    Distribution,
+    DistortionMeasure,
+    TypeClass,
+    all_sequences,
+    enumerate_types,
+    type_class_members,
+)
+from srleak.typecodec import (
+    _candidate_types,
+    _cover_matrix,
+    _greedy_cover,
+    _lex_order,
+    _reachable,
+)
 
 
 def loop_cover_matrix(members, candidates, dmat, level, n):
@@ -114,6 +130,83 @@ def test_cover_matrix_empty_inputs():
     dmat = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert _cover_matrix(seqs[:0], seqs, dmat, 0.25, 4).shape == (16, 0)
     assert _cover_matrix(seqs, seqs[:0], dmat, 0.25, 4).shape == (0, 16)
+
+
+@st.composite
+def filter_cases(draw):
+    kx = draw(st.integers(2, 3))
+    kc = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 7))
+    dmat = np.array(draw(st.lists(ENTRY, min_size=kx * kc, max_size=kx * kc))).reshape(kx, kc)
+    types = list(enumerate_types(n, kx))
+    cls = type_class_members(types[draw(st.integers(0, len(types) - 1))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # the whole class or a subset of it; the filter always sees the whole class
+    members = cls
+    if draw(st.booleans()):
+        members = cls[np.sort(rng.permutation(len(cls))[: draw(st.integers(1, len(cls)))])]
+    seqs_c = all_sequences(kc, n)
+    candidates = seqs_c
+    if draw(st.booleans()):
+        candidates = seqs_c[np.sort(rng.permutation(len(seqs_c))[: draw(st.integers(1, len(seqs_c)))])]
+    m, c = members[rng.integers(len(members))], candidates[rng.integers(len(candidates))]
+    s = 0.0
+    for t in range(n):
+        s += dmat[m[t], c[t]]
+    level = draw(st.sampled_from([(s - 1e-9) / n, s / n, draw(st.floats(0.0, 2e6 / n))]))
+    return cls, members, candidates, kc, dmat, level, n
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(filter_cases())
+def test_type_filter_keeps_every_covering_candidate(case):
+    cls, members, candidates, kc, dmat, level, n = case
+    live = _reachable(cls, _candidate_types(candidates, kc), dmat, level, n)
+    covering = np.flatnonzero(_cover_matrix(members, candidates, dmat, level, n).any(axis=1))
+    assert np.all(np.diff(live) > 0)
+    assert np.isin(covering, live).all()
+
+
+def test_candidate_types_group_by_counts():
+    seqs = all_sequences(3, 4)
+    of, reps = _candidate_types(seqs, 3)
+    counts = np.stack([np.count_nonzero(seqs == s, axis=1) for s in range(3)], axis=1)
+    assert len(reps) == 15
+    for k, rep in enumerate(reps):
+        same = np.flatnonzero(of == k)
+        assert np.array_equal(seqs[same[0]], rep)
+        assert (counts[same] == np.bincount(rep, minlength=3)).all()
+
+
+ERASURE_D1 = SystemSpec(
+    Distribution.bernoulli(0.35), DistortionMeasure([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]),
+    DistortionMeasure.hamming(2), 0.3, 0.1, 1.6, 1.6, 0.15, 0.15, 0.1,
+)
+TERNARY = SystemSpec(
+    Distribution([0.4, 0.33, 0.27]), DistortionMeasure.hamming(3),
+    DistortionMeasure.hamming(3), 0.3, 0.1, 1.6, 1.6, 0.17, 0.17, 0.1,
+)
+
+
+@pytest.mark.parametrize("spec, type_counts", [
+    (ERASURE_D1, (6, 2)), (ERASURE_D1, (4, 4)), (TERNARY, (4, 1, 1)), (TERNARY, (2, 2, 2)),
+])
+def test_layer2_column_slice_equals_per_codeword_matrix(spec, type_counts):
+    n = sum(type_counts)
+    ka, kb = spec.d1.cols, spec.d2.cols
+    cand_y, cand_z = all_sequences(ka, n), all_sequences(kb, n)
+    members = type_class_members(TypeClass(n, type_counts))
+    live_y = _reachable(members, _candidate_types(cand_y, ka), spec.d1.matrix, spec.D1, n)
+    cover1 = _cover_matrix(members, cand_y[live_y], spec.d1.matrix, spec.D1, n)
+    y_sel, _ = _lex_order(_greedy_cover(cover1)[0])
+    live_z = _reachable(members, _candidate_types(cand_z, kb), spec.d2.matrix, spec.D2, n)
+    whole = _cover_matrix(members, cand_z[live_z], spec.d2.matrix, spec.D2, n)
+    for c in y_sel:
+        rows = np.flatnonzero(cover1[c])
+        per_codeword = _cover_matrix(members[rows], cand_z, spec.d2.matrix, spec.D2, n)
+        assert np.array_equal(whole[:, rows], per_codeword[live_z])
+        # no candidate outside the live types covers any of these members
+        assert not np.delete(per_codeword, live_z, axis=0).any()
 
 
 @st.composite

@@ -122,6 +122,18 @@ class TestBuild:
             build_codebook(spec, 8, delta=0.1, max_cover_cells=28 * 256 - 1)
         build_codebook(spec, 8, delta=0.1, max_cover_cells=70 * 256)
 
+    def test_layer2_cover_cells_cap(self):
+        # d2 has three columns: layer-1 covers hold members x 2^8 cells (at
+        # most 70 x 256 = 17920), the layer-2 cover of type (5, 3) 56 members
+        # x 504 live candidates = 28224, of type (4, 4) 70 x 630 = 44100
+        spec = SystemSpec(Distribution.bernoulli(0.3), H2,
+                          DistortionMeasure([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]),
+                          0.25, 0.1, 1.6, 1.6, 0.125, 0.125, 0.1)
+        with pytest.raises(CapExceededError,
+                           match=r"layer-2 cover matrix for type \(5, 3\) exceeds 17920 cells"):
+            build_codebook(spec, 8, delta=0.1, max_cover_cells=70 * 256)
+        build_codebook(spec, 8, delta=0.1, max_cover_cells=70 * 630)
+
 
 # SHA-256 of the save_codebook bytes, recorded with the per-position cover
 # kernel and the rescanning greedy that the current ones replaced
@@ -139,6 +151,22 @@ PINNED_CODEBOOKS = {
         SystemSpec(Distribution([0.4, 0.33, 0.27]), DistortionMeasure.hamming(3),
                    DistortionMeasure.hamming(3), 0.3, 0.1, 1.6, 1.6, 0.17, 0.17, 0.1),
         6, 0.05, "f95534a0afacdb155da03bc9aa56e42b53d22445af162f9eaace8d9e4ab433da",
+    ),
+    # benchmark-size builds, recorded with one layer-2 cover per layer-1
+    # codeword over every candidate, before candidates were filtered by type
+    "binary-hamming-n12": (
+        SystemSpec(Distribution.bernoulli(0.3), H2, H2, 0.2, 0.1, 1.6, 1.6, 0.125, 0.125, 0.1),
+        12, 0.05, "45e88381950f77efab91e06a0dca8365aec9c47a2c43a0027b2f53245d7676dd",
+    ),
+    "binary-erasure-d1-n10": (
+        SystemSpec(Distribution.bernoulli(0.35), DistortionMeasure([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]),
+                   H2, 0.3, 0.1, 1.6, 1.6, 0.15, 0.15, 0.1),
+        10, 0.05, "8a58b416aeecc51813d28f0dbf51053ac8afd5093837189e76f0f8338789c97f",
+    ),
+    "ternary-hamming-n8": (
+        SystemSpec(Distribution([0.4, 0.33, 0.27]), DistortionMeasure.hamming(3),
+                   DistortionMeasure.hamming(3), 0.3, 0.1, 1.6, 1.6, 0.17, 0.17, 0.1),
+        8, 0.05, "a74ae9bc4423ab5ce9ff49674334203001d87d4dc8e58cbdea92713b8251e4f6",
     ),
 }
 
