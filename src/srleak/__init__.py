@@ -15,7 +15,6 @@ from .adversary import (
     FIRST_SYMBOL_TARGET,
     IDENTITY_TARGET,
     GuessScheme,
-    converse_leakage_bound,
     end_to_end_guess_probability,
     end_to_end_lower_bound,
     g1_success_probability,
@@ -88,7 +87,6 @@ __all__ = [
     "FIRST_SYMBOL_TARGET",
     "IDENTITY_TARGET",
     "GuessScheme",
-    "converse_leakage_bound",
     "end_to_end_guess_probability",
     "end_to_end_lower_bound",
     "g1_success_probability",

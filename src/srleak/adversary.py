@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapExceededError
-from .exponents import RateModel, SystemSpec, jep_floors
+from .exponents import RateModel, SystemSpec
 from .probcore import (
     Distribution,
     all_sequences,
@@ -67,15 +67,9 @@ class GuessTarget:
         raise ValueError(f"no closed-form most-likely value for target {self.name!r}")
 
     def prior_guess(self, source: Distribution, n: int) -> object:
-        """Maximum-prior guess, used when the sequence stage yields nothing."""
-        best = int(source.probs.argmax())
-        if self.name == "identity":
-            return tuple([best] * n)
-        if self.name == "first":
-            return best
-        if self.name == "constant":
-            return 0
-        raise ValueError(f"no prior guess for target {self.name!r}")
+        """Maximum-prior guess, used when the sequence stage yields nothing:
+        the target of the most likely sequence."""
+        return self.apply(tuple([int(source.probs.argmax())] * n))
 
 
 IDENTITY_TARGET = GuessTarget("identity", lambda x: x)
@@ -144,17 +138,19 @@ def _conditional_class_size(joint: np.ndarray) -> int:
 
 
 class _GuessContext:
-    """Caches type enumerations and rate values across guessing queries."""
+    """Caches type enumerations and feasible sets across guessing queries.
 
-    def __init__(self, spec: SystemSpec) -> None:
-        self.spec = spec
-        self.model = RateModel(spec)
-        self.kx = spec.source.alphabet_size
-        self.ka = spec.d1.cols
-        self.kb = spec.d2.cols
+    One context serves both guessers: the single-layer guesser observes
+    ``[xhat1]``, the refined guesser ``[xhat1, xhat2]``.
+    """
+
+    def __init__(self, model: RateModel) -> None:
+        self.spec = model.spec
+        self.model = model
+        self.kx = self.spec.source.alphabet_size
+        self.sizes = [self.kx, self.spec.d1.cols, self.spec.d2.cols]
         self._joint_types: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._feasible_g1: dict[bytes, np.ndarray] = {}
-        self._feasible_g2: dict[bytes, np.ndarray] = {}
+        self._feasible: dict[tuple[int, bytes], np.ndarray] = {}
 
     def joint_types(self, n: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
         """All joint types as one (types, cells) array, in enumeration order,
@@ -166,38 +162,28 @@ class _GuessContext:
             self._joint_types[key] = joints, marginals
         return self._joint_types[key]
 
-    def feasible_g1(self, xhat1: np.ndarray) -> np.ndarray:
-        """Joint types (kx, ka) with the observed marginal that meet D1, in enumeration order."""
-        n = len(xhat1)
-        marg = np.bincount(xhat1, minlength=self.ka).astype(np.int64)
-        key = marg.tobytes()
-        if key in self._feasible_g1:
-            return self._feasible_g1[key]
-        joints, marginals = self.joint_types(n, self.kx * self.ka)
-        joints = joints[(marginals == marg).all(axis=1)].reshape(-1, self.kx, self.ka)
-        joints = joints[_loads(joints, self.spec.d1.matrix) <= n * self.spec.D1 + 1e-9]
-        self._feasible_g1[key] = joints
-        return joints
-
-    def feasible_g2(self, xhat1: np.ndarray, xhat2: np.ndarray) -> np.ndarray:
-        """Joint types (kx, ka, kb) with the observed pair type that meet D1, D2
-        and the layer-1 rate, in enumeration order."""
-        n = len(xhat1)
-        pair = _joint_counts([xhat1, xhat2], [self.ka, self.kb])
-        key = pair.tobytes()
-        if key in self._feasible_g2:
-            return self._feasible_g2[key]
-        joints, marginals = self.joint_types(n, self.kx * self.ka * self.kb)
-        joints = joints[(marginals == pair.ravel()).all(axis=1)].reshape(
-            -1, self.kx, self.ka, self.kb
-        )
-        joints = joints[_loads(joints.sum(axis=3), self.spec.d1.matrix) <= n * self.spec.D1 + 1e-9]
-        joints = joints[_loads(joints.sum(axis=2), self.spec.d2.matrix) <= n * self.spec.D2 + 1e-9]
-        # the layer-1 rate depends on the x-type alone: rate each distinct one once
-        x_types, which = np.unique(joints.sum(axis=(2, 3)), axis=0, return_inverse=True)
-        rate_ok = [self.model.rd(Distribution(t / n), 1) <= self.spec.R1 + 1e-9 for t in x_types]
-        joints = joints[np.array(rate_ok, dtype=bool)[which.reshape(-1)]]
-        self._feasible_g2[key] = joints
+    def feasible(self, observed: list[np.ndarray]) -> np.ndarray:
+        """Joint types (kx, ka[, kb]) with the observed reconstructions' type that
+        meet D1 and, when both layers are observed, D2 and the layer-1 rate, in
+        enumeration order."""
+        n = len(observed[0])
+        sizes = self.sizes[: len(observed) + 1]
+        obs = _joint_counts(observed, sizes[1:])
+        key = (len(observed), obs.tobytes())
+        if key in self._feasible:
+            return self._feasible[key]
+        spec = self.spec
+        joints, marginals = self.joint_types(n, math.prod(sizes))
+        joints = joints[(marginals == obs.ravel()).all(axis=1)].reshape(-1, *sizes)
+        x_xhat1 = joints.sum(axis=tuple(range(3, joints.ndim)))
+        joints = joints[_loads(x_xhat1, spec.d1.matrix) <= n * spec.D1 + 1e-9]
+        if len(observed) == 2:
+            joints = joints[_loads(joints.sum(axis=2), spec.d2.matrix) <= n * spec.D2 + 1e-9]
+            # the layer-1 rate depends on the x-type alone: rate each distinct one once
+            x_types, which = np.unique(joints.sum(axis=(2, 3)), axis=0, return_inverse=True)
+            rate_ok = [self.model.rd(Distribution(t / n), 1) <= spec.R1 + 1e-9 for t in x_types]
+            joints = joints[np.array(rate_ok, dtype=bool)[which.reshape(-1)]]
+        self._feasible[key] = joints
         return joints
 
 
@@ -206,45 +192,39 @@ def _loads(joints: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (joints * d).reshape(len(joints), d.size).sum(axis=1)
 
 
-def g1_success_probability(
-    x, xhat1, spec: SystemSpec, *, ctx: _GuessContext | None = None
-) -> float:
-    """Exact probability that the single-layer guesser recovers x from xhat1."""
-    ctx = ctx or _GuessContext(spec)
+def _success_probability(x, observed: list, ctx: _GuessContext) -> float:
+    """Exact probability that the guesser observing one or two layers recovers x."""
+    spec = ctx.spec
+    name = f"g{len(observed)}"
     x = np.asarray(x, dtype=np.int64)
-    xhat1 = np.asarray(xhat1, dtype=np.int64)
-    if _avg_distortion(spec.d1.matrix, x, xhat1) > spec.D1 + 1e-9:
-        raise ValueError("g1 guarantee requires the pair to meet the distortion target")
-    feasible = ctx.feasible_g1(xhat1)
-    true_joint = _joint_counts([x, xhat1], [ctx.kx, ctx.ka])
+    observed = [np.asarray(o, dtype=np.int64) for o in observed]
+    for layer, (xhat, d, D) in enumerate(zip(observed, (spec.d1, spec.d2), (spec.D1, spec.D2)), 1):
+        if _avg_distortion(d.matrix, x, xhat) > D + 1e-9:
+            raise ValueError(f"{name} guarantee requires layer {layer} to meet D{layer}")
+    if len(observed) == 2:
+        q_x = Distribution(np.bincount(x, minlength=ctx.kx).astype(np.float64) / len(x))
+        if ctx.model.rd(q_x, 1) > spec.R1 + 1e-9:
+            raise ValueError("g2 guarantee requires R1 to cover the rate of the observed type")
+    feasible = ctx.feasible(observed)
+    true_joint = _joint_counts([x, *observed], ctx.sizes[: len(observed) + 1])
     if not any(np.array_equal(true_joint, f) for f in feasible):
         return 0.0
     size = _conditional_class_size(true_joint)
     return float(Fraction(1, len(feasible) * size))
+
+
+def g1_success_probability(
+    x, xhat1, spec: SystemSpec, *, ctx: _GuessContext | None = None
+) -> float:
+    """Exact probability that the single-layer guesser recovers x from xhat1."""
+    return _success_probability(x, [xhat1], ctx or _GuessContext(RateModel(spec)))
 
 
 def g2_success_probability(
     x, xhat1, xhat2, spec: SystemSpec, *, ctx: _GuessContext | None = None
 ) -> float:
     """Exact probability that the refined guesser recovers x from both layers."""
-    ctx = ctx or _GuessContext(spec)
-    x = np.asarray(x, dtype=np.int64)
-    xhat1 = np.asarray(xhat1, dtype=np.int64)
-    xhat2 = np.asarray(xhat2, dtype=np.int64)
-    n = len(x)
-    if _avg_distortion(spec.d1.matrix, x, xhat1) > spec.D1 + 1e-9:
-        raise ValueError("g2 guarantee requires the first layer to meet D1")
-    if _avg_distortion(spec.d2.matrix, x, xhat2) > spec.D2 + 1e-9:
-        raise ValueError("g2 guarantee requires the second layer to meet D2")
-    q_x = Distribution(np.bincount(x, minlength=ctx.kx).astype(np.float64) / n)
-    if ctx.model.rd(q_x, 1) > spec.R1 + 1e-9:
-        raise ValueError("g2 guarantee requires R1 to cover the rate of the observed type")
-    feasible = ctx.feasible_g2(xhat1, xhat2)
-    true_joint = _joint_counts([x, xhat1, xhat2], [ctx.kx, ctx.ka, ctx.kb])
-    if not any(np.array_equal(true_joint, f) for f in feasible):
-        return 0.0
-    size = _conditional_class_size(true_joint)
-    return float(Fraction(1, len(feasible) * size))
+    return _success_probability(x, [xhat1, xhat2], ctx or _GuessContext(RateModel(spec)))
 
 
 def _entropy_of_counts(counts: np.ndarray, n: int) -> float:
@@ -279,6 +259,12 @@ def g2_lower_bound(x, spec: SystemSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _require_codebook_matches(spec: SystemSpec, n: int, cb: CoverCodebook) -> None:
+    """Refuse a codebook built for another operating point or blocklength."""
+    if spec != cb.spec or n != cb.n:
+        raise ValueError(f"codebook was built for another spec or blocklength (n = {cb.n}, not {n})")
+
+
 @dataclass
 class EndToEndResult:
     probability: float
@@ -302,7 +288,8 @@ def end_to_end_guess_probability(
     reconstruction pair; the final stage applies the target's
     maximum-posterior rule to the sequence candidate.
     """
-    ctx = _GuessContext(spec)
+    _require_codebook_matches(spec, n, cb)
+    ctx = _GuessContext(cb.model)
     kx = spec.source.alphabet_size
     work = kx**n * (cb.cap1 * cb.cap2) ** 2
     if work > max_enum:
@@ -315,18 +302,13 @@ def end_to_end_guess_probability(
     # per decoded pair: target-value mass under the sequence guesser
     mass_cache: dict[bytes, dict[object, float]] = {}
 
-    def guess_mass(xhat1: np.ndarray, xhat2: np.ndarray | None) -> dict[object, float]:
-        key = xhat1.tobytes() + (xhat2.tobytes() if xhat2 is not None else b"|g1")
+    def guess_mass(observed: list[np.ndarray]) -> dict[object, float]:
+        key = b"".join(o.tobytes() for o in observed)
         if key in mass_cache:
             return mass_cache[key]
-        if xhat2 is None:
-            observed = [np.asarray(xhat1, dtype=np.int64)]
-            feasible = ctx.feasible_g1(observed[0])
-            sizes = [ctx.kx, ctx.ka]
-        else:
-            observed = [np.asarray(xhat1, dtype=np.int64), np.asarray(xhat2, dtype=np.int64)]
-            feasible = ctx.feasible_g2(*observed)
-            sizes = [ctx.kx, ctx.ka, ctx.kb]
+        observed = [np.asarray(o, dtype=np.int64) for o in observed]
+        feasible = ctx.feasible(observed)
+        sizes = ctx.sizes[: len(observed) + 1]
         out: dict[object, float] = {}
         if len(feasible):
             joints = _candidate_joints(seqs, observed, sizes)
@@ -356,10 +338,11 @@ def end_to_end_guess_probability(
                         guessed = KeyPair(g1k, g2k, cb.bits1, cb.bits2)
                         if scheme.guesser == "g1":
                             xh1, erased = decode_layer1(m1, guessed, cb)
-                            mass = None if erased else guess_mass(xh1, None)
+                            observed = [xh1]
                         else:
                             out = decode(m1, m2, guessed, cb)
-                            mass = None if out.erased else guess_mass(out.xhat1, out.xhat2)
+                            observed, erased = [out.xhat1, out.xhat2], out.erased
+                        mass = None if erased else guess_mass(observed)
                         if not mass:
                             # the sequence stage produced no candidate: the
                             # attacker still answers with the prior maximizer
@@ -391,6 +374,7 @@ def end_to_end_lower_bound(
     """
     if math.isnan(tau):
         raise ValueError("tau must be a number")
+    _require_codebook_matches(spec, n, cb)
     kx, ka, kb = spec.source.alphabet_size, spec.d1.cols, spec.d2.cols
     b2 = (n + 1.0) ** (-(kx * ka * kb))
     b4 = (n + 1.0) ** (-kx) * b2
@@ -404,23 +388,10 @@ def end_to_end_lower_bound(
     jep_ok = jep <= 2.0 ** (-n * spec.alpha) + 1e-15
     if not candidates:
         return ChainBound(0.0, False, {"nonempty": False, "half_ok": half_ok, "jep_ok": jep_ok})
-    model = RateModel(spec)
-    best = max(model.sum_rate(t.empirical()) for t in candidates)
+    best = max(cb.model.sum_rate(t.empirical()) for t in candidates)
     value = 0.5 * b4 * p_star * 2.0 ** (n * (best - spec.r1 - spec.r2))
     return ChainBound(
         value,
         bool(half_ok and jep_ok),
         {"nonempty": True, "half_ok": half_ok, "jep_ok": jep_ok, "jep": jep},
     )
-
-
-def converse_leakage_bound(spec: SystemSpec) -> tuple[float, float]:
-    """The layer-1 and joint outer JEP floors at the spec's alpha.
-
-    These are ``jep_floors``' first and third values, the divergence-ball
-    maxima of {R(Q, D1) - r1}^+ and {R(Q, R1, D1, D2) - r1 - r2}^+, from
-    one fresh model.  No attack is run and nothing here certifies them;
-    the name is kept for existing callers.
-    """
-    m1, _, joint_outer = jep_floors(RateModel(spec), spec.alpha)
-    return m1, joint_outer

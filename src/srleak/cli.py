@@ -235,7 +235,7 @@ def cmd_region(args) -> int:
 def _require_cache_matches(cb, spec: SystemSpec, n: int, delta: float | None, path: str) -> None:
     """Refuse a cached codebook built for another operating point, n or delta."""
     if delta is None:
-        delta = default_delta(RateModel(spec))
+        delta = default_delta(cb.model)
     checks = [(f.name, getattr(cb.spec, f.name), getattr(spec, f.name))
               for f in dataclasses.fields(spec)]
     checks += [("n", cb.n, n), ("delta", cb.delta, delta)]

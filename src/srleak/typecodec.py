@@ -193,7 +193,7 @@ def _stack(blocks: list[np.ndarray], n: int) -> np.ndarray:
 
 
 class CoverCodebook:
-    """Built two-layer codebook with its assignment and codec tables.
+    """Built two-layer codebook with its rate model, assignment and codec tables.
 
     Book type ids must be strictly increasing, and each must name its book's
     counts in the order of :func:`type_count_vectors`; any other id raises
@@ -214,11 +214,15 @@ class CoverCodebook:
     message-space accounting read it from ``_y_count`` and ``_z_count``; the
     scalar :func:`encode` and :func:`decode` redo the arithmetic per call, as
     the reference the array codec is tested against.
+
+    ``model`` is the :class:`RateModel` the codebook was built with (a loaded
+    codebook makes one); the attack chain and the CLI reuse it.
     """
 
-    def __init__(self, spec: SystemSpec, n: int, delta: float, books: list[_TypeBook],
+    def __init__(self, model: RateModel, n: int, delta: float, books: list[_TypeBook],
                  *, members: list[np.ndarray]) -> None:
-        self.spec = spec
+        self.model = model
+        self.spec = spec = model.spec
         self.n = n
         self.delta = delta
         self.books = books
@@ -582,16 +586,11 @@ def build_codebook(
                 f"type {t.counts} needs layer-1 rate {rd1:.6f}, which is not below R1={spec.R1}"
             )
         members = type_class_members(t)
-        if members.shape[0] * cand_y.shape[0] > max_cover_cells:
-            raise CapExceededError(
-                f"cover matrix for type {t.counts} exceeds {max_cover_cells} cells"
-            )
-        live_z = _reachable(members, types_z, spec.d2.matrix, spec.D2, n)
-        if members.shape[0] * live_z.size > max_cover_cells:
-            raise CapExceededError(
-                f"layer-2 cover matrix for type {t.counts} exceeds {max_cover_cells} cells"
-            )
         live_y = _reachable(members, types_y, spec.d1.matrix, spec.D1, n)
+        live_z = _reachable(members, types_z, spec.d2.matrix, spec.D2, n)
+        for name, live in (("cover matrix", live_y), ("layer-2 cover matrix", live_z)):
+            if members.shape[0] * live.size > max_cover_cells:
+                raise CapExceededError(f"{name} for type {t.counts} exceeds {max_cover_cells} cells")
         cover1 = _cover_matrix(members, cand_y[live_y], spec.d1.matrix, spec.D1, n)
         chrono_y, first_y = _greedy_cover(cover1)
 
@@ -617,7 +616,7 @@ def build_codebook(
         books.append(_TypeBook(type_id, t.counts, y_codes, z_codes, assign))
         book_members.append(members)
 
-    cb = CoverCodebook(spec, n, delta, books, members=book_members)
+    cb = CoverCodebook(model, n, delta, books, members=book_members)
     _check_budgets(cb)
     verify_covering(cb)
     return cb
@@ -1062,7 +1061,7 @@ def load_codebook(path: str) -> CoverCodebook:
         assign = np.frombuffer(take(8 * m), dtype="<u4").reshape(m, 2).astype(np.int64)
         books.append(_TypeBook(int(type_id), tuple(int(c) for c in counts), y_codes, z_codes, assign))
         members.append(type_class_members(TypeClass(n, books[-1].counts)))
-    cb = CoverCodebook(spec, n, delta, books, members=members)
+    cb = CoverCodebook(RateModel(spec), n, delta, books, members=members)
     _check_budgets(cb)
     verify_covering(cb)
     return cb

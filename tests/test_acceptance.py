@@ -291,7 +291,7 @@ def test_criterion_7_guessing_verification():
         Distribution.bernoulli(0.3), H2, H2,
         1.0 / 3 + 1e-12, 1.0 / 6, 1.0, 1.0, 0.0, 0.0, 0.1,
     )
-    ctx = _GuessContext(spec)
+    ctx = _GuessContext(RateModel(spec))
     checked = 0
     for n in (2, 4, 6):
         seqs = all_sequences(2, n)

@@ -10,7 +10,6 @@ from srleak.adversary import (
     GuessScheme,
     IDENTITY_TARGET,
     _GuessContext,
-    converse_leakage_bound,
     end_to_end_guess_probability,
     end_to_end_lower_bound,
     g1_lower_bound,
@@ -18,12 +17,7 @@ from srleak.adversary import (
     g2_lower_bound,
     g2_success_probability,
 )
-from srleak.exponents import (
-    RateModel,
-    SystemSpec,
-    jep_floors,
-    leakage_exponent_m1,
-)
+from srleak.exponents import RateModel, SystemSpec
 from srleak.probcore import Distribution, DistortionMeasure, all_sequences
 from srleak.typecodec import build_codebook, leakage_exact
 
@@ -65,19 +59,26 @@ class TestSequenceGuessers:
 
     def test_precondition_errors(self):
         spec = make_spec(D1=0.2, D2=0.1)
-        with pytest.raises(ValueError):
-            g1_success_probability([0, 0, 0, 0], [1, 1, 1, 1], spec)
-        with pytest.raises(ValueError):
-            g2_success_probability([0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1], spec)
+        x, far = [0, 0, 0, 0], [1, 1, 1, 1]
+        with pytest.raises(ValueError, match="g1 guarantee requires layer 1 to meet D1"):
+            g1_success_probability(x, far, spec)
+        with pytest.raises(ValueError, match="g2 guarantee requires layer 1 to meet D1"):
+            g2_success_probability(x, far, x, spec)
+        with pytest.raises(ValueError, match="g2 guarantee requires layer 2 to meet D2"):
+            g2_success_probability(x, x, far, spec)
+        # R(Bern(1/2), 0.2) = 1 - h(0.2) ~ 0.28 exceeds R1 = 0.1
+        x = [0, 1, 0, 1]
+        with pytest.raises(ValueError, match="g2 guarantee requires R1 to cover the rate"):
+            g2_success_probability(x, x, x, make_spec(D1=0.2, D2=0.1, R1=0.1))
 
     def test_feasible_set_count_n2(self):
         # direct enumeration oracle at n=2, D1=D2=0.5
         spec = make_spec(D1=0.5, D2=0.45, R1=2.0)
-        ctx = _GuessContext(spec)
+        ctx = _GuessContext(RateModel(spec))
         x = np.array([0, 1])
         xh1 = np.array([0, 1])
         xh2 = np.array([0, 1])
-        feasible = ctx.feasible_g2(xh1, xh2)
+        feasible = ctx.feasible([xh1, xh2])
         p = g2_success_probability(x, xh1, xh2, spec, ctx=ctx)
         # the true joint type has x = xhat pairs (0,0,0) and (1,1,1)
         from srleak.adversary import _conditional_class_size, _joint_counts
@@ -87,7 +88,7 @@ class TestSequenceGuessers:
 
     def test_lemma_bounds_exhaustive_g1(self):
         spec = make_spec(D1=0.25, D2=0.1)
-        ctx = _GuessContext(spec)
+        ctx = _GuessContext(RateModel(spec))
         for n in (2, 4):
             seqs = all_sequences(2, n)
             for x in seqs:
@@ -102,7 +103,7 @@ class TestSequenceGuessers:
             source=Distribution.bernoulli(0.3), d1=H2, d2=H2,
             D1=0.3, D2=0.25, R1=1.0, R2=1.0, r1=0.0, r2=0.0, alpha=0.1,
         )
-        ctx = _GuessContext(spec)
+        ctx = _GuessContext(RateModel(spec))
         n = 4
         seqs = all_sequences(2, n)
         checked = 0
@@ -155,7 +156,7 @@ class TestEndToEnd:
         from srleak.adversary import _conditional_class_size, _joint_counts
         from srleak.typecodec import KeyPair, decode, encode
 
-        ctx = _GuessContext(spec)
+        ctx = _GuessContext(RateModel(spec))
         seqs = all_sequences(2, n)
         logp = np.log(spec.source.probs)
         fallback = (0, 0)  # most likely sequence under Bern(0.3)
@@ -169,7 +170,7 @@ class TestEndToEnd:
                     if tuple(int(s) for s in row) == fallback:
                         total += px / (cb.cap1 * cb.cap2) ** 2
                     continue
-                feas = ctx.feasible_g2(out.xhat1.astype(np.int64), out.xhat2.astype(np.int64))
+                feas = ctx.feasible([out.xhat1.astype(np.int64), out.xhat2.astype(np.int64)])
                 joint = _joint_counts(
                     [row.astype(np.int64), out.xhat1.astype(np.int64), out.xhat2.astype(np.int64)],
                     [2, 2, 2],
@@ -208,6 +209,18 @@ class TestEndToEnd:
         leak = leakage_exact(cb, "M1M2")
         assert math.log2(res.probability / res.p_star) <= leak + 1e-9
 
+    def test_mismatched_codebook_refused(self):
+        # a codebook is one operating point and blocklength; mixing two is refused
+        spec = make_spec(alpha=0.3)
+        cb = build_codebook(spec, 4, delta=0.3)
+        other = make_spec(alpha=0.3, r1=0.25)
+        with pytest.raises(ValueError, match="another spec or blocklength"):
+            end_to_end_guess_probability(other, 4, cb)
+        with pytest.raises(ValueError, match=r"n = 4, not 5"):
+            end_to_end_lower_bound(spec, 5, cb, 0.5, 0.5)
+        with pytest.raises(ValueError, match="another spec or blocklength"):
+            end_to_end_lower_bound(other, 4, cb, 0.5, 0.5)
+
     def test_chain_bound_rejects_nan_tau(self):
         spec = make_spec(alpha=0.3)
         cb = build_codebook(spec, 4, delta=0.3)
@@ -223,14 +236,3 @@ class TestEndToEnd:
         # at least as good as blind guessing the most likely first symbol
         assert res.probability >= 0.0
 
-
-class TestConverseBound:
-    def test_delegates_to_exponents(self):
-        spec = make_spec(D1=0.2, D2=0.1, r1=0.06, r2=0.1, alpha=0.2)
-        l1, l2 = converse_leakage_bound(spec)
-        assert l1 == leakage_exponent_m1(spec)
-        assert l2 == jep_floors(RateModel(spec), spec.alpha)[2]
-
-    def test_huge_keys_clamp_to_zero(self):
-        spec = make_spec(r1=2.0, r2=2.0, alpha=0.2)
-        assert converse_leakage_bound(spec) == (0.0, 0.0)

@@ -27,7 +27,7 @@ from srleak.adversary import (
 )
 from srleak.cli import EXIT_SPEC, main
 from srleak.errors import CapExceededError, CodebookError
-from srleak.exponents import SystemSpec
+from srleak.exponents import RateModel, SystemSpec
 from srleak.probcore import Distribution, DistortionMeasure, all_sequences, enumerate_types
 from srleak.typecodec import (
     CoverCodebook,
@@ -171,7 +171,7 @@ def loop_end_to_end(spec, n, cb, scheme, loop_g2_sets=True):
     """The attack chain with the guess distribution summed one candidate
     joint type at a time against the loop feasible sets (or, where their
     type loop is too slow, the sets ``test_feasible_sets_match_loops`` checks)."""
-    ctx = _GuessContext(spec)
+    ctx = _GuessContext(RateModel(spec))
     kx, ka, kb = spec.source.alphabet_size, spec.d1.cols, spec.d2.cols
     seqs = all_sequences(kx, n)
     seq_prob = np.exp(np.log(np.maximum(spec.source.probs, 1e-300))[seqs].sum(axis=1))
@@ -180,7 +180,7 @@ def loop_end_to_end(spec, n, cb, scheme, loop_g2_sets=True):
 
     def loop_g2(xhat1, xhat2):
         if not loop_g2_sets:
-            return list(ctx.feasible_g2(xhat1, xhat2))
+            return list(ctx.feasible([xhat1, xhat2]))
         key = _joint_counts([xhat1, xhat2], [ka, kb]).tobytes()
         if key not in feasible_g2:
             feasible_g2[key] = loop_feasible_g2(spec, xhat1, xhat2, ctx)
@@ -488,7 +488,7 @@ def test_message_counts_match_per_bin_loops_beyond_the_fixture(name, spec, n, de
 def test_sequence_index_must_fit_int64():
     spec = binary()
     with pytest.raises(CapExceededError, match="int64 sequence index"):
-        CoverCodebook(spec, 64, 0.1, [], members=[])
+        CoverCodebook(RateModel(spec), 64, 0.1, [], members=[])
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +512,7 @@ ATTACK_SPECS = [
 
 @pytest.mark.parametrize("name, spec, n", ATTACK_SPECS, ids=[a[0] for a in ATTACK_SPECS])
 def test_feasible_sets_match_loops(name, spec, n):
-    ctx = _GuessContext(spec)
+    ctx = _GuessContext(RateModel(spec))
     kx, ka, kb = spec.source.alphabet_size, spec.d1.cols, spec.d2.cols
     # codeword pairs of a built code, and pairs no source sequence explains
     cb = build_codebook(spec, n, 0.5)
@@ -521,9 +521,9 @@ def test_feasible_sets_match_loops(name, spec, n):
     pairs = [(y.astype(np.int64), z.astype(np.int64)) for y, z in pairs]
     nonempty = 0
     for xhat1, xhat2 in pairs:
-        got = ctx.feasible_g1(xhat1)
+        got = ctx.feasible([xhat1])
         assert np.array_equal(got, stacked(loop_feasible_g1(spec, xhat1), (kx, ka)))
-        got = ctx.feasible_g2(xhat1, xhat2)
+        got = ctx.feasible([xhat1, xhat2])
         assert np.array_equal(got, stacked(loop_feasible_g2(spec, xhat1, xhat2, ctx), (kx, ka, kb)))
         nonempty += len(got) > 0
     assert nonempty >= 2
@@ -540,15 +540,15 @@ RATE_CAPPED = [
 
 @pytest.mark.parametrize("name, spec, n", RATE_CAPPED, ids=[a[0] for a in RATE_CAPPED])
 def test_feasible_g2_rate_filter_matches_loop(name, spec, n):
-    ctx = _GuessContext(spec)
-    uncapped = _GuessContext(dataclasses.replace(spec, R1=1.6))
+    ctx = _GuessContext(RateModel(spec))
+    uncapped = _GuessContext(RateModel(dataclasses.replace(spec, R1=1.6)))
     pairs = [(y, z) for y in all_sequences(spec.d1.cols, n)[::17]
              for z in all_sequences(spec.d2.cols, n)[::3]]
     removed = 0
     for xhat1, xhat2 in pairs:
-        got = ctx.feasible_g2(xhat1, xhat2)
+        got = ctx.feasible([xhat1, xhat2])
         assert np.array_equal(got, stacked(loop_feasible_g2(spec, xhat1, xhat2, ctx), got.shape[1:]))
-        removed += len(uncapped.feasible_g2(xhat1, xhat2)) - len(got)
+        removed += len(uncapped.feasible([xhat1, xhat2])) - len(got)
     assert removed > 0
 
 

@@ -348,6 +348,24 @@ class TestOneModelPerCommand:
         assert run([argv[0], "--spec", spec_file, *argv[1:], "--out", str(tmp_path / "out")]) == EXIT_OK
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("guesser", ["g1", "g2"])
+    def test_adversary_builds_one_model(self, spec_file, tmp_path, builds, guesser):
+        # the codebook's model serves the build, the attack chain and the chain bound
+        assert run(["adversary", "--spec", spec_file, "--n", "4", "--delta", "0.3",
+                    "--guesser", guesser, "--out", str(tmp_path / "adv.json")]) == EXIT_OK
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("delta", [["--delta", "0.3"], []], ids=["delta", "default-delta"])
+    def test_simulate_builds_one_model(self, spec_file, tmp_path, builds, delta):
+        # a build, then a cache hit that loads the codebook (and, without
+        # --delta, checks it against the default delta)
+        argv = ["simulate", "--spec", spec_file, "--n", "6", *delta,
+                "--cache", str(tmp_path / "book.srcb"), "--out", str(tmp_path / "sim.json")]
+        for _ in ("build", "cache hit"):
+            builds.clear()
+            assert run(argv) == EXIT_OK
+            assert len(builds) == 1
+
     @pytest.mark.parametrize("target, alphas", [("all", {0.03, 0.2}), ("match", {0.03}), ("plateau", {0.2})])
     def test_reproduce_builds_one_model_per_operating_point(self, tmp_path, builds, target, alphas):
         assert run(["reproduce", "--target", target, "--out", str(tmp_path / "rep.txt")]) == EXIT_OK

@@ -116,11 +116,18 @@ class TestBuild:
 
     def test_cover_cells_cap(self):
         # in-ball types (7, 1), (6, 2), (5, 3), (4, 4) have 8, 28, 56 and 70
-        # members, each against 2^8 candidates
+        # members; their layer-1 covers keep 37, 92, 154 and 182 of the 2^8
+        # candidates: 296, 2576, 8624 and 12740 cells
         spec = make_spec()
-        with pytest.raises(CapExceededError, match=r"type \(6, 2\) exceeds 7167 cells"):
-            build_codebook(spec, 8, delta=0.1, max_cover_cells=28 * 256 - 1)
+        with pytest.raises(CapExceededError, match=r"type \(5, 3\) exceeds 8623 cells"):
+            build_codebook(spec, 8, delta=0.1, max_cover_cells=56 * 154 - 1)
         build_codebook(spec, 8, delta=0.1, max_cover_cells=70 * 256)
+
+    def test_layer1_cover_cells_cap_counts_kept_candidates(self):
+        # every kept matrix fits in 12740 cells, although 56 and 70 members
+        # times all 2^8 candidates would not
+        cb = build_codebook(make_spec(), 8, delta=0.1, max_cover_cells=70 * 182)
+        assert [b.counts for b in cb.books] == [(7, 1), (6, 2), (5, 3), (4, 4)]
 
     def test_layer2_cover_cells_cap(self):
         # d2 has three columns: layer-1 covers hold members x 2^8 cells (at
@@ -408,13 +415,13 @@ class TestSerialization:
     def test_bad_version(self, tmp_path):
         spec = make_spec()
         cb = build_codebook(spec, 4, delta=0.2)
-        path = str(tmp_path / "book.srcb")
-        save_codebook(cb, path)
-        raw = bytearray(open(path, "rb").read())
+        path = tmp_path / "book.srcb"
+        save_codebook(cb, str(path))
+        raw = bytearray(path.read_bytes())
         raw[4] = 99
-        open(path, "wb").write(bytes(raw))
+        path.write_bytes(bytes(raw))
         with pytest.raises(CodebookError):
-            load_codebook(path)
+            load_codebook(str(path))
 
     @pytest.mark.parametrize("layer, symbol", [(1, 2), (1, -1), (2, 2), (2, -1)])
     def test_codeword_symbol_outside_alphabet(self, tmp_path, layer, symbol):
