@@ -26,11 +26,11 @@ for solver-backed objectives, which cost milliseconds per evaluation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import RateConditionError
 from .probcore import (
@@ -57,6 +57,11 @@ _ASCENT_STEPS = 12
 _GRID_RESOLUTION = 12
 _SEED = 0
 _GOLDEN_ITERS = 90
+
+# Brent root of the binary ball boundary: scipy's default relative tolerance
+# and iteration cap, so the roots match scipy.optimize.brentq bit for bit
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 # plateau detection: the relative distance from the terminal value that
 # counts as reached, and for alphabets beyond binary the log-spaced scan
@@ -140,15 +145,83 @@ def _pos(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
+    """A root of ``f`` in [xa, xb] by Brent's method, step for step scipy's brentq.c.
+
+    The bracket bookkeeping, the interpolate/extrapolate steps and the
+    tolerance delta = (xtol + rtol |x|) / 2 are those of
+    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol)``, with signs compared as
+    C's signbit does, so the roots are equal to scipy's bit for bit.  So is
+    the error contract: a NaN function value or a bracket without a sign
+    change raises ValueError, running out of iterations RuntimeError.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    def negative(v: float) -> bool:
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
 def binary_ball_interval(p: float, alpha: float) -> tuple[float, float]:
     """The Bernoulli-parameter interval {q : D_b(q || p) <= alpha}."""
     if alpha <= 0.0:
         return p, p
-    lo = 0.0 if alpha >= -math.log2(1.0 - p) else brentq(
-        lambda q: binary_kl(q, p) - alpha, 0.0, p, xtol=1e-15
+    lo = 0.0 if alpha >= -math.log2(1.0 - p) else _brentq(
+        lambda q: binary_kl(q, p) - alpha, 0.0, p, 1e-15
     )
-    hi = 1.0 if alpha >= -math.log2(p) else brentq(
-        lambda q: binary_kl(q, p) - alpha, p, 1.0, xtol=1e-15
+    hi = 1.0 if alpha >= -math.log2(p) else _brentq(
+        lambda q: binary_kl(q, p) - alpha, p, 1.0, 1e-15
     )
     return float(lo), float(hi)
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -390,3 +393,57 @@ class TestReproduce:
         out = tmp_path / "rep.txt"
         assert run(["reproduce", "--target", "keyrates", "--out", str(out)]) == EXIT_OK
         assert "0.162" in out.read_text()
+
+
+TERNARY_SPEC = dict(FIG_SPEC, source=[0.5, 0.3, 0.2], D1=0.3, R1=1.5, R2=1.5, r1=0.05, r2=0.0,
+                    alpha=0.05)
+
+# (id, subcommand arguments, operating point): every command on a small binary
+# point, and the general-alphabet path of `region` on a ternary one
+SCIPY_FREE_RUNS = [
+    ("rd", ["rd"], FIG_SPEC),
+    ("exponents", ["exponents"], FIG_SPEC),
+    ("sweep", ["sweep", "--alpha-range", "0:0.3:5"], FIG_SPEC),
+    ("region", ["region", "--L1", "0.25", "--L2", "0.4"], FIG_SPEC),
+    ("simulate", ["simulate", "--n", "6", "--samples", "100", "--seed", "3"], FIG_SPEC),
+    ("adversary", ["adversary", "--n", "6"], FIG_SPEC),
+    ("reproduce", ["reproduce", "--target", "all"], None),
+    ("region-expected-ternary", ["region", "--L1", "0.25", "--L2", "0.4", "--criterion", "expected"],
+     TERNARY_SPEC),
+]
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's srleak."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(srleak.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          timeout=300)
+
+
+class TestRunsWithoutScipy:
+    """The command line needs numpy alone: scipy is only a test oracle."""
+
+    @pytest.mark.parametrize("argv, spec", [r[1:] for r in SCIPY_FREE_RUNS],
+                             ids=[r[0] for r in SCIPY_FREE_RUNS])
+    def test_command_output_equals_an_in_process_run(self, tmp_path, capsys, argv, spec):
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            argv = argv[:1] + ["--spec", str(path)] + argv[1:]
+        blocked = fresh_python(
+            "import sys; sys.modules['scipy'] = None; from srleak.cli import main; sys.exit(main())",
+            *argv,
+        )
+        assert blocked.returncode == EXIT_OK, blocked.stderr.decode()
+        assert run(argv) == EXIT_OK
+        assert blocked.stdout == capsys.readouterr().out.encode()
+
+    def test_import_loads_no_scipy(self):
+        proc = fresh_python(
+            "import sys, srleak.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().strip() == "[]"

@@ -10,6 +10,7 @@ from srleak.cli import load_system_spec, main
 from srleak.errors import RateConditionError
 from srleak.exponents import (
     RateModel,
+    _brentq,
     _project_to_ball,
     RegionPoint,
     SystemSpec,
@@ -216,6 +217,90 @@ def test_project_to_ball_matches_reference_bit_for_bit():
         got = _project_to_ball(q, p, alpha)
         want = reference_project_to_ball(q, p, alpha)
         assert got.tobytes() == want.tobytes(), (trial, q, p.probs, alpha)
+
+
+def brent_brackets(seed: int, count: int):
+    """Seeded ball-boundary root problems (p, alpha, bracket).
+
+    The Bernoulli parameter p is log-uniform near 0 and near 1 or uniform
+    in between; alpha sits just below a side's cap (-log2(1 - p) for the
+    lower end, -log2(p) for the upper), log-uniform down to 1e-12 times the
+    cap, or uniform below it.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind == 0:
+            p = float(10.0 ** rng.uniform(-12, -1))
+        elif kind == 1:
+            p = float(1.0 - 10.0 ** rng.uniform(-12, -1))
+        else:
+            p = float(rng.uniform(0.01, 0.99))
+        for bracket, cap in (((0.0, p), -math.log2(1.0 - p)), ((p, 1.0), -math.log2(p))):
+            where = rng.integers(3)
+            if where == 0:
+                alpha = cap * (1.0 - 10.0 ** rng.uniform(-15, -1))
+            elif where == 1:
+                alpha = cap * 10.0 ** rng.uniform(-12, 0)
+            else:
+                alpha = cap * rng.uniform()
+            if 0.0 < alpha < cap:
+                out.append((p, float(alpha), bracket))
+    return out
+
+
+class TestBrentRoot:
+    """The in-module Brent root is scipy's brentq, value for value and error for error."""
+
+    def test_roots_equal_scipy_bit_for_bit(self):
+        from scipy.optimize import brentq
+
+        def outcome(solve):
+            try:
+                return solve()
+            except ValueError as exc:
+                return str(exc)
+
+        cases = brent_brackets(seed=31, count=2000)
+        assert min(p for p, _, _ in cases) < 1e-10 and max(p for p, _, _ in cases) > 1 - 1e-10
+        assert min(a for _, a, _ in cases) < 1e-12
+        roots = 0
+        for p, alpha, (a, b) in cases:
+            f = lambda q: binary_kl(q, p) - alpha
+            got = outcome(lambda: _brentq(f, a, b, 1e-15))
+            want = outcome(lambda: brentq(f, a, b, xtol=1e-15))
+            assert got == want, (p, alpha, a, b, got, want)
+            roots += isinstance(got, float)
+        # the rest are alphas within rounding of the cap, where binary_kl at
+        # the bracket end and the cap's closed form differ in the last bits
+        assert roots >= 1950
+
+    def test_nan_value_raises_value_error(self):
+        with pytest.raises(ValueError, match=r"function value at x=0\.0 is NaN"):
+            binary_ball_interval(0.3, math.nan)
+        with pytest.raises(ValueError, match=r"function value at x=1\.0 is NaN"):
+            _brentq(lambda x: math.nan if x == 1.0 else -1.0, 0.0, 1.0, 1e-15)
+
+    def test_no_sign_change_raises_value_error(self):
+        with pytest.raises(ValueError, match="must have different signs"):
+            _brentq(lambda x: x + 1.0, 0.0, 1.0, 1e-15)
+        with pytest.raises(ValueError, match="must have different signs"):
+            _brentq(lambda x: -x - 1.0, 0.0, 1.0, 1e-15)
+
+    def test_iteration_cap_raises_runtime_error(self):
+        # a step with no root: each secant step is a bisection of a 2e300-wide
+        # bracket, which 100 halvings cannot shrink to the tolerance
+        with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+            _brentq(lambda x: -1.0 if x < 1.0 else 1.0, -1e300, 1e300, 1e-15)
+
+    def test_endpoint_roots_return_the_endpoint(self):
+        assert _brentq(lambda x: x, 0.0, 1.0, 1e-15) == 0.0
+        assert _brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-15) == 1.0
+
+    def test_whole_interval_and_tiny_radius(self):
+        assert binary_ball_interval(0.3, math.inf) == (0.0, 1.0)
+        assert binary_ball_interval(0.3, 1e-40) == (0.3, 0.3)
 
 
 class TestBallInterval:
