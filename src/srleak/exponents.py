@@ -214,15 +214,20 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> f
 
 
 def binary_ball_interval(p: float, alpha: float) -> tuple[float, float]:
-    """The Bernoulli-parameter interval {q : D_b(q || p) <= alpha}."""
+    """The Bernoulli-parameter interval {q : D_b(q || p) <= alpha}.
+
+    A side reaches its end of [0, 1] when alpha is at least the root
+    function's own value there, so every bracket handed to the root changes
+    sign.
+    """
     if alpha <= 0.0:
         return p, p
-    lo = 0.0 if alpha >= -math.log2(1.0 - p) else _brentq(
-        lambda q: binary_kl(q, p) - alpha, 0.0, p, 1e-15
-    )
-    hi = 1.0 if alpha >= -math.log2(p) else _brentq(
-        lambda q: binary_kl(q, p) - alpha, p, 1.0, 1e-15
-    )
+
+    def f(q: float) -> float:
+        return binary_kl(q, p) - alpha
+
+    lo = 0.0 if alpha >= binary_kl(0.0, p) else _brentq(f, 0.0, p, 1e-15)
+    hi = 1.0 if alpha >= binary_kl(1.0, p) else _brentq(f, p, 1.0, 1e-15)
     return float(lo), float(hi)
 
 

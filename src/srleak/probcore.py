@@ -291,40 +291,24 @@ def type_class_probability(t: TypeClass, p: Distribution) -> float:
     return float(2.0 ** (t.log2_cardinality + log2p))
 
 
-def sequence_type(seq: Sequence[int], alphabet_size: int) -> TypeClass:
-    """Type (empirical histogram) of a symbol sequence."""
-    arr = np.asarray(seq, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("sequence must be one-dimensional and non-empty")
-    if arr.min() < 0 or arr.max() >= alphabet_size:
-        raise ValueError("sequence symbols outside the alphabet")
-    counts = np.bincount(arr, minlength=alphabet_size)
-    return TypeClass(int(arr.size), tuple(int(c) for c in counts))
-
-
 def type_class_members(t: TypeClass) -> np.ndarray:
     """All sequences with the histogram of t, in lexicographic order.
 
-    Returns an (m, n) int8 array; m equals ``t.cardinality``.
+    Returns an (m, n) int8 array; m equals ``t.cardinality``.  The class is
+    grown one position at a time: each prefix is repeated once per symbol it
+    has count left for, in symbol order, which keeps the rows lexicographic.
     """
     if t.cardinality > _MEMBER_CAP:
         raise CapExceededError(f"type class of size {t.cardinality} exceeds cap {_MEMBER_CAP}")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: list[int]) -> None:
-        if len(prefix) == t.n:
-            out.append(tuple(prefix))
-            return
-        for sym in range(t.alphabet_size):
-            if remaining[sym] > 0:
-                remaining[sym] -= 1
-                prefix.append(sym)
-                rec(prefix, remaining)
-                prefix.pop()
-                remaining[sym] += 1
-
-    rec([], list(t.counts))
-    return np.asarray(out, dtype=np.int8)
+    rows = np.zeros((1, t.n), dtype=np.int8)
+    remaining = np.array([t.counts], dtype=np.int64)
+    for pos in range(t.n):
+        parent, sym = np.nonzero(remaining)
+        rows = rows[parent]
+        rows[:, pos] = sym
+        remaining = remaining[parent]
+        remaining[np.arange(parent.size), sym] -= 1
+    return rows
 
 
 def all_sequences(alphabet_size: int, n: int, max_sequences: int = 1 << 22) -> np.ndarray:

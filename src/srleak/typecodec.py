@@ -344,6 +344,8 @@ class CoverCodebook:
 
 
 _CHUNK_CELLS = 250_000
+# member rows per gain update of the greedy cover
+_GAIN_BLOCK = 256
 # rows per batch of the array codec (Monte-Carlo draws, oracle, verification)
 _CODEC_CHUNK = 4096
 
@@ -417,18 +419,40 @@ def _reachable(
     return np.flatnonzero(live[of])
 
 
+def _prefix_counts(left: np.ndarray, right: np.ndarray, limit: float) -> np.ndarray:
+    """Per entry of ``left``, how many entries of the ascending ``right`` have
+    ``left + right <= limit`` as a float sum.
+
+    Rounding is monotone, so those entries are a prefix of ``right``; its
+    length is found bit by bit, highest bit first.
+    """
+    count = np.zeros(left.size, dtype=np.int64)
+    step = 1 << right.size.bit_length()
+    while step:
+        trial = count + step
+        ok = np.flatnonzero(trial <= right.size)
+        ok = ok[left[ok] + right[trial[ok] - 1] <= limit]
+        count[ok] = trial[ok]
+        step >>= 1
+    return count
+
+
 def _cover_matrix(
     members: np.ndarray, candidates: np.ndarray, dmat: np.ndarray, level: float, n: int
 ) -> np.ndarray:
     """Boolean matrix: candidate c covers member m within average distortion.
 
     Meet in the middle: the distortion of a pair is the sum of two half-block
-    sums, each read from a table over all half-sequences.  Regrouping the sum
-    moves it by less than ``band``; cells that close to the budget are summed
-    again position by position, so every cell equals the comparison
-    ``sum_t d(x_t, c_t) <= level * n + 1e-9`` with the sum taken in order.
-    The matrix is stored member-major (Fortran order), the layout
-    :func:`_greedy_cover` reads.
+    sums, each from a table over all half-sequences.  The tables hold the
+    ranks of their few distinct sums.  The float sum of a left value and the
+    right values is monotone in the right value, so the right sums that keep
+    it at most ``budget - band`` ("sure") or ``budget + band`` ("near") are
+    prefixes, and a cell is sure iff its right rank is below its left sum's
+    sure count.  Regrouping the sum moves it by less than ``band``; cells
+    that are near but not sure are summed again position by position, so
+    every cell equals the comparison ``sum_t d(x_t, c_t) <= level * n + 1e-9``
+    with the sum taken in order.  The matrix is stored member-major (Fortran
+    order), the layout :func:`_greedy_cover` reads.
     """
     dmat = np.ascontiguousarray(dmat, dtype=np.float64)
     kx, kc = dmat.shape
@@ -437,27 +461,39 @@ def _cover_matrix(
     out = np.zeros((candidates.shape[0], n_members), dtype=bool, order="F")
     budget = level * n + 1e-9
     band = _cover_band(dmat, n)
+    # each half table as ranks of its distinct sums, ascending
+    left_vals, left_rank = np.unique(_half_table(dmat, h), return_inverse=True)
+    right_vals, right_rank = np.unique(_half_table(dmat, n - h), return_inverse=True)
+    rank_type = np.min_scalar_type(right_vals.size)
+    # per left sum, how many right sums keep the regrouped sum within each limit
+    sure_at = _prefix_counts(left_vals, right_vals, budget - band).astype(rank_type)
+    near_at = _prefix_counts(left_vals, right_vals, budget + band).astype(rank_type)
     # per half: rows indexed by candidate half, columns by member
-    left = np.take(_half_table(dmat, h), _lex_index(members[:, :h], kx), axis=1)
-    right = np.take(_half_table(dmat, n - h), _lex_index(members[:, h:], kx), axis=1)
+    left_rank = left_rank.reshape(kc**h, kx**h)
+    left_cols = _lex_index(members[:, :h], kx)
+    sure_left = np.take(sure_at[left_rank], left_cols, axis=1)
+    near_left = np.take(near_at[left_rank], left_cols, axis=1) if (near_at != sure_at).any() else None
+    right_rank = right_rank.reshape(kc ** (n - h), kx ** (n - h)).astype(rank_type)
+    right = np.take(right_rank, _lex_index(members[:, h:], kx), axis=1)
     cand_left = _lex_index(candidates[:, :h], kc)
     cand_right = _lex_index(candidates[:, h:], kc)
     chunk = max(1, _CHUNK_CELLS // max(n_members, 1))
     rows = min(chunk, candidates.shape[0])
-    acc, part = np.empty((rows, n_members)), np.empty((rows, n_members))
+    thr_buf = np.empty((rows, n_members), dtype=rank_type)
+    rank_buf = np.empty((rows, n_members), dtype=rank_type)
     sure_buf = np.empty((rows, n_members), dtype=bool)
     near_buf = np.empty((rows, n_members), dtype=bool)
     for start in range(0, candidates.shape[0], chunk):
         stop = min(start + chunk, candidates.shape[0])
-        a, b = acc[: stop - start], part[: stop - start]
+        thr, r = thr_buf[: stop - start], rank_buf[: stop - start]
         sure, near = sure_buf[: stop - start], near_buf[: stop - start]
         # indices are in range by construction; "clip" skips a buffered copy
-        np.take(left, cand_left[start:stop], axis=0, out=a, mode="clip")
-        np.take(right, cand_right[start:stop], axis=0, out=b, mode="clip")
-        a += b
-        np.less_equal(a, budget - band, out=sure)
-        np.less_equal(a, budget + band, out=near)
-        if np.count_nonzero(near) != np.count_nonzero(sure):
+        np.take(right, cand_right[start:stop], axis=0, out=r, mode="clip")
+        np.take(sure_left, cand_left[start:stop], axis=0, out=thr, mode="clip")
+        np.less(r, thr, out=sure)
+        if near_left is not None:
+            np.take(near_left, cand_left[start:stop], axis=0, out=thr, mode="clip")
+            np.less(r, thr, out=near)
             ci, mi = np.nonzero(near ^ sure)
             exact = np.zeros(ci.size)
             for t in range(n):
@@ -473,7 +509,8 @@ def _greedy_cover(cover: np.ndarray) -> tuple[list[int], np.ndarray]:
     Returns the selected candidate indices in chronological order and, per
     member, the chronological rank of the selection that first covered it.
     Each candidate's gain, its count of uncovered members, is kept up to
-    date by subtracting the members each pick newly covers.
+    date by subtracting the members each pick newly covers, at most
+    ``_GAIN_BLOCK`` member rows at a time.
     """
     n_members = cover.shape[1]
     by_member = np.ascontiguousarray(cover.T)  # no copy for a member-major cover
@@ -490,31 +527,10 @@ def _greedy_cover(cover: np.ndarray) -> tuple[list[int], np.ndarray]:
         first_cover[newly] = len(selected)
         selected.append(best)
         uncovered &= ~newly
-        gains -= np.add.reduce(as_int[newly], axis=0, dtype=np.int32)
+        rows = np.flatnonzero(newly)
+        for start in range(0, rows.size, _GAIN_BLOCK):
+            gains -= np.add.reduce(as_int[rows[start : start + _GAIN_BLOCK]], axis=0, dtype=np.int32)
     return selected, first_cover
-
-
-def minimum_cover_size(cover: np.ndarray) -> int:
-    """Exact minimum number of candidates covering all members (tiny inputs).
-
-    Solved as a binary integer program; intended as an oracle for measuring
-    the greedy construction at small blocklengths.
-    """
-    from scipy.optimize import LinearConstraint, milp
-
-    n_cand, n_members = cover.shape
-    keep = cover.any(axis=1)
-    cov = cover[keep]
-    constraints = LinearConstraint(cov.T.astype(np.float64), lb=np.ones(n_members))
-    res = milp(
-        c=np.ones(cov.shape[0]),
-        constraints=constraints,
-        integrality=np.ones(cov.shape[0]),
-        bounds=(0, 1),
-    )
-    if not res.success:
-        raise CodebookError(f"minimum-cover program failed: {res.message}")
-    return int(round(res.fun))
 
 
 def default_delta(model: RateModel) -> float:

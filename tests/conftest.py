@@ -1,4 +1,6 @@
-"""Finite-n covering bounds shared by the leakage-trend tests.
+"""Finite-n covering bounds shared by the leakage-trend tests, and the
+test-only oracles the library does not need: the exact minimum cover and
+the type of one sequence.
 
 Plain helpers only: this file defines no fixtures and no collection hooks.
 The tests import it as ``conftest``.
@@ -8,12 +10,48 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
+from srleak.errors import CodebookError
 from srleak.exponents import SystemSpec
 from srleak.probcore import TypeClass, enumerate_types, kl_divergence, type_class_members
 from srleak.typecodec import _cover_matrix, key_bits
+
+
+def sequence_type(seq: Sequence[int], alphabet_size: int) -> TypeClass:
+    """Type (empirical histogram) of a symbol sequence."""
+    arr = np.asarray(seq, dtype=np.int64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("sequence must be one-dimensional and non-empty")
+    if arr.min() < 0 or arr.max() >= alphabet_size:
+        raise ValueError("sequence symbols outside the alphabet")
+    counts = np.bincount(arr, minlength=alphabet_size)
+    return TypeClass(int(arr.size), tuple(int(c) for c in counts))
+
+
+def minimum_cover_size(cover: np.ndarray) -> int:
+    """Exact minimum number of candidates covering all members (tiny inputs).
+
+    Solved as a binary integer program with scipy; the oracle the greedy
+    construction is measured against at small blocklengths.
+    """
+    from scipy.optimize import LinearConstraint, milp
+
+    n_cand, n_members = cover.shape
+    keep = cover.any(axis=1)
+    cov = cover[keep]
+    constraints = LinearConstraint(cov.T.astype(np.float64), lb=np.ones(n_members))
+    res = milp(
+        c=np.ones(cov.shape[0]),
+        constraints=constraints,
+        integrality=np.ones(cov.shape[0]),
+        bounds=(0, 1),
+    )
+    if not res.success:
+        raise CodebookError(f"minimum-cover program failed: {res.message}")
+    return int(round(res.fun))
 
 
 def inball_type_classes(spec: SystemSpec, n: int, delta: float) -> tuple[list[TypeClass], bool]:

@@ -62,10 +62,9 @@ from srleak.typecodec import (
     key_bits,
     leakage_exact,
     leakage_oracle,
-    minimum_cover_size,
 )
 
-from conftest import ceil_div, covering_count_bounds, inball_type_classes
+from conftest import ceil_div, covering_count_bounds, inball_type_classes, minimum_cover_size
 
 H2 = DistortionMeasure.hamming(2)
 

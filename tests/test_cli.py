@@ -272,6 +272,16 @@ def strict_loads(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def test_exponents_on_a_radius_within_rounding_of_the_cap(tmp_path, capsys):
+    # alpha lies between -log2(p) and binary_kl(1, p): the upper side of the
+    # ball reaches q = 1
+    p = 0.9941893105705301
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(dict(FIG_SPEC, source=[1.0 - p, p], alpha=0.008407503244129269)))
+    assert run(["exponents", "--spec", str(path)]) == EXIT_OK
+    assert set(json.loads(capsys.readouterr().out)) >= {"jep", "expected", "plateau_alpha"}
+
+
 class TestStrictJson:
     def test_rd_prints_null_sum_rate_below_layer1_rate(self, tmp_path):
         # R1 = 0.05 is below R(P, D1) = 0.159, so no two-layer code exists

@@ -25,9 +25,11 @@ from srleak.probcore import (
     type_class_members,
 )
 from srleak.typecodec import (
+    _GAIN_BLOCK,
     _candidate_types,
     _cover_matrix,
     _greedy_cover,
+    _half_table,
     _lex_order,
     _reachable,
 )
@@ -123,6 +125,21 @@ def test_cover_matrix_on_sums_at_the_budget():
             _cover_matrix(members, candidates, dmat, level, n),
             loop_cover_matrix(members, candidates, dmat, level, n),
         ), s
+
+
+def test_cover_matrix_with_ranks_wider_than_a_byte():
+    # non-dyadic entries: the right-half sums over 5 positions take more
+    # distinct values than uint8 can rank, so the ranks need uint16
+    dmat = np.array([[0.0, 0.11, 0.73], [0.29, 0.0, 0.37], [0.61, 0.17, 0.0]])
+    n = 9
+    assert np.unique(_half_table(dmat, n - n // 2)).size > 255
+    seqs = all_sequences(3, n)
+    members, candidates = seqs[::11], seqs[::-13]
+    for level in (0.2, 0.25, 0.3):
+        assert np.array_equal(
+            _cover_matrix(members, candidates, dmat, level, n),
+            loop_cover_matrix(members, candidates, dmat, level, n),
+        ), level
 
 
 def test_cover_matrix_empty_inputs():
@@ -231,6 +248,20 @@ def feasible_covers(draw):
 @given(feasible_covers())
 def test_greedy_equals_rescan(cover):
     selected, first_cover = _greedy_cover(cover)
+    want_selected, want_first = rescan_greedy_cover(cover)
+    assert selected == want_selected
+    assert np.array_equal(first_cover, want_first)
+
+
+@pytest.mark.parametrize("covered", [700, 650])
+def test_greedy_first_pick_spans_several_gain_blocks(covered):
+    # the first pick newly covers more members than one gain update handles
+    rng = np.random.default_rng(covered)
+    cover = rng.random((40, 700)) < 0.05
+    cover[17, :covered] = True
+    cover[rng.integers(40, size=700), np.arange(700)] = True
+    selected, first_cover = _greedy_cover(np.asfortranarray(cover))
+    assert selected[0] == 17 and np.count_nonzero(first_cover == 0) > 2 * _GAIN_BLOCK
     want_selected, want_first = rescan_greedy_cover(cover)
     assert selected == want_selected
     assert np.array_equal(first_cover, want_first)

@@ -298,6 +298,21 @@ class TestBrentRoot:
         assert _brentq(lambda x: x, 0.0, 1.0, 1e-15) == 0.0
         assert _brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-15) == 1.0
 
+    def test_radii_within_rounding_of_a_cap(self):
+        # the cap's closed form and binary_kl at the end of the side differ in
+        # the last bits; a radius between the two once left the root a bracket
+        # without a sign change
+        whole_side = 0
+        for p, alpha, (a, _) in brent_brackets(seed=31, count=2000):
+            end = 0.0 if a == 0.0 else 1.0
+            if alpha >= binary_kl(end, p):
+                whole_side += 1
+                assert binary_ball_interval(p, alpha)[int(end)] == end, (p, alpha)
+        assert whole_side == 22
+        lo, hi = binary_ball_interval(0.9941893105705301, 0.008407503244129269)
+        assert hi == 1.0
+        assert binary_kl(lo, 0.9941893105705301) == pytest.approx(0.008407503244129269, abs=1e-12)
+
     def test_whole_interval_and_tiny_radius(self):
         assert binary_ball_interval(0.3, math.inf) == (0.0, 1.0)
         assert binary_ball_interval(0.3, 1e-40) == (0.3, 0.3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,11 +17,12 @@ from srleak.probcore import (
     enumerate_types,
     expected_distortion,
     kl_divergence,
-    sequence_type,
     type_class_members,
     type_class_probability,
     type_count_vectors,
 )
+
+from conftest import sequence_type
 
 
 def hb(p: float) -> float:
@@ -243,6 +245,14 @@ class TestTypes:
         t = TypeClass(3, (2, 1))
         members = type_class_members(t)
         assert members.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
+    @pytest.mark.parametrize("counts", [(1,), (4, 0), (0, 3, 2), (2, 2, 2), (3, 0, 1, 2), (1, 1, 1, 1, 1)])
+    def test_members_equal_sorted_permutations(self, counts):
+        t = TypeClass(sum(counts), counts)
+        word = [s for s, c in enumerate(counts) for _ in range(c)]
+        members = type_class_members(t)
+        assert members.dtype == np.int8 and members.shape == (t.cardinality, t.n)
+        assert members.tolist() == [list(p) for p in sorted(set(itertools.permutations(word)))]
 
     def test_sequence_type(self):
         assert sequence_type([1, 0, 1, 1], 2).counts == (1, 3)

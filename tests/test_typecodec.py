@@ -32,14 +32,13 @@ from srleak.typecodec import (
     leakage_oracle,
     leakage_report,
     load_codebook,
-    minimum_cover_size,
     sample_keys,
     save_codebook,
     simulate_jep,
     _cover_matrix,
 )
 
-from conftest import covering_count_bounds
+from conftest import covering_count_bounds, minimum_cover_size
 
 H2 = DistortionMeasure.hamming(2)
 
