@@ -40,7 +40,7 @@ from .probcore import (
     kl_divergence,
     type_count_vectors,
 )
-from .rdsolver import (binary_hamming_sum_rate, is_binary_hamming, min_sum_rate,
+from .rdsolver import (RdSolution, binary_hamming_sum_rate, is_binary_hamming, min_sum_rate,
                        rd_binary_hamming, rd_function)
 
 Criterion = Literal["jep", "expected"]
@@ -217,8 +217,10 @@ def binary_ball_interval(p: float, alpha: float) -> tuple[float, float]:
     """The Bernoulli-parameter interval {q : D_b(q || p) <= alpha}.
 
     A side reaches its end of [0, 1] when alpha is at least the root
-    function's own value there, so every bracket handed to the root changes
-    sign.
+    function's own value there.  Otherwise its root lies within Pinsker's
+    distance sqrt(alpha ln 2) of p, where D_b(q || p) >= 2 alpha: that
+    bracket, clipped to [0, 1], changes sign and keeps Brent's method off
+    the long flat stretch between a tiny ball and the far end of the side.
     """
     if alpha <= 0.0:
         return p, p
@@ -226,8 +228,14 @@ def binary_ball_interval(p: float, alpha: float) -> tuple[float, float]:
     def f(q: float) -> float:
         return binary_kl(q, p) - alpha
 
-    lo = 0.0 if alpha >= binary_kl(0.0, p) else _brentq(f, 0.0, p, 1e-15)
-    hi = 1.0 if alpha >= binary_kl(1.0, p) else _brentq(f, p, 1.0, 1e-15)
+    # a bracket end whose computed value is not positive (a radius within
+    # rounding of zero, or NaN) falls back on the whole side
+    reach = math.sqrt(alpha * math.log(2.0))
+    a, b = max(0.0, p - reach), min(1.0, p + reach)
+    a = a if f(a) > 0.0 else 0.0
+    b = b if f(b) > 0.0 else 1.0
+    lo = 0.0 if alpha >= binary_kl(0.0, p) else _brentq(f, a, p, 1e-15)
+    hi = 1.0 if alpha >= binary_kl(1.0, p) else _brentq(f, p, b, 1e-15)
     return float(lo), float(hi)
 
 
@@ -429,27 +437,31 @@ class RateModel:
     """R(Q, D1), R(Q, D2), the sum rate R(Q, R1, D1, D2) and the leakage objectives of a spec.
 
     A binary source under Hamming measures uses the closed forms; any other
-    spec calls the solvers, once per candidate law.  For a binary source the
-    model also keeps the Bernoulli interval of each ball radius it searches.
+    spec calls the solvers, once per candidate law: the sum-rate solver
+    reuses the model's R(Q, D1) and R(Q, D2) solutions.  For a binary source
+    the model also keeps the Bernoulli interval of each ball radius it searches.
     """
 
     def __init__(self, spec: SystemSpec) -> None:
         self.spec = spec
         self.closed_form = spec.is_binary_hamming
-        self._rd: dict[tuple[bytes, int], float] = {}
+        self._rd: dict[tuple[bytes, int], RdSolution] = {}
         self._sum: dict[bytes, float] = {}
         self._interval: dict[float, tuple[float, float]] = {}
 
-    def rd(self, q: Distribution, layer: int) -> float:
-        """R(Q, D_layer) under the spec's measure for that layer."""
-        spec = self.spec
-        D = spec.D1 if layer == 1 else spec.D2
-        if self.closed_form:
-            return rd_binary_hamming(float(q.probs[1]), D)
+    def _rd_solution(self, q: Distribution, layer: int) -> RdSolution:
         key = (q.probs.tobytes(), layer)
         if key not in self._rd:
-            self._rd[key] = rd_function(q, spec.d1 if layer == 1 else spec.d2, D).value
+            spec = self.spec
+            d, D = (spec.d1, spec.D1) if layer == 1 else (spec.d2, spec.D2)
+            self._rd[key] = rd_function(q, d, D)
         return self._rd[key]
+
+    def rd(self, q: Distribution, layer: int) -> float:
+        """R(Q, D_layer) under the spec's measure for that layer."""
+        if self.closed_form:
+            return rd_binary_hamming(float(q.probs[1]), self.spec.D1 if layer == 1 else self.spec.D2)
+        return self._rd_solution(q, layer).value
 
     def sum_rate(self, q: Distribution) -> float:
         """Two-layer minimum sum rate; inf when R1 is below R(Q, D1)."""
@@ -458,7 +470,8 @@ class RateModel:
             return binary_hamming_sum_rate(float(q.probs[1]), spec.R1, spec.D1, spec.D2)
         key = q.probs.tobytes()
         if key not in self._sum:
-            self._sum[key] = min_sum_rate(q, spec.d1, spec.d2, spec.R1, spec.D1, spec.D2).value
+            self._sum[key] = min_sum_rate(q, spec.d1, spec.d2, spec.R1, spec.D1, spec.D2,
+                                          _rd=lambda layer: self._rd_solution(q, layer)).value
         return self._sum[key]
 
     def m1(self, q: Distribution) -> float:

@@ -21,10 +21,17 @@ Two convex programs over test channels:
   (mirror-descent) steps on each conditional row, followed by an
   exact-penalty polish and a feasibility repair, so the reported value is
   always attained by the returned feasible channel.  Each candidate channel
-  is evaluated once (``_SumRateProblem.evaluate``: both rates, both
+  is evaluated once (``_SumRateProblem.evaluate_stack``: both rates, both
   distortions and the output marginals, from one x log x pass); the
   Lagrangian, the constraint violations, the gradient and the Frank-Wolfe
-  gap all read that record.
+  gap all read that record.  The mirror steps and the polish share one
+  backtracking line search (``_SumRateProblem.line_search``) that evaluates
+  its step sizes as stacks of candidates, the first two together and the
+  rest of the schedule in one more stack, and takes the first accepted one
+  in schedule order; the repair bisection checks only feasibility, four of
+  its steps per stack.  Every row is summed in its own memory order, so
+  values, iteration counts and optimizers are those of the one-at-a-time
+  loops, bit for bit.
 
 A brute-force simplex-grid oracle (``min_sum_rate_oracle``) validates the
 solver on tiny instances.
@@ -32,8 +39,10 @@ solver on tiny instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +113,21 @@ def _mutual_information(px: np.ndarray, w: np.ndarray) -> float:
 
 
 def _normalize_rows(w: np.ndarray) -> np.ndarray:
-    s = w.sum(axis=1, keepdims=True)
+    """Each row (last axis) of w scaled to sum 1; a stack of channels row by row."""
+    s = np.add.reduce(w, axis=-1, keepdims=True)
     return w / np.maximum(s, _LOG_FLOOR)
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """The stack a (..., r, c) with each r x c matrix flattened in its own memory order.
+
+    ``ndarray.sum`` adds a C- or F-ordered matrix in memory order, so a sum
+    along the last axis of the result equals that matrix's own sum bit for bit.
+    """
+    *lead, r, c = a.shape
+    if r > 1 and c > 1 and a.strides[-2] < a.strides[-1]:
+        a = a.swapaxes(-2, -1)
+    return a.reshape(*lead, r * c)
 
 
 # one solved multiplier: its average distortion and its channel on the support rows
@@ -415,6 +437,12 @@ def is_binary_hamming(d1: DistortionMeasure, d2: DistortionMeasure) -> bool:
 # one evaluated channel: the solver reads both rates, both distortions and the marginals from it
 _Eval = namedtuple("_Eval", "w i_joint i1 ed1 ed2 m wa ma")
 
+# the line search evaluates its first two step sizes as one stack (accepted
+# steps almost always take one of them) and the rest of its schedule as another
+_SEARCH_HEAD = 2
+# the repair bisection checks this many of its steps as one stack of 2^levels - 1 channels
+_BISECT_LEVELS = 4
+
 
 class _SumRateProblem:
     """Workspace for min I(X; Y1, Y2) under two distortion caps and a layer-1 rate cap."""
@@ -431,31 +459,81 @@ class _SumRateProblem:
         # per-cell distortion tables, cell index = a * kb + b
         self.d1c = np.repeat(d1.matrix, self.kb, axis=1)
         self.d2c = np.tile(d2.matrix, (1, self.ka))
+        self.dc = np.stack((self.d1c, self.d2c))
         self.R1 = R1
         self.D1 = D1
         self.D2 = D2
-        self.h_px = _xlog2x(self.px).sum()
+        self.h_px = float(_xlog2x(self.px).sum())
+
+    def _constraint_parts(self, ws: np.ndarray):
+        """The joint laws, layer-1 channels and output laws, and both distortions, of a stack."""
+        px = self.px
+        joint = px[:, None] * ws
+        wa = np.add.reduce(ws.reshape(len(ws), self.kx, self.ka, self.kb), axis=3)
+        ed1, ed2 = np.add.reduce(_flat(joint[:, None] * self.dc), axis=2).T.tolist()
+        return joint, wa, px @ wa, ed1, ed2
+
+    def _rates(self, t: np.ndarray, cut: int) -> list[float]:
+        """I(X; Y) of each row of t: x log x terms of a joint law up to ``cut``, then of its output law."""
+        h = self.h_px
+        return [s - h - s_out for s, s_out in zip(np.add.reduce(t[:, :cut], axis=1).tolist(),
+                                                  np.add.reduce(t[:, cut:], axis=1).tolist())]
+
+    def evaluate_stack(self, ws: np.ndarray) -> list[_Eval]:
+        """Every quantity the solver reads, for each channel of a (B, kx, cells) stack.
+
+        One x log x pass over all four laws.  Each row sum adds one channel's
+        terms in that channel's memory order, so row k equals
+        ``evaluate(ws[k])`` and the sum of each term on its own, bit for bit.
+        """
+        joint, wa, ma, ed1, ed2 = self._constraint_parts(ws)
+        m = self.px @ ws
+        t = _xlog2x(np.concatenate((_flat(joint), m, _flat(self.px[:, None] * wa), ma), axis=1))
+        split = (self.kx + 1) * self.cells
+        i_joint = self._rates(t[:, :split], self.kx * self.cells)
+        i1 = self._rates(t[:, split:], self.kx * self.ka)
+        return [_Eval(*row) for row in zip(ws, i_joint, i1, ed1, ed2, m, wa, ma)]
 
     def evaluate(self, w: np.ndarray) -> _Eval:
-        """Every quantity the solver reads at w, with one x log x pass.
+        return self.evaluate_stack(w[None])[0]
 
-        Each term is flattened in memory order ("K"), which is the order
-        ``.sum()`` adds a C- or F-ordered array in, so each segment sum equals
-        the sum of that term on its own bit for bit.
+    def feasible(self, ws: np.ndarray, tol: float) -> list[bool]:
+        """``all(violations(evaluate(w)) <= tol)`` for each channel w of a stack, without I(X; Y1 Y2)."""
+        _, wa, ma, ed1, ed2 = self._constraint_parts(ws)
+        i1 = self._rates(_xlog2x(np.concatenate((_flat(self.px[:, None] * wa), ma), axis=1)),
+                         self.kx * self.ka)
+        return [e1 - self.D1 <= tol and e2 - self.D2 <= tol and r - self.R1 <= tol
+                for e1, e2, r in zip(ed1, ed2, i1)]
+
+    def bisect_feasible(self, w: np.ndarray, w_feas: np.ndarray, tol: float, steps: int) -> float:
+        """The end ``hi`` of a bisection on the weight t of (1 - t) w + t w_feas, started from [0, 1].
+
+        Each step halves [lo, hi] and keeps the half whose ``hi`` end is
+        feasible.  ``_BISECT_LEVELS`` steps at a time are checked as one
+        stack: every midpoint those steps can reach, in heap order (node i
+        has the halves 2i + 1 below and 2i + 2 above its midpoint).
         """
-        px = self.px
-        m = px @ w
-        joint = px[:, None] * w
-        wa = w.reshape(self.kx, self.ka, self.kb).sum(axis=2)
-        ma = px @ wa
-        ja = px[:, None] * wa
-        t = _xlog2x(np.concatenate((joint.ravel("K"), m, ja.ravel("K"), ma)))
-        a, b, c = joint.size, joint.size + m.size, joint.size + m.size + ja.size
-        i_joint = float(t[:a].sum() - self.h_px - t[a:b].sum())
-        i1 = float(t[b:c].sum() - self.h_px - t[c:].sum())
-        ed1 = float((joint * self.d1c).sum())
-        ed2 = float((joint * self.d2c).sum())
-        return _Eval(w, i_joint, i1, ed1, ed2, m, wa, ma)
+        lo, hi = 0.0, 1.0
+        while steps > 0:
+            levels = min(_BISECT_LEVELS, steps)
+            mids, ends = [], [(lo, hi)]
+            for _ in range(levels):
+                halves = []
+                for a, b in ends:
+                    mid = 0.5 * (a + b)
+                    mids.append(mid)
+                    halves += [(a, mid), (mid, b)]
+                ends = halves
+            t = np.array(mids)[:, None, None]
+            ok = self.feasible((1.0 - t) * w + t * w_feas, tol)
+            node = 0
+            for _ in range(levels):
+                if ok[node]:
+                    hi, node = mids[node], 2 * node + 1
+                else:
+                    lo, node = mids[node], 2 * node + 2
+            steps -= levels
+        return hi
 
     def violations(self, ev: _Eval) -> np.ndarray:
         return np.array([ev.ed1 - self.D1, ev.ed2 - self.D2, ev.i1 - self.R1])
@@ -477,6 +555,39 @@ class _SumRateProblem:
         per_row = (g * ev.w).sum(axis=1) - g.min(axis=1)
         return float((self.px * per_row).sum())
 
+    def line_search(self, ev: _Eval, g: np.ndarray, eta: float, tries: int, eta_min: float,
+                    accept: Callable[[_Eval], bool]) -> tuple[_Eval | None, float, int]:
+        """The first exponentiated-gradient step from ev.w that ``accept`` takes.
+
+        The step sizes are those of a loop that halves eta after each
+        rejected step: eta, eta/2, ... for at most ``tries`` steps, ending
+        before a size below ``eta_min``.  They are evaluated as two stacks,
+        the first ``_SEARCH_HEAD`` sizes and then the rest, and the first
+        step accepted in schedule order wins.  Returns (the accepted
+        evaluation or None, its step size, the steps that loop would have
+        evaluated).
+        """
+        def halvings():
+            e = eta
+            for _ in range(tries):
+                yield e
+                e *= 0.5
+                if e < eta_min:
+                    return
+
+        schedule = halvings()
+        start = 0
+        for size in (_SEARCH_HEAD, tries):
+            chunk = list(itertools.islice(schedule, size))
+            if not chunk:
+                break
+            neg = np.array([-e for e in chunk])[:, None, None]
+            for k, cand in enumerate(self.evaluate_stack(_normalize_rows(ev.w * np.exp2(neg * g)))):
+                if accept(cand):
+                    return cand, chunk[k], start + k + 1
+            start += len(chunk)
+        return None, 0.0, start
+
     def mirror_steps(self, ev: _Eval, lam: np.ndarray, steps: int) -> tuple[_Eval, int]:
         """Backtracking exponentiated-gradient descent on the Lagrangian."""
         f = self.lagrangian(ev, lam)
@@ -485,21 +596,13 @@ class _SumRateProblem:
         for _ in range(steps):
             g = self.grad_scaled(ev, lam)
             g = g - g.min(axis=1, keepdims=True)
-            accepted = False
-            for _ in range(30):
-                cand = self.evaluate(_normalize_rows(ev.w * np.exp2(-eta * g)))
-                f_cand = self.lagrangian(cand, lam)
-                used += 1
-                if f_cand <= f - 1e-15:
-                    ev, f = cand, f_cand
-                    eta = min(eta * 1.6, 64.0)
-                    accepted = True
-                    break
-                eta *= 0.5
-                if eta < 1e-14:
-                    break
-            if not accepted:
+            cand, eta, tried = self.line_search(ev, g, eta, 30, 1e-14,
+                                                lambda c: self.lagrangian(c, lam) <= f - 1e-15)
+            used += tried
+            if cand is None:
                 break
+            ev, f = cand, self.lagrangian(cand, lam)
+            eta = min(eta * 1.6, 64.0)
         return ev, used
 
 
@@ -532,6 +635,8 @@ def min_sum_rate(
     R1: float,
     D1: float,
     D2: float,
+    *,
+    _rd: Callable[[int], RdSolution] | None = None,
 ) -> SumRateSolution:
     """Minimum sum rate of a two-layer refinement code, in bits.
 
@@ -539,6 +644,8 @@ def min_sum_rate(
     E[d1(X, Y1)] <= D1, E[d2(X, Y2)] <= D2 and I(X; Y1) <= R1.  Returns an
     infeasible sentinel (value = inf) when the layer-1 cap is below the
     rate-distortion function at D1, since the constraint set is then empty.
+    ``_rd(layer)``, internal, returns ``rd_function`` at that layer's
+    measure and level: ``RateModel`` hands in the solutions it keeps.
     """
     if not (D1 >= 0 and D2 >= 0):
         raise ValueError("min_sum_rate: distortion levels must be nonnegative numbers")
@@ -547,7 +654,9 @@ def min_sum_rate(
     prob = _SumRateProblem(q, d1, d2, R1, D1, D2)
     px = prob.px
 
-    rd1 = rd_function(q, d1, D1)
+    if _rd is None:
+        _rd = lambda layer: rd_function(q, d1, D1) if layer == 1 else rd_function(q, d2, D2)
+    rd1 = _rd(1)
     if R1 < rd1.lower - 1e-9:
         empty = np.zeros((prob.kx, prob.cells))
         return SumRateSolution(math.inf, empty, "infeasible", rd1.iterations, math.inf)
@@ -561,7 +670,7 @@ def min_sum_rate(
         return SumRateSolution(0.0, w, "boundary", 0, 0.0)
 
     # feasible product reference: layer-1 RD channel times layer-2 RD channel
-    rd2 = rd_function(q, d2, D2)
+    rd2 = _rd(2)
     w_feas = np.einsum("xa,xb->xab", rd1.optimizer, rd2.optimizer).reshape(prob.kx, prob.cells)
     w_feas = _normalize_rows(np.maximum(w_feas, 1e-30))
 
@@ -574,13 +683,7 @@ def min_sum_rate(
             return ev
         if not feas_ok:
             return None
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if np.all(prob.violations(prob.evaluate((1.0 - mid) * ev.w + mid * w_feas)) <= feas_tol):
-                hi = mid
-            else:
-                lo = mid
+        hi = prob.bisect_feasible(ev.w, w_feas, feas_tol, 60)
         return prob.evaluate((1.0 - hi) * ev.w + hi * w_feas)
 
     best_value = math.inf
@@ -642,21 +745,12 @@ def min_sum_rate(
     for _ in range(_POLISH_STEPS):
         g = grad_pen(ev)
         g = g - g.min(axis=1, keepdims=True)
-        improved = False
-        for _ in range(25):
-            cand = prob.evaluate(_normalize_rows(ev.w * np.exp2(-eta * g)))
-            fc = f_pen(cand)
-            total += 1
-            if fc < f - 1e-15:
-                ev, f = cand, fc
-                eta = min(eta * 1.5, 32.0)
-                improved = True
-                break
-            eta *= 0.5
-            if eta < 1e-13:
-                break
-        if not improved:
+        cand, eta, tried = prob.line_search(ev, g, eta, 25, 1e-13, lambda c: f_pen(c) < f - 1e-15)
+        total += tried
+        if cand is None:
             break
+        ev, f = cand, f_pen(cand)
+        eta = min(eta * 1.5, 32.0)
         if total % 40 == 0:
             offer(ev)
         if total > _SUM_MAX_ITER:

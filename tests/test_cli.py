@@ -282,6 +282,16 @@ def test_exponents_on_a_radius_within_rounding_of_the_cap(tmp_path, capsys):
     assert set(json.loads(capsys.readouterr().out)) >= {"jep", "expected", "plateau_alpha"}
 
 
+def test_exponents_on_a_radius_within_rounding_of_zero(tmp_path, capsys):
+    # the upper side of a 2e-16 ball around a 2e-5 parameter: the bracket
+    # [p, 1] once ran Brent's method out of iterations
+    p = 2.2761761997738282e-05
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(dict(FIG_SPEC, source=[1.0 - p, p], alpha=2.260857107729504e-16)))
+    assert run(["exponents", "--spec", str(path)]) == EXIT_OK
+    assert set(json.loads(capsys.readouterr().out)) >= {"jep", "expected", "plateau_alpha"}
+
+
 class TestStrictJson:
     def test_rd_prints_null_sum_rate_below_layer1_rate(self, tmp_path):
         # R1 = 0.05 is below R(P, D1) = 0.159, so no two-layer code exists

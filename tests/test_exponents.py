@@ -317,6 +317,19 @@ class TestBrentRoot:
         assert binary_ball_interval(0.3, math.inf) == (0.0, 1.0)
         assert binary_ball_interval(0.3, 1e-40) == (0.3, 0.3)
 
+    def test_radii_within_rounding_of_zero(self):
+        # alpha ~1e-16 around a small p: on the whole side [0, p] or [p, 1]
+        # Brent's method once ran out of iterations; the Pinsker bracket
+        # |q - p| <= sqrt(alpha ln 2) solves each to rounding
+        tiny = [(p, alpha) for p, alpha, _ in brent_brackets(seed=31, count=2000)
+                if alpha < 1e-14 and p < 1e-4]
+        assert len(tiny) >= 8
+        for p, alpha in tiny:
+            lo, hi = binary_ball_interval(p, alpha)
+            assert lo <= p <= hi
+            for q in (lo, hi):
+                assert abs(binary_kl(q, p) - alpha) <= 1e-15, (p, alpha, q)
+
 
 class TestBallInterval:
     """A binary model solves the ball's Bernoulli interval once per radius."""
@@ -448,7 +461,7 @@ class TestPlateauOracle:
             dist = min(abs(x - 0.2), abs(x - 0.8)) if shape["bimodal"] else abs(x - 0.4 - D)
             return types.SimpleNamespace(value=1.0 - D - dist**2)
 
-        def sum_rate(q, d1, d2, R1, D1, D2):
+        def sum_rate(q, d1, d2, R1, D1, D2, _rd=None):
             need = rd(q, d1, D1).value
             return types.SimpleNamespace(value=math.inf if R1 < need - 1e-9 else rd(q, d2, D2).value)
 
@@ -693,7 +706,7 @@ class TestSharedRateModel:
             counts["solver"] += 1
             return types.SimpleNamespace(value=max(entropy(q) - binary_entropy(D) - D, 0.0))
 
-        def sum_rate(q, d1, d2, R1, D1, D2):
+        def sum_rate(q, d1, d2, R1, D1, D2, _rd=None):
             counts["solver"] += 1
             need = rd(q, d1, D1).value
             return types.SimpleNamespace(value=math.inf if R1 < need - 1e-9 else rd(q, d2, D2).value)

@@ -10,6 +10,9 @@ from srleak.errors import CapExceededError
 from srleak.probcore import Distribution, DistortionMeasure
 from srleak.rdsolver import (
     _LOG_FLOOR,
+    _MIRROR_ETA0,
+    _Eval,
+    _normalize_rows,
     _SumRateProblem,
     _xlog2x,
     binary_hamming_sum_rate,
@@ -469,6 +472,46 @@ PINNED = {
 }
 
 
+# the same calls where numpy's float64 log2 and exp2 run its baseline kernel
+# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" on an AVX-512
+# machine, or any x86-64 machine without AVX-512); PINNED holds the AVX-512 kernel's
+PINNED_BASELINE_KERNEL = {
+    "uniform-ternary R1=0.7": (
+        "1.1281303814050911", "boundary", 7136, "0.153551060219008",
+        "de25cd8d5f3c1ec8d2119eb016e26c2f4a085485a21551bbb246422dd7ab2214"),
+    "uniform-ternary R1=1.2": (
+        "1.0159669071319368", "boundary", 8817, "0.00013857720596788248",
+        "cbfc1e69443c4baee013822cb4098ee7223c7e81e7efab39526f0f2f45d5fd16"),
+    "(0.5, 0.3, 0.2) R1=0.55": (
+        "1.0084082883823346", "boundary", 7442, "0.14720251150832986",
+        "533dd75dba1e92cfab5c51ad9391fbb5841b46acde988e02097ef9f5dda63f15"),
+    "ordinal |i-j| R1=0.8": (
+        "0.6672104829963408", "converged", 10062, "6.991325640637314e-08",
+        "48699d126df290cb75e92c4021cf89a2dfcb3062ace2771239b412b76e372748"),
+    "binary Markov start (F-ordered) R1=0.3": (
+        "0.5948939421147368", "boundary", 7372, "0.05710205973590099",
+        "f9854142e7cbf62ccc735937d8d623954c102219b1838fd8f1e63a776a9ff85e"),
+    "erasure d1 R1=0.6": (
+        "0.4122953024714864", "boundary", 9676, "7.317750833280012e-05",
+        "628035d1d017ce3ddf3b3c079ccbb7f4f3fd523321a1d42c83e2f8125346b699"),
+}
+
+
+def avx512_log_exp() -> bool:
+    """Whether numpy dispatches float64 log2 and exp2 to its AVX-512 kernels.
+
+    Read from ``numpy.lib.introspect.opt_func_info`` (numpy >= 2.0); an
+    older numpy cannot report its dispatch and is taken to use them.
+    """
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return True
+    info = opt_func_info(func_name="log2|exp2", signature="float64")
+    current = [loop["current"] for loops in info.values() for loop in loops.values()]
+    return len(current) == 2 and all("X86_V4" in c or "AVX512" in c for c in current)
+
+
 @pytest.mark.parametrize("name", list(PINNED))
 def test_pinned_solver_outputs(name):
     """Today's exact solver outputs, pinned on purpose.
@@ -479,10 +522,169 @@ def test_pinned_solver_outputs(name):
     to change no bit of value, status, iterations, gap or optimizer.  The
     solver starts from the product of the two ``rd_function`` channels, so
     any change to those channels moves these pins too (at R1 = 0.7 the
-    start alone moves the value by 0.1 bit).  The certified solver of
+    start alone moves the value by 0.1 bit).  So do the last bits of
+    numpy's log2 and exp2, which differ between its AVX-512 and baseline
+    kernels: each kernel has its own pin set.  The certified solver of
     ROADMAP item 1 changes them: update the pins there.
     """
-    args, (value, status, iterations, gap, digest) = PINNED[name]
+    args, pins = PINNED[name]
+    value, status, iterations, gap, digest = pins if avx512_log_exp() else PINNED_BASELINE_KERNEL[name]
     sol = min_sum_rate(*args)
     assert (repr(sol.value), sol.status, sol.iterations, repr(sol.gap)) == (value, status, iterations, gap)
     assert hashlib.sha256(sol.optimizer.tobytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the stacked evaluation and line search against their one-at-a-time loops
+# ---------------------------------------------------------------------------
+
+
+def same_eval(a: _Eval, b: _Eval) -> bool:
+    """Every field of two evaluations equal, bit for bit."""
+    arrays = ((a.w, b.w), (a.m, b.m), (a.wa, b.wa), (a.ma, b.ma))
+    return (bits(a.i_joint, a.i1, a.ed1, a.ed2) == bits(b.i_joint, b.i1, b.ed1, b.ed2)
+            and all(x.tobytes() == y.tobytes() for x, y in arrays))
+
+
+@st.composite
+def stack_cases(draw):
+    """A problem and a stack of 1-30 channels, each row C- or each row F-ordered."""
+    prob, w, lam = draw(evaluation_cases())
+    size = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ws = _normalize_rows(w * rng.random((size, *w.shape)) ** 2 + 1e-3 * (w > 0))
+    if draw(st.booleans()):
+        ws = np.ascontiguousarray(ws.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return prob, ws, lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack_cases())
+def test_stacked_evaluation_matches_each_row_bit_for_bit(case):
+    prob, ws, _ = case
+    rows = prob.evaluate_stack(ws)
+    assert len(rows) == len(ws)
+    for k, ev in enumerate(rows):
+        assert same_eval(ev, prob.evaluate(ws[k])), k
+
+
+def sequential_line_search(prob, ev, g, eta, tries, eta_min, accept):
+    """The backtracking loop the stacked line search reproduces: one candidate at a time."""
+    used = 0
+    for _ in range(tries):
+        cand = prob.evaluate(_normalize_rows(ev.w * np.exp2(-eta * g)))
+        used += 1
+        if accept(cand):
+            return cand, eta, used
+        eta *= 0.5
+        if eta < eta_min:
+            break
+    return None, None, used
+
+
+def sequential_mirror_steps(prob, ev, lam, steps):
+    """``_SumRateProblem.mirror_steps`` as a loop over single evaluations."""
+    f = prob.lagrangian(ev, lam)
+    eta = _MIRROR_ETA0
+    used = 0
+    for _ in range(steps):
+        g = prob.grad_scaled(ev, lam)
+        g = g - g.min(axis=1, keepdims=True)
+        accepted = False
+        for _ in range(30):
+            cand = prob.evaluate(_normalize_rows(ev.w * np.exp2(-eta * g)))
+            f_cand = prob.lagrangian(cand, lam)
+            used += 1
+            if f_cand <= f - 1e-15:
+                ev, f = cand, f_cand
+                eta = min(eta * 1.6, 64.0)
+                accepted = True
+                break
+            eta *= 0.5
+            if eta < 1e-14:
+                break
+        if not accepted:
+            break
+    return ev, used
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluation_cases(), st.sampled_from([1e-15, 1e-6, 0.05, math.inf]),
+       st.sampled_from([(30, 1e-14), (25, 1e-13)]), st.sampled_from([64.0, 0.5, 1e-11, 2e-14]))
+def test_line_search_matches_the_sequential_loop(case, margin, schedule, eta):
+    # the mirror steps' test (<=) with the mirror schedule, the polish's (<)
+    # with the polish schedule; margin inf rejects every step, so the whole
+    # schedule is tried and counted
+    prob, w, lam = case
+    ev = prob.evaluate(w)
+    g = prob.grad_scaled(ev, lam)
+    g = g - g.min(axis=1, keepdims=True)
+    f = prob.lagrangian(ev, lam)
+    tries, eta_min = schedule
+    if tries == 30:
+        accept = lambda c: prob.lagrangian(c, lam) <= f - margin  # noqa: E731
+    else:
+        accept = lambda c: prob.lagrangian(c, lam) < f - margin  # noqa: E731
+    got, got_eta, got_used = prob.line_search(ev, g, eta, tries, eta_min, accept)
+    want, want_eta, want_used = sequential_line_search(prob, ev, g, eta, tries, eta_min, accept)
+    assert got_used == want_used
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert same_eval(got, want) and got_eta == want_eta
+    elif margin == math.inf:
+        halvings = int(math.floor(math.log2(eta / eta_min))) + 1 if eta >= eta_min else 1
+        assert got_used == min(tries, halvings)
+
+
+@pytest.mark.parametrize("problem", [
+    (Distribution.uniform(3), H3, H3, 0.9, 0.3, 0.1),
+    (P532, ORDINAL3, ORDINAL3, 0.8, 0.4, 0.2),
+    (Distribution.bernoulli(0.3), ERASURE_D1, H2, 0.6, 0.3, 0.1),
+])
+def test_mirror_steps_match_the_sequential_loop(problem):
+    # dual rounds from the product start, multipliers growing as the solver's
+    # do; each call ends on an all-rejected search or after its 24 steps
+    q, d1, d2, R1, D1, D2 = problem
+    prob = _SumRateProblem(q, d1, d2, R1, D1, D2)
+    w = np.einsum("xa,xb->xab", rd_function(q, d1, D1).optimizer,
+                  rd_function(q, d2, D2).optimizer).reshape(prob.kx, prob.cells)
+    ev = ref = prob.evaluate(_normalize_rows(np.maximum(w, 1e-30)))
+    lam = np.zeros(3)
+    for t in range(1, 13):
+        ev, used = prob.mirror_steps(ev, lam, 24)
+        ref, ref_used = sequential_mirror_steps(prob, ref, lam, 24)
+        assert used == ref_used and same_eval(ev, ref), t
+        lam = np.maximum(lam + 2.0 / math.sqrt(t) * prob.violations(ev), 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(evaluation_cases())
+def test_feasibility_check_matches_the_full_evaluation(case):
+    # tolerances at each violation decide the comparison on its last bit
+    prob, w, _ = case
+    viol = prob.violations(prob.evaluate(w))
+    for tol in (*viol.tolist(), float(np.median(viol)), -1.0, 1.0):
+        assert prob.feasible(w[None], tol) == [bool(np.all(viol <= tol))], tol
+
+
+def sequential_bisection(prob, w, w_feas, tol, steps):
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if np.all(prob.violations(prob.evaluate((1.0 - mid) * w + mid * w_feas)) <= tol):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(evaluation_cases(), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 4, 5, 60]))
+def test_stacked_bisection_matches_the_sequential_loop(case, seed, steps):
+    prob, w, _ = case
+    rng = np.random.default_rng(seed)
+    w_feas = _normalize_rows(rng.random(w.shape) + 1e-3)
+    # a tolerance met part of the way from w to w_feas, so both halves occur
+    t = float(rng.random())
+    tol = float(prob.violations(prob.evaluate((1.0 - t) * w + t * w_feas)).max())
+    assert prob.bisect_feasible(w, w_feas, tol, steps) == sequential_bisection(prob, w, w_feas, tol, steps)
