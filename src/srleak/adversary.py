@@ -14,6 +14,7 @@ the drawn joint type.  Success probabilities follow from counting.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .probcore import (
 from .typecodec import (
     CoverCodebook,
     KeyPair,
+    _group_rows,
     decode,
     decode_layer1,
     encode,
@@ -99,15 +101,24 @@ def _joint_counts(seqs: list[np.ndarray], sizes: list[int]) -> np.ndarray:
     return np.bincount(cells, minlength=math.prod(sizes)).reshape(sizes)
 
 
-def _candidate_joints(cands: np.ndarray, observed: list[np.ndarray], sizes: list[int]) -> np.ndarray:
-    """Joint counts of each candidate row with the observed sequences, flattened: (m, cells)."""
-    m = cands.shape[0]
-    cells = math.prod(sizes)
-    obs_cell = np.ravel_multi_index([np.asarray(o, dtype=np.int64) for o in observed], sizes[1:])
-    # cell of (candidate r, position t), offset by r * cells so one bincount counts every row
-    cell = cands.astype(np.int64) * (cells // sizes[0]) + obs_cell
-    cell += np.arange(m, dtype=np.int64)[:, None] * cells
-    return np.bincount(cell.ravel(), minlength=m * cells).reshape(m, cells)
+def _candidate_joints(
+    seqs: np.ndarray, cands: np.ndarray, obs_cell: np.ndarray, sizes: list[int], start: int, stop: int
+) -> np.ndarray:
+    """Joint counts of rows ``start:stop`` of the (observation x candidate)
+    table, flattened: (stop - start, cells).
+
+    Row r pairs observation ``r // len(cands)`` with the sequence
+    ``seqs[cands[r % len(cands)]]``; ``obs_cell[o]`` is observation o's cell
+    among the reconstruction cells ``sizes[1:]`` at each position.
+    """
+    rows, cells = stop - start, math.prod(sizes)
+    o, k = np.divmod(np.arange(start, stop, dtype=np.int64), cands.size)
+    # cell of (row r, position t), offset by r * cells so one bincount counts every row
+    cell = seqs[cands[k]].astype(np.int64)
+    cell *= cells // sizes[0]
+    cell += obs_cell[o]
+    cell += np.arange(rows, dtype=np.int64)[:, None] * cells
+    return np.bincount(cell.ravel(), minlength=rows * cells).reshape(rows, cells)
 
 
 def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -273,6 +284,96 @@ class EndToEndResult:
     stages: dict = field(default_factory=dict)
 
 
+# cells of the attack chain's working arrays: the decoded observations held
+# at once (int8), and one chunk of (observation x candidate) joint rows,
+# counted as rows times the larger of n and the joint cells (int64)
+_OBS_CELLS = 1 << 16
+_JOINT_CELLS = 1 << 13
+
+
+class _ChainGuesser:
+    """The attack chain's type-based guesser, run on many decoded observations at once.
+
+    Only candidates whose x-type is the x-marginal of a feasible joint type
+    can match, so each observed type pairs its observations with those
+    candidates alone, in lexicographic order.
+    """
+
+    def __init__(self, ctx: _GuessContext, seqs: np.ndarray, target: GuessTarget) -> None:
+        self.ctx, self.seqs, self.target = ctx, seqs, target
+        n = seqs.shape[1]
+        # x-types as integers: the symbol counts in base n + 1
+        self._weights = (n + 1) ** np.arange(ctx.kx, dtype=np.int64)
+        self._x_code = np.zeros(seqs.shape[0], dtype=np.int64)
+        for s, w in enumerate(self._weights):
+            self._x_code += np.count_nonzero(seqs == s, axis=1) * w
+        self._draw: dict[bytes, float] = {}
+
+    def masses(self, observed: np.ndarray, wanted: list) -> tuple[np.ndarray, np.ndarray]:
+        """Per observation ``observed[e]`` ((m, layers, n): ``[xhat1]`` or
+        ``[xhat1, xhat2]`` per row), the guesser's probability of a candidate
+        with the target value ``wanted[e]``, and whether any candidate
+        matches at all.
+
+        A matched candidate is drawn with probability
+        ``1 / (|feasible| * class size)``; the draws of one (observation,
+        value) are summed in candidate order, across chunks of at most
+        ``_JOINT_CELLS`` cells.
+        """
+        ctx, seqs = self.ctx, self.seqs
+        m, layers, n = observed.shape
+        sizes = ctx.sizes[: layers + 1]
+        cells, obs_cells = math.prod(sizes), math.prod(sizes[1:])
+        # per row, each position's reconstruction cell and the row's type (its cell counts)
+        obs_cell = np.ravel_multi_index(tuple(observed.transpose(1, 0, 2).astype(np.int64)), sizes[1:])
+        offset = np.arange(m, dtype=np.int64)[:, None] * obs_cells
+        obs_type = np.bincount((obs_cell + offset).ravel(), minlength=m * obs_cells).reshape(m, obs_cells)
+        # distinct observations, sorted by type
+        order, starts = _group_rows(np.hstack([obs_type, obs_cell]))
+        which = np.empty(m, dtype=np.int64)
+        which[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=m))
+        first = order[starts]
+        d_type = obs_type[first]
+        type_lo = np.flatnonzero(np.concatenate([[True], (d_type[1:] != d_type[:-1]).any(axis=1)]))
+        # the (observation, value) masses asked for, summed as matches come
+        values: dict = {}
+        u = np.array([values.setdefault(v, len(values)) for v in wanted], dtype=np.int64)
+        queries, inverse = np.unique(which * len(values) + u, return_inverse=True)
+        mass = np.zeros(queries.size)
+        found = np.zeros(starts.size, dtype=bool)
+        step = max(1, _JOINT_CELLS // max(n, cells))
+        for lo, hi in zip(type_lo.tolist(), type_lo[1:].tolist() + [starts.size]):
+            feasible = ctx.feasible(list(observed[first[lo]].astype(np.int64)))
+            flat = feasible.reshape(len(feasible), cells)
+            x_codes = (flat.reshape(len(flat), ctx.kx, -1).sum(axis=2) * self._weights).sum(axis=1)
+            cands = np.flatnonzero(np.isin(self._x_code, x_codes))
+            block = obs_cell[first[lo:hi]]
+            for start in range(0, (hi - lo) * cands.size, step):
+                stop = min(start + step, (hi - lo) * cands.size)
+                joints = _candidate_joints(seqs, cands, block, sizes, start, stop)
+                hit = np.flatnonzero(_rows_in(joints, flat))
+                if hit.size == 0:
+                    continue
+                o, k = np.divmod(start + hit, cands.size)
+                found[lo + o] = True
+                p = np.array([self._draw_of(j, len(flat), sizes) for j in joints[hit]])
+                v = np.array([values.get(self.target.apply(tuple(s)), -1)
+                              for s in seqs[cands[k]].tolist()], dtype=np.int64)
+                key = (lo + o) * len(values) + v
+                pos = np.minimum(np.searchsorted(queries, key), queries.size - 1)
+                asked = np.flatnonzero((v >= 0) & (queries[pos] == key))
+                # bincount adds in input order: the running sums, then this chunk's draws
+                mass = np.bincount(np.concatenate([np.arange(queries.size), pos[asked]]),
+                                   weights=np.concatenate([mass, p[asked]]), minlength=queries.size)
+        return mass[inverse], found[which]
+
+    def _draw_of(self, joint: np.ndarray, n_feasible: int, sizes: list[int]) -> float:
+        key = joint.tobytes()
+        if key not in self._draw:
+            self._draw[key] = 1.0 / (n_feasible * _conditional_class_size(joint.reshape(sizes)))
+        return self._draw[key]
+
+
 def end_to_end_guess_probability(
     spec: SystemSpec,
     n: int,
@@ -283,10 +384,15 @@ def end_to_end_guess_probability(
 ) -> EndToEndResult:
     """Exact success probability of the full key-guess / decode / guess chain.
 
-    Enumerates every source sequence, true key pair, and guessed key pair;
-    the sequence-guess distribution is computed in closed form per decoded
-    reconstruction pair; the final stage applies the target's
-    maximum-posterior rule to the sequence candidate.
+    Enumerates every source sequence, true key pair and guessed key pair,
+    with one scalar ``encode`` per (sequence, true key pair) and one
+    ``decode`` (``decode_layer1`` for g1) per guessed pair.  The decoded
+    observations, at most ``_OBS_CELLS`` symbols at a time, go through one
+    guesser pass (:meth:`_ChainGuesser.masses`) that gives, in closed form, the
+    probability of a sequence candidate with the true target value; the
+    target's maximum-posterior rule is that value.  An erased observation,
+    or one no candidate explains, leaves the attacker the maximum-prior
+    guess.  The sums over key pairs and sequences run in enumeration order.
     """
     _require_codebook_matches(spec, n, cb)
     ctx = _GuessContext(cb.model)
@@ -298,59 +404,53 @@ def end_to_end_guess_probability(
     logp = np.log(np.maximum(spec.source.probs, 1e-300))
     seq_prob = np.exp(logp[seqs].sum(axis=1))
     key_prob = 1.0 / (cb.cap1 * cb.cap2)
+    keys = [KeyPair(k1, k2, cb.bits1, cb.bits2) for k1 in range(cb.cap1) for k2 in range(cb.cap2)]
+    layers = 1 if scheme.guesser == "g1" else 2
 
-    # per decoded pair: target-value mass under the sequence guesser
-    mass_cache: dict[bytes, dict[object, float]] = {}
+    rows = np.flatnonzero(seq_prob != 0.0)
+    per_row = len(keys) ** 2
 
-    def guess_mass(observed: list[np.ndarray]) -> dict[object, float]:
-        key = b"".join(o.tobytes() for o in observed)
-        if key in mass_cache:
-            return mass_cache[key]
-        observed = [np.asarray(o, dtype=np.int64) for o in observed]
-        feasible = ctx.feasible(observed)
-        sizes = ctx.sizes[: len(observed) + 1]
-        out: dict[object, float] = {}
-        if len(feasible):
-            joints = _candidate_joints(seqs, observed, sizes)
-            matched = _rows_in(joints, feasible.reshape(len(feasible), -1))
-            # only matched candidates contribute, in lexicographic order
-            for c in np.flatnonzero(matched):
-                p = 1.0 / (len(feasible) * _conditional_class_size(joints[c].reshape(sizes)))
-                u = scheme.target.apply(tuple(int(s) for s in seqs[c]))
-                out[u] = out.get(u, 0.0) + p
-        mass_cache[key] = out
-        return out
+    def decoded():
+        """(erased, reconstructions) of each evaluation, in enumeration order."""
+        for r in rows:
+            for true_keys in keys:
+                m1, m2 = encode(seqs[r], true_keys, cb)
+                for guessed in keys:
+                    if layers == 1:
+                        xhat1, erased = decode_layer1(m1, guessed, cb)
+                        yield erased, (xhat1,)
+                    else:
+                        out = decode(m1, m2, guessed, cb)
+                        yield out.erased, (out.xhat1, out.xhat2)
 
+    guesser = _ChainGuesser(ctx, seqs, scheme.target)
     fallback = scheme.target.prior_guess(spec.source, n)
-    total = 0.0
-    for row, px in zip(seqs, seq_prob):
-        if px == 0.0:
-            continue
-        u_true = scheme.target.apply(tuple(int(s) for s in row))
-        fallback_hit = 1.0 if fallback == u_true else 0.0
-        row_total = 0.0
-        for k1 in range(cb.cap1):
-            for k2 in range(cb.cap2):
-                true_keys = KeyPair(k1, k2, cb.bits1, cb.bits2)
-                m1, m2 = encode(row, true_keys, cb)
-                for g1k in range(cb.cap1):
-                    for g2k in range(cb.cap2):
-                        guessed = KeyPair(g1k, g2k, cb.bits1, cb.bits2)
-                        if scheme.guesser == "g1":
-                            xh1, erased = decode_layer1(m1, guessed, cb)
-                            observed = [xh1]
-                        else:
-                            out = decode(m1, m2, guessed, cb)
-                            observed, erased = [out.xhat1, out.xhat2], out.erased
-                        mass = None if erased else guess_mass(observed)
-                        if not mass:
-                            # the sequence stage produced no candidate: the
-                            # attacker still answers with the prior maximizer
-                            hit = fallback_hit
-                        else:
-                            hit = mass.get(u_true, 0.0)
-                        row_total += key_prob * key_prob * hit
-        total += float(px) * row_total
+    evals = decoded()
+    total = row_total = 0.0
+    chunk = max(1, _OBS_CELLS // (layers * n))
+    for start in range(0, rows.size * per_row, chunk):
+        stop = min(start + chunk, rows.size * per_row)
+        observed = np.zeros((stop - start, layers, n), dtype=np.int8)
+        erased = np.zeros(stop - start, dtype=bool)
+        for e, (gone, xhats) in enumerate(itertools.islice(evals, stop - start)):
+            erased[e] = gone
+            for layer, xhat in enumerate(xhats):
+                observed[e, layer] = xhat
+        # the true target value of each evaluation's sequence
+        first_row = start // per_row
+        u_true = [scheme.target.apply(tuple(s))
+                  for s in seqs[rows[first_row: (stop - 1) // per_row + 1]].tolist()]
+        of_row = np.arange(start, stop) // per_row - first_row
+        hits = np.asarray([1.0 if fallback == v else 0.0 for v in u_true])[of_row]
+        live = np.flatnonzero(~erased)
+        if live.size:
+            mass, found = guesser.masses(observed[live], [u_true[i] for i in of_row[live].tolist()])
+            hits[live[found]] = mass[found]
+        for g, hit in enumerate(hits.tolist(), start):
+            row_total += key_prob * key_prob * hit
+            if g % per_row == per_row - 1:
+                total += float(seq_prob[rows[g // per_row]]) * row_total
+                row_total = 0.0
     p_star = scheme.target.p_star(spec.source, n)
     return EndToEndResult(total, p_star, scheme, {"sequences": len(seqs)})
 

@@ -335,11 +335,20 @@ class CoverCodebook:
         return hit, pos
 
     def lookup(self, x: np.ndarray) -> tuple[int, int, int] | None:
-        """(book, y position, z position) of an in-ball sequence, None outside the ball."""
-        hit, pos = self._positions(np.asarray(x, dtype=np.int8).reshape(1, -1))
-        if not hit[0]:
+        """(book, y position, z position) of an in-ball sequence, None outside the ball.
+
+        One row of :meth:`_positions`, with the lexicographic index summed in
+        Python ints: a per-position numpy loop costs more than the search.
+        """
+        kx = self.spec.source.alphabet_size
+        index = 0
+        for s in np.asarray(x, dtype=np.int8).ravel().tolist():
+            if not 0 <= s < kx:
+                return None
+            index = index * kx + s
+        p = int(np.searchsorted(self._seq_index, index))
+        if p == self._seq_index.size or int(self._seq_index[p]) != index:
             return None
-        p = int(pos[0])
         return int(self._seq_book[p]), int(self._seq_ypos[p]), int(self._seq_zpos[p])
 
 

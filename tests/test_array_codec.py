@@ -15,8 +15,10 @@ import math
 import numpy as np
 import pytest
 
+import srleak.adversary as adversary
 import srleak.typecodec as typecodec
 from srleak.adversary import (
+    CONSTANT_TARGET,
     FIRST_SYMBOL_TARGET,
     IDENTITY_TARGET,
     GuessScheme,
@@ -323,6 +325,23 @@ def test_lookup_rejects_symbols_outside_the_alphabet():
     assert cb.lookup(np.array([0, 0, 0, 2])) is None
 
 
+def test_lookup_matches_the_array_path(book):
+    kx = book.spec.source.alphabet_size
+    rows = all_sequences(kx, book.n)
+    hit, pos = book._positions(rows)
+    assert hit.any() and not hit.all()
+    for row, h, p in zip(rows, hit.tolist(), pos.tolist()):
+        want = (int(book._seq_book[p]), int(book._seq_ypos[p]), int(book._seq_zpos[p])) if h else None
+        assert book.lookup(row) == want
+    # an in-ball row with one symbol outside the alphabet, at each position
+    for bad in (-1, kx):
+        for t in range(book.n):
+            outside = rows[hit].copy()
+            outside[:, t] = bad
+            assert not book._positions(outside)[0].any()
+            assert all(book.lookup(row) is None for row in outside)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo loop
 # ---------------------------------------------------------------------------
@@ -552,11 +571,58 @@ def test_feasible_g2_rate_filter_matches_loop(name, spec, n):
     assert removed > 0
 
 
-@pytest.mark.parametrize("name, spec, n", ATTACK_SPECS, ids=[a[0] for a in ATTACK_SPECS])
-@pytest.mark.parametrize("guesser, target", [("g1", FIRST_SYMBOL_TARGET), ("g2", IDENTITY_TARGET)])
-def test_end_to_end_matches_loop(name, spec, n, guesser, target):
+# every (guesser, target) pair; the constant and first-symbol targets sum many
+# unequal draws into one mass, so a change in summation order shows
+SCHEMES = [
+    ("g1", FIRST_SYMBOL_TARGET), ("g2", IDENTITY_TARGET), ("g1", IDENTITY_TARGET),
+    ("g2", FIRST_SYMBOL_TARGET), ("g1", CONSTANT_TARGET), ("g2", CONSTANT_TARGET),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def attack_case(name, guesser, target_name):
+    """The codebook of an ``ATTACK_SPECS`` entry and the loop chain's probability on it."""
+    _, spec, n = next(a for a in ATTACK_SPECS if a[0] == name)
+    target = next(t for _, t in SCHEMES if t.name == target_name)
     cb = build_codebook(spec, n, 0.5)
     scheme = GuessScheme(guesser, target)
+    return cb, scheme, loop_end_to_end(spec, n, cb, scheme, loop_g2_sets=name != "ternary")
+
+
+@pytest.mark.parametrize("name, spec, n", ATTACK_SPECS, ids=[a[0] for a in ATTACK_SPECS])
+@pytest.mark.parametrize("guesser, target", SCHEMES)
+def test_end_to_end_matches_loop(name, spec, n, guesser, target):
+    cb, scheme, want = attack_case(name, guesser, target.name)
     got = end_to_end_guess_probability(spec, n, cb, scheme).probability
     assert got > 0.0
-    assert got == loop_end_to_end(spec, n, cb, scheme, loop_g2_sets=name != "ternary")
+    assert got == want
+
+
+@pytest.mark.parametrize("name, spec, n", [a for a in ATTACK_SPECS if a[0] in ("binary-n6", "ternary")],
+                         ids=["binary-n6", "ternary"])
+@pytest.mark.parametrize("guesser, target", SCHEMES)
+@pytest.mark.parametrize("one_per_pass", [True, False], ids=["one-observation", "all-observations"])
+def test_end_to_end_chunk_boundaries(monkeypatch, name, spec, n, guesser, target, one_per_pass):
+    # joint chunks of 7 rows put chunk boundaries inside candidate blocks;
+    # with every observation in one guesser pass, chunks also span observations
+    cb, scheme, want = attack_case(name, guesser, target.name)
+    layers = 1 if guesser == "g1" else 2
+    cells = spec.source.alphabet_size * spec.d1.cols * (spec.d2.cols if layers == 2 else 1)
+    if one_per_pass:
+        monkeypatch.setattr(adversary, "_OBS_CELLS", layers * n)
+    monkeypatch.setattr(adversary, "_JOINT_CELLS", 7 * max(n, cells))
+    chunks = []
+    original = adversary._candidate_joints
+
+    def recorded(seqs, cands, obs_cell, sizes, start, stop):
+        chunks.append((len(obs_cell), cands.size, start, stop))
+        return original(seqs, cands, obs_cell, sizes, start, stop)
+
+    monkeypatch.setattr(adversary, "_candidate_joints", recorded)
+    assert end_to_end_guess_probability(spec, n, cb, scheme).probability == want
+    assert all(stop - start <= 7 for _, _, start, stop in chunks)
+    assert any(start % size for _, size, start, _ in chunks)
+    if one_per_pass:
+        assert all(observations == 1 for observations, _, _, _ in chunks)
+    else:
+        assert any(start // size != (stop - 1) // size for _, size, start, stop in chunks)
