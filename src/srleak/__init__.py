@@ -60,10 +60,8 @@ from .probcore import (
 from .rdsolver import (
     RdSolution,
     SumRateSolution,
-    binary_hamming_sum_rate,
     min_sum_rate,
     min_sum_rate_oracle,
-    rd_binary_hamming,
     rd_function,
 )
 from .typecodec import (
@@ -124,10 +122,8 @@ __all__ = [
     "type_class_probability",
     "RdSolution",
     "SumRateSolution",
-    "binary_hamming_sum_rate",
     "min_sum_rate",
     "min_sum_rate_oracle",
-    "rd_binary_hamming",
     "rd_function",
     "CoverCodebook",
     "KeyPair",

@@ -12,9 +12,9 @@ Subcommands:
   its converse bound.
 * ``reproduce``: pinned numerical checks with pass/fail verdicts.
 
-Outputs are deterministic for a fixed seed: floats are printed with 17
-significant digits, JSON keys are sorted, and wall-clock timings go to
-stderr only.
+Outputs are deterministic, ``simulate``'s for a fixed ``--seed``: floats are
+printed with 17 significant digits, JSON keys are sorted, and wall-clock
+timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -436,11 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_spec=True):
         if needs_spec:
             p.add_argument("--spec", required=True, help="operating-point JSON file")
-        p.add_argument(
-            "--seed", type=int, default=0,
-            help="seed of simulate's Monte-Carlo samples and sample key "
-                 "(every other command is deterministic)",
-        )
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
     p = sub.add_parser("rd", help="rate-distortion quantities at the operating point")
@@ -468,6 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="blocklength")
     p.add_argument("--delta", type=float, default=None, help="ball widening (default: rate margin / 2)")
     p.add_argument("--samples", type=int, default=0, help="Monte-Carlo error-rate samples")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the Monte-Carlo samples and the sample key")
     p.add_argument("--cache", default=None, help="codebook cache file path")
     p.set_defaults(func=cmd_simulate)
 
@@ -493,7 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CapExceededError as exc:
+    except (CapExceededError, MemoryError) as exc:
+        # an array too large for the machine (an oversized input) is a cap as well
         sys.stderr.write(f"resource cap exceeded: {exc}\n")
         return EXIT_CAP
     except (SrleakError, ValueError, OSError, json.JSONDecodeError) as exc:

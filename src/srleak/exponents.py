@@ -36,12 +36,12 @@ from .errors import RateConditionError
 from .probcore import (
     Distribution,
     DistortionMeasure,
+    binary_entropy,
     binary_kl,
     kl_divergence,
     type_count_vectors,
 )
-from .rdsolver import (RdSolution, binary_hamming_sum_rate, is_binary_hamming, min_sum_rate,
-                       rd_binary_hamming, rd_function)
+from .rdsolver import RdSolution, is_binary_hamming, min_sum_rate, rd_function
 
 Criterion = Literal["jep", "expected"]
 
@@ -436,15 +436,23 @@ def kl_ball_minimize(
 class RateModel:
     """R(Q, D1), R(Q, D2), the sum rate R(Q, R1, D1, D2) and the leakage objectives of a spec.
 
-    A binary source under Hamming measures uses the closed forms; any other
-    spec calls the solvers, once per candidate law: the sum-rate solver
-    reuses the model's R(Q, D1) and R(Q, D2) solutions.  For a binary source
-    the model also keeps the Bernoulli interval of each ball radius it searches.
+    A binary source under Hamming measures is successively refinable, so
+    R(q, D) = h(q) - h(D) below D = min(q, 1 - q), else 0, and the sum rate
+    is R(q, D2) once R1 reaches R(q, D1); any other spec calls the solvers,
+    once per candidate law: the sum-rate solver reuses the model's R(Q, D1)
+    and R(Q, D2) solutions.  For a binary source the model also keeps the
+    Bernoulli interval of each ball radius it searches.
     """
 
     def __init__(self, spec: SystemSpec) -> None:
         self.spec = spec
         self.closed_form = spec.is_binary_hamming
+        # layer -> (measure, level, h(level)); a level of 1/2 or more is never below
+        # min(q, 1 - q), so its rate is 0 and its h (undefined above 1) is never read
+        self._layers = {
+            layer: (d, D, binary_entropy(D) if self.closed_form and D < 0.5 else None)
+            for layer, d, D in ((1, spec.d1, spec.D1), (2, spec.d2, spec.D2))
+        }
         self._rd: dict[tuple[bytes, int], RdSolution] = {}
         self._sum: dict[bytes, float] = {}
         self._interval: dict[float, tuple[float, float]] = {}
@@ -452,22 +460,23 @@ class RateModel:
     def _rd_solution(self, q: Distribution, layer: int) -> RdSolution:
         key = (q.probs.tobytes(), layer)
         if key not in self._rd:
-            spec = self.spec
-            d, D = (spec.d1, spec.D1) if layer == 1 else (spec.d2, spec.D2)
+            d, D, _ = self._layers[layer]
             self._rd[key] = rd_function(q, d, D)
         return self._rd[key]
 
     def rd(self, q: Distribution, layer: int) -> float:
         """R(Q, D_layer) under the spec's measure for that layer."""
         if self.closed_form:
-            return rd_binary_hamming(float(q.probs[1]), self.spec.D1 if layer == 1 else self.spec.D2)
+            _, D, h_D = self._layers[layer]
+            p = float(q.probs[1])
+            return 0.0 if D >= min(p, 1.0 - p) else max(binary_entropy(p) - h_D, 0.0)
         return self._rd_solution(q, layer).value
 
     def sum_rate(self, q: Distribution) -> float:
         """Two-layer minimum sum rate; inf when R1 is below R(Q, D1)."""
         spec = self.spec
         if self.closed_form:
-            return binary_hamming_sum_rate(float(q.probs[1]), spec.R1, spec.D1, spec.D2)
+            return math.inf if spec.R1 < self.rd(q, 1) - 1e-9 else self.rd(q, 2)
         key = q.probs.tobytes()
         if key not in self._sum:
             self._sum[key] = min_sum_rate(q, spec.d1, spec.d2, spec.R1, spec.D1, spec.D2,

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, DimensionError
-from .probcore import Distribution, DistortionMeasure, binary_entropy, type_count_vectors
+from .probcore import Distribution, DistortionMeasure, type_count_vectors
 
 _LOG_FLOOR = 1e-300
 
@@ -393,32 +393,6 @@ def rd_function(
     status = _certified(value, lower)
     return RdSolution(value, _full_channel(keep, d.matrix, best), status, it,
                       value - lower, lower, s)
-
-
-def rd_binary_hamming(p: float, D: float) -> float:
-    """Closed-form binary-source Hamming rate-distortion function.
-
-    Degenerate sources (p of 0 or 1) need zero rate at any distortion level.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("rd_binary_hamming: source parameter must lie in [0, 1]")
-    if D < 0:
-        raise ValueError("rd_binary_hamming: distortion level must be nonnegative")
-    if D >= min(p, 1.0 - p):
-        return 0.0
-    return max(binary_entropy(p) - binary_entropy(D), 0.0)
-
-
-def binary_hamming_sum_rate(p: float, R1: float, D1: float, D2: float) -> float:
-    """Closed-form two-layer minimum sum rate for a binary source, Hamming pair.
-
-    Valid when the first-layer cap is loose enough to be feasible
-    (R1 >= R(p, D1)); the refinement then costs exactly R(p, D2).
-    """
-    need = rd_binary_hamming(p, D1)
-    if R1 < need - 1e-9:
-        return math.inf
-    return rd_binary_hamming(p, D2)
 
 
 _HAMMING2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -776,11 +750,12 @@ def min_sum_rate_oracle(
 
     Every conditional row is restricted to the grid with the given
     denominator; the minimum objective among feasible grid channels is
-    returned (inf when none is feasible).  Only tiny alphabets are
-    supported; a combinatorial guard refuses anything larger.
+    returned (inf when none is feasible).  Only binary sources with at most
+    three reconstruction letters per layer are supported; a combinatorial
+    guard refuses anything larger.
     """
-    if q.alphabet_size > 3 or d1.cols > 3 or d2.cols > 3:
-        raise CapExceededError("oracle only supports alphabet sizes up to 3")
+    if q.alphabet_size != 2 or d1.cols > 3 or d2.cols > 3:
+        raise CapExceededError("oracle only supports binary sources and at most 3 reconstructions")
     if grid > 24:
         raise CapExceededError("oracle only supports grid denominators up to 24")
     if d1.rows != q.alphabet_size or d2.rows != q.alphabet_size:
@@ -806,37 +781,22 @@ def min_sum_rate_oracle(
     skip_i1 = R1 >= math.log2(ka) - 1e-12
 
     best = math.inf
-    if kx == 2:
-        for start in range(0, m_rows, _ORACLE_CHUNK):
-            sl = slice(start, min(start + _ORACLE_CHUNK, m_rows))
-            r0 = rows[sl]
-            ed1 = px[0] * ed1_rows[sl, 0][:, None] + px[1] * ed1_rows[:, 1][None, :]
-            ed2 = px[0] * ed2_rows[sl, 0][:, None] + px[1] * ed2_rows[:, 1][None, :]
-            mask = (ed1 <= D1 + 1e-12) & (ed2 <= D2 + 1e-12)
-            if not mask.any():
-                continue
-            m = px[0] * r0[:, None, :] + px[1] * rows[None, :, :]
-            hm = -_xlog2x(m).sum(axis=2)
-            obj = hm - (px[0] * h_rows[sl][:, None] + px[1] * h_rows[None, :])
-            if not skip_i1:
-                ma = px[0] * rows_a[sl][:, None, :] + px[1] * rows_a[None, :, :]
-                hma = -_xlog2x(ma).sum(axis=2)
-                i1 = hma - (px[0] * h_rows_a[sl][:, None] + px[1] * h_rows_a[None, :])
-                mask &= i1 <= R1 + 1e-12
-            if mask.any():
-                best = min(best, float(obj[mask].min()))
-    else:
-        idx = [range(m_rows)] * kx
-        import itertools
-
-        for combo in itertools.product(*idx):
-            w = rows[list(combo)]
-            ed1 = float((px[:, None] * w * d1c).sum())
-            ed2 = float((px[:, None] * w * d2c).sum())
-            if ed1 > D1 + 1e-12 or ed2 > D2 + 1e-12:
-                continue
-            wa = w.reshape(kx, ka, kb).sum(axis=2)
-            if not skip_i1 and _mutual_information(px, wa) > R1 + 1e-12:
-                continue
-            best = min(best, _mutual_information(px, w))
+    for start in range(0, m_rows, _ORACLE_CHUNK):
+        sl = slice(start, min(start + _ORACLE_CHUNK, m_rows))
+        r0 = rows[sl]
+        ed1 = px[0] * ed1_rows[sl, 0][:, None] + px[1] * ed1_rows[:, 1][None, :]
+        ed2 = px[0] * ed2_rows[sl, 0][:, None] + px[1] * ed2_rows[:, 1][None, :]
+        mask = (ed1 <= D1 + 1e-12) & (ed2 <= D2 + 1e-12)
+        if not mask.any():
+            continue
+        m = px[0] * r0[:, None, :] + px[1] * rows[None, :, :]
+        hm = -_xlog2x(m).sum(axis=2)
+        obj = hm - (px[0] * h_rows[sl][:, None] + px[1] * h_rows[None, :])
+        if not skip_i1:
+            ma = px[0] * rows_a[sl][:, None, :] + px[1] * rows_a[None, :, :]
+            hma = -_xlog2x(ma).sum(axis=2)
+            i1 = hma - (px[0] * h_rows_a[sl][:, None] + px[1] * h_rows_a[None, :])
+            mask &= i1 <= R1 + 1e-12
+        if mask.any():
+            best = min(best, float(obj[mask].min()))
     return best

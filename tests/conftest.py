@@ -1,6 +1,6 @@
 """Finite-n covering bounds shared by the leakage-trend tests, and the
-test-only oracles the library does not need: the exact minimum cover and
-the type of one sequence.
+test-only oracles the library does not need: the exact minimum cover, the
+type of one sequence and the binary Hamming closed forms.
 
 Plain helpers only: this file defines no fixtures and no collection hooks.
 The tests import it as ``conftest``.
@@ -16,7 +16,8 @@ import numpy as np
 
 from srleak.errors import CodebookError
 from srleak.exponents import SystemSpec
-from srleak.probcore import TypeClass, enumerate_types, kl_divergence, type_class_members
+from srleak.probcore import (TypeClass, binary_entropy, enumerate_types, kl_divergence,
+                             type_class_members)
 from srleak.typecodec import _cover_matrix, key_bits
 
 
@@ -29,6 +30,28 @@ def sequence_type(seq: Sequence[int], alphabet_size: int) -> TypeClass:
         raise ValueError("sequence symbols outside the alphabet")
     counts = np.bincount(arr, minlength=alphabet_size)
     return TypeClass(int(arr.size), tuple(int(c) for c in counts))
+
+
+def rd_binary_hamming(p: float, D: float) -> float:
+    """Closed-form binary-source Hamming rate-distortion function.
+
+    Degenerate sources (p of 0 or 1) need zero rate at any distortion level.
+    """
+    if D >= min(p, 1.0 - p):
+        return 0.0
+    return max(binary_entropy(p) - binary_entropy(D), 0.0)
+
+
+def binary_hamming_sum_rate(p: float, R1: float, D1: float, D2: float) -> float:
+    """Closed-form two-layer minimum sum rate for a binary source, Hamming pair.
+
+    A binary Hamming source is successively refinable: once the first layer
+    is feasible (R1 >= R(p, D1), less the solver's 1e-9 cut), the two layers
+    together cost exactly R(p, D2).
+    """
+    if R1 < rd_binary_hamming(p, D1) - 1e-9:
+        return math.inf
+    return rd_binary_hamming(p, D2)
 
 
 def minimum_cover_size(cover: np.ndarray) -> int:

@@ -119,8 +119,7 @@ class TestCommands:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
             assert run([
-                "sweep", "--spec", spec_file, "--alpha-range", "0:0.3:20",
-                "--seed", "7", "--out", str(path),
+                "sweep", "--spec", spec_file, "--alpha-range", "0:0.3:20", "--out", str(path),
             ]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
@@ -222,6 +221,33 @@ class TestCommands:
         assert run([
             "adversary", "--spec", spec_file, "--n", "6", "--delta", "0.3",
         ]) == EXIT_CAP
+
+    # each input asks for an array beyond the 128 TiB user address space, so
+    # the allocation fails at once under any overcommit setting
+    @pytest.mark.parametrize("argv, spec", [
+        (["rd"], dict(FIG_SPEC, d1={"hamming": True, "cols": 10**14})),
+        (["sweep", "--alpha-range", f"0:0.3:{10**14}"], FIG_SPEC),
+        (["simulate", "--n", "6", "--samples", str(10**14)], FIG_SPEC),
+    ])
+    def test_refused_allocation_is_a_cap_exit(self, tmp_path, capsys, argv, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run([argv[0], "--spec", str(path), *argv[1:]]) == EXIT_CAP
+        assert capsys.readouterr().err.startswith("resource cap exceeded: Unable to allocate ")
+
+    # argparse refuses the flag before any file is read, so the spec need not exist
+    @pytest.mark.parametrize("argv", [
+        ["rd", "--spec", "s.json"],
+        ["exponents", "--spec", "s.json"],
+        ["sweep", "--spec", "s.json"],
+        ["region", "--spec", "s.json", "--L1", "1", "--L2", "1"],
+        ["adversary", "--spec", "s.json", "--n", "4"],
+        ["reproduce"],
+    ])
+    def test_seed_is_simulate_only(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--seed", "1"])
+        assert exc.value.code == EXIT_SPEC
 
     @pytest.mark.parametrize("command, name", [
         ("simulate", "SRLEAK_MAX_ENUM"),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 import types
 
 import numpy as np
@@ -31,7 +32,9 @@ from srleak.exponents import (
 )
 from srleak.probcore import (Distribution, DistortionMeasure, binary_entropy, binary_kl, entropy,
                              kl_divergence)
-from srleak.rdsolver import binary_hamming_sum_rate, min_sum_rate, rd_function
+from srleak.rdsolver import min_sum_rate, rd_function
+
+from conftest import binary_hamming_sum_rate, rd_binary_hamming
 
 
 def hb(p):
@@ -92,6 +95,42 @@ class TestRateModel:
             assert solver == pytest.approx(0.41230, abs=1e-5)
         else:
             assert math.isinf(model.sum_rate(q)) and math.isinf(closed) and math.isinf(solver)
+
+    def test_closed_form_reads_each_level_entropy_once(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return binary_entropy(p)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("srleak") and getattr(module, "binary_entropy", None) is binary_entropy:
+                monkeypatch.setattr(module, "binary_entropy", counted)
+        model = RateModel(FIG_SPEC)
+        # every law lies above both levels, so each rate takes the entropy branch
+        for p in np.linspace(0.25, 0.75, 100).tolist():
+            q = Distribution.bernoulli(p)
+            assert model.rd(q, 1) > 0.0 and model.rd(q, 2) > 0.0
+        # one h(q) per rate, plus h(D1) and h(D2) once per model
+        assert len(calls) <= 202
+
+    @pytest.mark.parametrize("R1", [1.0, 0.3, 0.0])
+    def test_closed_form_matches_the_reference_bit_for_bit(self, R1):
+        # D1 = 1/4 and D2 = 1/8 are hit exactly by the grid's min(p, 1 - p)
+        D1, D2 = 0.25, 0.125
+        model = RateModel(make_spec(D1=D1, D2=D2, R1=R1))
+        for p in np.linspace(0.0, 1.0, 33).tolist():
+            q = Distribution.bernoulli(p)
+            assert model.rd(q, 1) == rd_binary_hamming(p, D1)
+            assert model.rd(q, 2) == rd_binary_hamming(p, D2)
+            assert model.sum_rate(q) == binary_hamming_sum_rate(p, R1, D1, D2)
+
+    def test_closed_form_level_above_one(self):
+        # the entropy of a level above 1 is undefined; that layer's rate is 0 everywhere
+        spec = make_spec(D1=1.5)
+        model = RateModel(spec)
+        assert model.rd(spec.source, 1) == 0.0
+        assert model.rd(spec.source, 2) == rd_binary_hamming(0.3, 0.1)
 
     def test_solver_values_are_cached_per_law(self, monkeypatch):
         d3 = DistortionMeasure.hamming(3)

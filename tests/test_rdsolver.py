@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srleak.errors import CapExceededError
+from srleak.exponents import RateModel, SystemSpec
 from srleak.probcore import Distribution, DistortionMeasure
 from srleak.rdsolver import (
     _LOG_FLOOR,
@@ -15,12 +16,12 @@ from srleak.rdsolver import (
     _normalize_rows,
     _SumRateProblem,
     _xlog2x,
-    binary_hamming_sum_rate,
     min_sum_rate,
     min_sum_rate_oracle,
-    rd_binary_hamming,
     rd_function,
 )
+
+from conftest import rd_binary_hamming
 
 
 def hb(p: float) -> float:
@@ -287,10 +288,13 @@ class TestMinSumRate:
         assert sol.value == pytest.approx(closed, abs=2e-3)
 
     def test_closed_form_helper(self):
-        assert binary_hamming_sum_rate(0.35, 1.0, 0.25, 0.1) == pytest.approx(
-            hb(0.35) - hb(0.1), abs=1e-14
-        )
-        assert math.isinf(binary_hamming_sum_rate(0.35, 0.05, 0.25, 0.1))
+        q = Distribution.bernoulli(0.35)
+
+        def sum_rate(R1):
+            return RateModel(SystemSpec(q, H2, H2, 0.25, 0.1, R1, 1.0, 0.0, 0.0, 0.1)).sum_rate(q)
+
+        assert sum_rate(1.0) == pytest.approx(hb(0.35) - hb(0.1), abs=1e-14)
+        assert math.isinf(sum_rate(0.05))
 
     def test_oracle_agreement_random(self):
         rng = np.random.default_rng(5)
