@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -27,6 +27,7 @@ from .exponents import RateModel, SystemSpec
 from .probcore import (
     Distribution,
     all_sequences,
+    entropy,
     enumerate_types,
     kl_divergence,
     type_count_vectors,
@@ -35,6 +36,7 @@ from .typecodec import (
     CoverCodebook,
     KeyPair,
     _group_rows,
+    codebook_mismatch,
     decode,
     decode_layer1,
     encode,
@@ -238,20 +240,14 @@ def g2_success_probability(
     return _success_probability(x, [xhat1, xhat2], ctx or _GuessContext(RateModel(spec)))
 
 
-def _entropy_of_counts(counts: np.ndarray, n: int) -> float:
-    p = counts[counts > 0] / n
-    return float(-(p * np.log2(p)).sum())
-
-
 def g1_lower_bound(x, spec: SystemSpec) -> float:
     """Stated pointwise lower bound for the single-layer guesser."""
     x = np.asarray(x, dtype=np.int64)
     n = len(x)
     kx, ka = spec.source.alphabet_size, spec.d1.cols
-    counts = np.bincount(x, minlength=kx).astype(np.int64)
-    q = Distribution(counts.astype(np.float64) / n)
+    q = Distribution(np.bincount(x, minlength=kx) / n)
     b1 = (n + 1.0) ** (-(kx * ka * (kx + 1)))
-    return b1 * 2.0 ** (-n * (_entropy_of_counts(counts, n) - RateModel(spec).rd(q, 1)))
+    return b1 * 2.0 ** (-n * (entropy(q) - RateModel(spec).rd(q, 1)))
 
 
 def g2_lower_bound(x, spec: SystemSpec) -> float:
@@ -259,10 +255,9 @@ def g2_lower_bound(x, spec: SystemSpec) -> float:
     x = np.asarray(x, dtype=np.int64)
     n = len(x)
     kx, ka, kb = spec.source.alphabet_size, spec.d1.cols, spec.d2.cols
-    counts = np.bincount(x, minlength=kx).astype(np.int64)
-    q = Distribution(counts.astype(np.float64) / n)
+    q = Distribution(np.bincount(x, minlength=kx) / n)
     b2 = (n + 1.0) ** (-(kx * ka * kb))
-    return b2 * 2.0 ** (-n * (_entropy_of_counts(counts, n) - RateModel(spec).sum_rate(q)))
+    return b2 * 2.0 ** (-n * (entropy(q) - RateModel(spec).sum_rate(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +267,14 @@ def g2_lower_bound(x, spec: SystemSpec) -> float:
 
 def _require_codebook_matches(spec: SystemSpec, n: int, cb: CoverCodebook) -> None:
     """Refuse a codebook built for another operating point or blocklength."""
-    if spec != cb.spec or n != cb.n:
-        raise ValueError(f"codebook was built for another spec or blocklength (n = {cb.n}, not {n})")
+    if (mismatch := codebook_mismatch(cb, spec, n)) is not None:
+        raise ValueError(f"codebook was built for another spec or blocklength ({mismatch})")
 
 
 @dataclass
 class EndToEndResult:
     probability: float
     p_star: float
-    scheme: GuessScheme
-    stages: dict = field(default_factory=dict)
 
 
 # cells of the attack chain's working arrays: the decoded observations held
@@ -451,8 +444,7 @@ def end_to_end_guess_probability(
             if g % per_row == per_row - 1:
                 total += float(seq_prob[rows[g // per_row]]) * row_total
                 row_total = 0.0
-    p_star = scheme.target.p_star(spec.source, n)
-    return EndToEndResult(total, p_star, scheme, {"sequences": len(seqs)})
+    return EndToEndResult(total, scheme.target.p_star(spec.source, n))
 
 
 @dataclass

@@ -20,7 +20,6 @@ timings go to stderr only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -59,6 +58,7 @@ from .typecodec import (
     DEFAULT_ENUM_CAP,
     DEFAULT_SEQ_CAP,
     build_codebook,
+    codebook_mismatch,
     default_delta,
     jep_exact,
     jep_exponent_threshold,
@@ -236,13 +236,11 @@ def _require_cache_matches(cb, spec: SystemSpec, n: int, delta: float | None, pa
     """Refuse a cached codebook built for another operating point, n or delta."""
     if delta is None:
         delta = default_delta(cb.model)
-    checks = [(f.name, getattr(cb.spec, f.name), getattr(spec, f.name))
-              for f in dataclasses.fields(spec)]
-    checks += [("n", cb.n, n), ("delta", cb.delta, delta)]
-    for name, cached, wanted in checks:
-        if cached != wanted:
-            raise ValueError(f"codebook cache {path} was built for {name} = {cached!r}, "
-                             f"not {wanted!r}")
+    mismatch = codebook_mismatch(cb, spec, n)
+    if mismatch is None and cb.delta != delta:
+        mismatch = f"delta = {cb.delta!r}, not {delta!r}"
+    if mismatch is not None:
+        raise ValueError(f"codebook cache {path} was built for {mismatch}")
 
 
 def cmd_simulate(args) -> int:
@@ -296,7 +294,7 @@ def cmd_simulate(args) -> int:
             "joint_paths_agree": rep12.agree,
         },
         "invariants": {
-            "covering_verified": cb.verified,
+            "covering_verified": True,  # a CoverCodebook checks it when it is made
             "oracle_enabled": rep1.oracle_enabled and rep12.oracle_enabled,
         },
         "sample_key": [keys.k1, keys.k2],

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Literal
 
 import numpy as np
@@ -32,6 +32,7 @@ from .errors import CapExceededError, CodebookError, DimensionError, RateConditi
 from .exponents import RateModel, SystemSpec, max_rd_over_ball
 from .probcore import (
     Distribution,
+    DistortionMeasure,
     TypeClass,
     all_sequences,
     count_types,
@@ -49,8 +50,6 @@ Which = Literal["M1", "M1M2"]
 DEFAULT_SEQ_CAP = 1 << 22
 DEFAULT_COVER_CELLS = 150_000_000
 DEFAULT_ENUM_CAP = 1 << 24
-# largest blocklength jep_exponent_threshold tries
-_THRESHOLD_N_CAP = 1_000_000
 
 _MAGIC = b"SRCB"
 _VERSION = 1
@@ -196,7 +195,8 @@ class CoverCodebook:
     """Built two-layer codebook with its rate model, assignment and codec tables.
 
     Book type ids must be strictly increasing, and each must name its book's
-    counts in the order of :func:`type_count_vectors`; any other id raises
+    counts in the order of :func:`type_count_vectors`; any other id, books over
+    the message budgets and a covering violation (checked last) raise
     CodebookError.  ``members`` holds, per book, the members of its type
     class in lexicographic order (the rows ``member_assign`` refers to).
     The codec tables built from them are arrays:
@@ -226,15 +226,12 @@ class CoverCodebook:
         self.n = n
         self.delta = delta
         self.books = books
-        self.verified = False  # set by verify_covering
         self.bits1 = key_bits(n, spec.r1)
         self.bits2 = key_bits(n, spec.r2)
         self.cap1 = 1 << self.bits1
         self.cap2 = 1 << self.bits2
         kx = spec.source.alphabet_size
         self.total_types = count_types(n, kx)
-        self.type_field_bits = _ceil_log2(self.total_types)
-        self.inball_type_ids = {b.type_id for b in books}
         self.has_out_of_ball = len(books) < self.total_types
         if kx**n > np.iinfo(np.int64).max:
             raise CapExceededError(f"{kx}^{n} sequences exceed the int64 sequence index")
@@ -285,6 +282,9 @@ class CoverCodebook:
         self._realized_shapes = _group_rows(
             np.column_stack([self._seq_book, f["i"], f["wu"], f["u"], f["s2"]])
         )[1].size
+        del index, order, book, f  # free before the checks, which allocate their own temporaries
+        _check_budgets(self)
+        verify_covering(self)
 
     def _fields(self, k: np.ndarray, ypos: np.ndarray, zpos: np.ndarray) -> dict[str, np.ndarray]:
         """Bin arithmetic of ``encode`` for many (book, y position, z position) rows."""
@@ -573,8 +573,8 @@ def build_codebook(
     ``delta`` widens the divergence ball that selects which types get real
     codebooks; by default it is half the layer-1 rate margin.  Raises
     CodebookError when a type's rate requirement or the message-space budget
-    conflicts with the configured rates, naming the offending type.  The
-    covering is verified before the codebook is returned.
+    conflicts with the configured rates, naming the offending type; the
+    :class:`CoverCodebook` constructor checks the budgets and the covering.
 
     Each cover is computed only against the candidates of the types that can
     cover a member of the class (:func:`_reachable`), and the layer-2 covers
@@ -641,10 +641,7 @@ def build_codebook(
         books.append(_TypeBook(type_id, t.counts, y_codes, z_codes, assign))
         book_members.append(members)
 
-    cb = CoverCodebook(model, n, delta, books, members=book_members)
-    _check_budgets(cb)
-    verify_covering(cb)
-    return cb
+    return CoverCodebook(model, n, delta, books, members=book_members)
 
 
 def _lex_order(chrono: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -664,13 +661,21 @@ def _check_budgets(cb: CoverCodebook) -> None:
     ]
     for layer, message_count, rate, what, size in layers:
         m = message_count()
-        if math.log2(m + 1) > cb.n * rate + 1e-9:
-            biggest = max(cb.books, key=size, default=None)
-            name = biggest.counts if biggest else "(none)"
+        if math.log2(m + 1) > cb.n * rate + 1e-9:  # never with no books: m = 0
             raise CodebookError(
                 f"layer-{layer} messages ({m} patterns plus erasure) overflow 2^(n*R{layer}); "
-                f"largest {what} at type {name}"
+                f"largest {what} at type {max(cb.books, key=size).counts}"
             )
+
+
+def codebook_mismatch(cb: CoverCodebook, spec: SystemSpec, n: int) -> str | None:
+    """The first :class:`SystemSpec` field, then n, on which ``cb`` differs from
+    the ones asked for, as ``name = built!r, not asked!r``; None if none does."""
+    checks = [(f.name, getattr(cb.spec, f.name), getattr(spec, f.name)) for f in fields(SystemSpec)]
+    for name, built, asked in checks + [("n", cb.n, n)]:
+        if built != asked:
+            return f"{name} = {built!r}, not {asked!r}"
+    return None
 
 
 def verify_covering(cb: CoverCodebook) -> None:
@@ -698,7 +703,6 @@ def verify_covering(cb: CoverCodebook) -> None:
         raise CodebookError(
             f"covering violated at type {cb.books[k].counts}: distortions ({dist1}, {dist2})"
         )
-    cb.verified = True
 
 
 # ---------------------------------------------------------------------------
@@ -857,8 +861,6 @@ def jep_exact(cb: CoverCodebook) -> float:
     sequences always count as errors, so the probability is exactly the
     source mass of the out-of-ball types.
     """
-    if not cb.verified:
-        raise CodebookError("verify the covering before computing the exact error probability")
     return ball_complement_probability(cb.spec.source, cb.n, cb.spec.alpha + cb.delta)
 
 
@@ -871,12 +873,24 @@ def jep_exponent_threshold(alphabet_size: int, delta: float) -> int:
     """Smallest blocklength from which the type-counting bound beats 2^(-n*alpha).
 
     The comparison reduces to (n+1)^|X| <= 2^(n*delta), independent of alpha.
+    |X| log2(n+1) - n*delta is concave and 0 at n = 0, so the bound holds from
+    its smallest n on, which doubling brackets and integer bisection finds.
     """
     _require_delta(delta)
-    for n in range(1, _THRESHOLD_N_CAP + 1):
-        if alphabet_size * math.log2(n + 1) <= n * delta:
-            return n
-    raise CapExceededError("no blocklength below the cap satisfies the bound")
+
+    def holds(n: int) -> bool:
+        return alphabet_size * math.log2(n + 1) <= n * delta
+
+    lo, hi = 0, 1  # lo is 0 or fails the bound, hi meets it
+    try:
+        while not holds(hi):
+            lo, hi = hi, 2 * hi
+    except OverflowError:
+        raise CapExceededError(f"the threshold at delta = {delta!r} exceeds the float range") from None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def simulate_jep(cb: CoverCodebook, samples: int, rng: np.random.Generator) -> float:
@@ -1035,7 +1049,7 @@ def save_codebook(cb: CoverCodebook, path: str) -> None:
 
 
 def load_codebook(path: str) -> CoverCodebook:
-    """Read a codebook written by :func:`save_codebook` and re-verify it."""
+    """Read a codebook written by :func:`save_codebook`; the constructor re-verifies it."""
     with open(path, "rb") as fh:
         raw = fh.read()
     off = 0
@@ -1065,8 +1079,6 @@ def load_codebook(path: str) -> CoverCodebook:
     n, kx, ka, kb = struct.unpack("<HHHH", take(8))
     alpha, delta, D1, D2, R1, R2, r1, r2 = struct.unpack("<8d", take(64))
     source = Distribution(np.frombuffer(take(8 * kx), dtype="<f8"))
-    from .probcore import DistortionMeasure
-
     d1 = DistortionMeasure(np.frombuffer(take(8 * kx * ka), dtype="<f8").reshape(kx, ka))
     d2 = DistortionMeasure(np.frombuffer(take(8 * kx * kb), dtype="<f8").reshape(kx, kb))
     spec = SystemSpec(source, d1, d2, D1, D2, R1, R2, r1, r2, alpha)
@@ -1086,7 +1098,4 @@ def load_codebook(path: str) -> CoverCodebook:
         assign = np.frombuffer(take(8 * m), dtype="<u4").reshape(m, 2).astype(np.int64)
         books.append(_TypeBook(int(type_id), tuple(int(c) for c in counts), y_codes, z_codes, assign))
         members.append(type_class_members(TypeClass(n, books[-1].counts)))
-    cb = CoverCodebook(RateModel(spec), n, delta, books, members=members)
-    _check_budgets(cb)
-    verify_covering(cb)
-    return cb
+    return CoverCodebook(RateModel(spec), n, delta, books, members=members)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,13 @@ class TestEndToEnd:
             end_to_end_lower_bound(spec, 5, cb, 0.5, 0.5)
         with pytest.raises(ValueError, match="another spec or blocklength"):
             end_to_end_lower_bound(other, 4, cb, 0.5, 0.5)
+
+    def test_mismatch_names_the_field(self):
+        # r1 alone differs: the error names it with both values, not n
+        cb = build_codebook(make_spec(alpha=0.3), 4, delta=0.3)
+        with pytest.raises(ValueError, match=re.escape(
+                "codebook was built for another spec or blocklength (r1 = 0.0, not 0.25)")):
+            end_to_end_guess_probability(make_spec(alpha=0.3, r1=0.25), 4, cb)
 
     def test_chain_bound_rejects_nan_tau(self):
         spec = make_spec(alpha=0.3)

@@ -201,6 +201,13 @@ class TestCommands:
                         "--cache", str(cache), "--out", str(out)]) == EXIT_OK
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_simulate_at_a_small_delta(self, spec_file, tmp_path):
+        # the exponent threshold lies far beyond any blocklength a scan would try
+        out = tmp_path / "small.json"
+        assert run(["simulate", "--spec", spec_file, "--n", "6", "--delta", "1e-5",
+                    "--samples", "0", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["jep"]["exponent_threshold_n"] == 4_414_783
+
     def test_simulate_rejects_an_out_of_alphabet_cache(self, spec_file, tmp_path, capsys):
         cache = str(tmp_path / "book.srcb")
         args = ["simulate", "--spec", spec_file, "--n", "6", "--delta", "0.3", "--cache", cache]

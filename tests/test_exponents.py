@@ -11,7 +11,9 @@ from srleak.cli import load_system_spec, main
 from srleak.errors import RateConditionError
 from srleak.exponents import (
     RateModel,
+    _PLATEAU_TOL,
     _brentq,
+    _plateau_onset,
     _project_to_ball,
     RegionPoint,
     SystemSpec,
@@ -683,6 +685,24 @@ class TestPlateau:
     def test_uniform_source_zero(self):
         a1, a2 = leakage_plateau_thresholds(RateModel(make_spec(p=0.5)))
         assert a1 == 0.0 and a2 == 0.0
+
+    # the general-alphabet scan on synthetic nondecreasing curves: every
+    # solver curve a test checks is flat from 0 or reaches its plateau
+    # before the first scan radius, 1e-6
+    def test_scan_onset_of_a_flat_curve(self):
+        assert _plateau_onset(lambda a: 0.75, 2.0) == 0.0
+
+    @pytest.mark.parametrize("onset", [0.3, 1.7])
+    def test_scan_onset_past_the_first_radius(self, onset):
+        calls = []
+
+        def f(a):
+            calls.append(a)
+            return 0.25 + min(a, onset)
+
+        got = _plateau_onset(f, 2.0)
+        assert got == pytest.approx(onset, abs=_PLATEAU_TOL)
+        assert sum(a < onset for a in calls) > 2  # the scan missed before it hit
 
 
 class TestRegion:

@@ -1,11 +1,14 @@
 import hashlib
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srleak import rdsolver
 from srleak.errors import CapExceededError
 from srleak.exponents import RateModel, SystemSpec
 from srleak.probcore import Distribution, DistortionMeasure
@@ -213,6 +216,35 @@ class TestRdBracket:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             rd_function(Distribution.bernoulli(0.3), H2, math.nan)
+
+    def test_support_join_step_pinned(self):
+        # found by a seeded search over small laws and integer measures: a
+        # letter off the support has the largest c(y), but the Newton step
+        # keeps it out, so it joins by the one-letter step of _slope_solve.
+        # The bracket is the same on numpy's AVX-512 and baseline kernels
+        src, first = inspect.getsourcelines(rdsolver._slope_solve)
+        join_line = first + next(i for i, line in enumerate(src) if "e = min(0.5" in line)
+        joins = []
+
+        def lines(frame, event, arg):
+            if event == "line" and frame.f_lineno == join_line:
+                joins.append(frame.f_lineno)
+            return lines
+
+        def calls(frame, event, arg):
+            return lines if frame.f_code is rdsolver._slope_solve.__code__ else None
+
+        q = Distribution([0.56, 0.33, 0.11])
+        d = DistortionMeasure([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 3.0]])
+        outer = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            sol = rd_function(q, d, 0.24)
+        finally:
+            sys.settrace(outer)
+        assert joins
+        assert (repr(sol.value), repr(sol.lower), sol.status, sol.iterations) == (
+            "0.06536337843549989", "0.06536337843532514", "converged", 32)
 
 
 class TestSumRateInputs:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from srleak.errors import CapExceededError, CodebookError, SrleakError
-from srleak.exponents import SystemSpec
+from srleak import typecodec
+from srleak.exponents import RateModel, SystemSpec
 from srleak.probcore import (
     Distribution,
     DistortionMeasure,
@@ -17,6 +19,7 @@ from srleak.probcore import (
     type_class_probability,
 )
 from srleak.typecodec import (
+    CoverCodebook,
     KeyPair,
     M0_LAYER1,
     M0_LAYER2,
@@ -185,6 +188,48 @@ def test_codebook_bytes_pinned(name, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+class TestCodebookChecks:
+    """A CoverCodebook checks its message budgets and its covering when it is made."""
+
+    @staticmethod
+    def remake(cb, books, spec=None):
+        members = [type_class_members(TypeClass(cb.n, b.counts)) for b in books]
+        return CoverCodebook(RateModel(spec or cb.spec), cb.n, cb.delta, books, members=members)
+
+    @pytest.fixture
+    def cb(self):
+        return build_codebook(make_spec(r1=0.25, r2=0.25, alpha=0.12), 6, delta=0.2)
+
+    def test_books_of_a_built_codebook_pass(self, cb):
+        again = self.remake(cb, cb.books)
+        for which in ("M1", "M1M2"):
+            assert leakage_exact(again, which) == leakage_exact(cb, which)
+
+    def test_flipped_codeword_violates_the_covering(self, cb):
+        book = cb.books[0]
+        flipped = dataclasses.replace(book, y_codes=book.y_codes.copy())
+        flipped.y_codes[0] = 1 - flipped.y_codes[0]
+        with pytest.raises(CodebookError, match=r"^covering violated at type "):
+            self.remake(cb, [flipped, *cb.books[1:]])
+
+    def test_books_over_the_layer1_budget(self, cb):
+        spec = dataclasses.replace(cb.spec, R1=0.1)
+        with pytest.raises(CodebookError, match=r"^layer-1 messages \(\d+ patterns plus erasure\) "
+                                                r"overflow 2\^\(n\*R1\); largest codebook at type "):
+            self.remake(cb, cb.books, spec)
+
+    def test_one_covering_check_per_build_and_load(self, tmp_path, monkeypatch):
+        calls = []
+        original = typecodec.verify_covering
+        monkeypatch.setattr(typecodec, "verify_covering", lambda cb: calls.append(cb) or original(cb))
+        cb = build_codebook(make_spec(alpha=0.12), 6, delta=0.2)
+        assert calls == [cb]
+        path = str(tmp_path / "book.srcb")
+        save_codebook(cb, path)
+        loaded = load_codebook(path)
+        assert calls == [cb, loaded]
+
+
 class TestEncodeDecode:
     def test_out_of_ball_maps_to_erasure(self):
         spec = make_spec(alpha=0.01)
@@ -311,6 +356,35 @@ class TestJep:
         with pytest.raises(ValueError, match="delta must be positive"):
             jep_exponent_threshold(2, math.nan)
 
+    @staticmethod
+    def loop_threshold(k, delta):
+        """The threshold by its first definition: the first of n = 1, 2, ...
+        that meets the float test."""
+        n = 1
+        while not k * math.log2(n + 1) <= n * delta:
+            n += 1
+        return n
+
+    def test_exponent_threshold_matches_the_loop(self):
+        rng = np.random.default_rng(21)
+        pairs = [(int(rng.integers(1, 7)), float(10 ** rng.uniform(-2, math.log10(16))))
+                 for _ in range(300)]
+        # deltas on the bound itself, where the float test decides
+        pairs += [(k, k * math.log2(n + 1) / n) for k in (1, 2, 3, 5) for n in (1, 2, 7, 100, 3001)]
+        for k, delta in pairs:
+            assert jep_exponent_threshold(k, delta) == self.loop_threshold(k, delta), (k, delta)
+
+    @pytest.mark.parametrize("delta, n_star", [(1e-5, 4_414_783), (1e-12, 92_798_328_093_445)])
+    def test_exponent_threshold_at_small_delta(self, delta, n_star):
+        # far beyond any blocklength a scan would reach; the bound first holds at n_star
+        assert jep_exponent_threshold(2, delta) == n_star
+        assert 2 * math.log2(n_star + 1) <= n_star * delta
+        assert not 2 * math.log2(n_star) <= (n_star - 1) * delta
+
+    def test_exponent_threshold_beyond_the_float_range(self):
+        with pytest.raises(CapExceededError, match="float range"):
+            jep_exponent_threshold(2, 1e-306)
+
     def test_monte_carlo_agrees(self):
         spec = make_spec(alpha=0.08)
         cb = build_codebook(spec, 10, delta=0.04)
@@ -396,7 +470,7 @@ class TestSerialization:
         loaded = load_codebook(path)
         assert loaded.n == cb.n
         assert loaded.delta == cb.delta
-        assert loaded.inball_type_ids == cb.inball_type_ids
+        assert [b.type_id for b in loaded.books] == [b.type_id for b in cb.books]
         for which in ("M1", "M1M2"):
             assert leakage_exact(loaded, which) == leakage_exact(cb, which)
         rng = np.random.default_rng(3)
