@@ -235,6 +235,11 @@ class CoverCodebook:
         self.has_out_of_ball = len(books) < self.total_types
         if kx**n > np.iinfo(np.int64).max:
             raise CapExceededError(f"{kx}^{n} sequences exceed the int64 sequence index")
+        for layer, bits in ((1, self.bits1), (2, self.bits2)):
+            if bits > 62:
+                raise CapExceededError(
+                    f"a layer-{layer} key of {bits} bits exceeds the 62-bit int64 key field"
+                )
 
         self._y_count = np.array([len(b.y_codes) for b in books], dtype=np.int64)
         self._y_offset = _offsets(self._y_count)
@@ -897,28 +902,66 @@ def simulate_jep(cb: CoverCodebook, samples: int, rng: np.random.Generator) -> f
     """Monte-Carlo estimate of the end-to-end error rate of encode/decode.
 
     Draws every source block first, then one key pair per block, which is
-    the order (and the generator stream) of a per-sample loop that draws its
-    keys with :func:`sample_keys`.  Each block is encoded with its keys,
-    decoded with the same keys, and counts as an error when erased or when
+    the order (and the generator stream) of a per-sample loop that draws
+    each block with ``rng.choice(k, size=n, p=probs)`` and its keys with
+    :func:`sample_keys`.  A block is an error when it is erased or when
     either reconstruction misses its distortion target.
+
+    The blocks are drawn as ``rng.choice`` draws them: by the inverse of
+    ``cdf``, ``probs.cumsum()`` divided by its last entry, at ``rng.random``
+    uniforms.  A symbol is the number of ``cdf[:-1]`` entries at or below
+    its uniform, which is ``searchsorted(cdf, u, side="right")`` since
+    ``u < 1 = cdf[-1]``.  Only each block's lexicographic index is kept.
+
+    Whether a draw errs depends on its (block, k1, k2) row alone, so each
+    distinct row is encoded, decoded and checked once and counts as often
+    as it was drawn.  The rows are grouped by sorting one mixed-radix int64
+    code per draw when ``k^n * cap1 * cap2`` fits in it.  Otherwise each
+    draw is its own row with count 1: with that many key pairs per block,
+    repeated draws are too rare to pay for a wider grouping.  Either way
+    the error count is the same integer, so the estimate is the per-draw
+    loop's float.
     """
     if samples < 1:
         raise ValueError(f"Monte-Carlo sample count must be positive, got {samples}")
     spec, n = cb.spec, cb.n
-    seqs = np.empty((samples, n), dtype=np.int8)
+    kx = spec.source.alphabet_size
+    cdf = spec.source.probs.cumsum()
+    cdf /= cdf[-1]
+    index = np.empty(samples, dtype=np.int64)
     for start in range(0, samples, _CODEC_CHUNK):
-        stop = min(start + _CODEC_CHUNK, samples)
-        seqs[start:stop] = rng.choice(
-            spec.source.alphabet_size, size=(stop - start, n), p=spec.source.probs
-        )
+        u = rng.random((min(_CODEC_CHUNK, samples - start), n))
+        symbols = np.zeros(u.shape, dtype=np.min_scalar_type(kx - 1))
+        for edge in cdf[:-1]:
+            symbols += u >= edge
+        index[start:start + u.shape[0]] = _lex_index(symbols, kx)
     keys = rng.integers(0, [cb.cap1, cb.cap2], size=(samples, 2))
+    if kx**n * cb.cap1 * cb.cap2 <= 2**63:
+        code = index
+        code *= cb.cap1
+        code += keys[:, 0]
+        code *= cb.cap2
+        code += keys[:, 1]
+        del keys  # before the sort: the codes hold the keys now
+        code.sort()
+        starts = np.flatnonzero(np.concatenate([[True], code[1:] != code[:-1]]))
+        counts = np.diff(starts, append=samples)
+        code, k2 = np.divmod(code[starts], cb.cap2)
+        index, k1 = np.divmod(code, cb.cap1)
+    else:
+        k1, k2 = keys.T
+        counts = np.ones(samples, dtype=np.int64)
+    weights = kx ** np.arange(n - 1, -1, -1, dtype=np.int64)
     errors = 0
-    for start in range(0, samples, _CODEC_CHUNK):
-        block, k1, k2 = seqs[start:start + _CODEC_CHUNK], *keys[start:start + _CODEC_CHUNK].T
-        erased, xhat1, xhat2 = _decode_array(cb, _encode_array(cb, block, k1, k2), k1, k2)
+    for start in range(0, index.size, _CODEC_CHUNK):
+        sl = slice(start, start + _CODEC_CHUNK)
+        block = (index[sl, None] // weights % kx).astype(np.int8)
+        erased, xhat1, xhat2 = _decode_array(
+            cb, _encode_array(cb, block, k1[sl], k2[sl]), k1[sl], k2[sl]
+        )
         d1 = spec.d1.matrix[block, xhat1].sum(axis=1) / n
         d2 = spec.d2.matrix[block, xhat2].sum(axis=1) / n
-        errors += int(np.count_nonzero(erased | (d1 > spec.D1 + 1e-9) | (d2 > spec.D2 + 1e-9)))
+        errors += int(counts[sl][erased | (d1 > spec.D1 + 1e-9) | (d2 > spec.D2 + 1e-9)].sum())
     return errors / samples
 
 

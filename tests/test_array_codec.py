@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -356,6 +357,39 @@ def test_simulate_jep_matches_per_sample_loop(book, samples):
         assert rng_batch.integers(0, 1 << 62) == rng_loop.integers(0, 1 << 62)
 
 
+# (name, spec, n, delta, samples) beyond the fixture, one per way simulate_jep
+# groups its draws: 28-bit keys at binary n = 8, where 2^8 * 2^56 codes do not
+# fit int64 and every draw is its own row, and the widest keys, 62 bits; more
+# distinct rows than one codec chunk; and a middle mass of 1e-20, which
+# vanishes in the cdf (equal entries)
+MC_BOOKS = [
+    ("wide-keys", binary(r1=3.5, r2=3.5), 8, 0.1, typecodec._CODEC_CHUNK + 333),
+    ("62-bit-keys", binary(r1=15.5, r2=15.5), 4, 0.3, 500),
+    ("many-rows", ternary(r1=0.15, r2=0.15), 7, 0.05, 20_000),
+    ("vanishing-mass", SystemSpec(Distribution([0.45, 1e-20, 0.55]), H3, H3, 0.3, 0.1,
+                                  1.6, 1.6, 0.2, 0.2, 0.1), 5, 0.05, 3000),
+]
+
+
+@pytest.mark.parametrize("name, spec, n, delta, samples", MC_BOOKS, ids=[c[0] for c in MC_BOOKS])
+def test_simulate_jep_groupings_match_per_sample_loop(name, spec, n, delta, samples):
+    cb = build_codebook(spec, n, delta)
+    kx, probs = spec.source.alphabet_size, spec.source.probs
+    assert (kx**n * cb.cap1 * cb.cap2 > 2**63) == name.endswith("-keys")
+    if name == "many-rows":
+        rng = np.random.default_rng(3)
+        seqs = rng.choice(kx, size=(samples, n), p=probs)
+        keys = rng.integers(0, [cb.cap1, cb.cap2], size=(samples, 2))
+        distinct = _group_rows(np.column_stack([seqs, keys]))[1].size
+        assert distinct > typecodec._CODEC_CHUNK
+    if name == "vanishing-mass":
+        assert probs.cumsum()[0] == probs.cumsum()[1]
+    for seed in (3, 29):
+        rng_loop, rng_batch = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert simulate_jep(cb, samples, rng_batch) == loop_simulate_jep(cb, samples, rng_loop)
+        assert rng_batch.integers(0, 1 << 62) == rng_loop.integers(0, 1 << 62)
+
+
 def test_simulate_jep_counts_distortion_failures():
     # a codebook whose layer-2 codewords are replaced by their negation
     # decodes every in-ball block outside D2, so every sample errs
@@ -508,6 +542,24 @@ def test_sequence_index_must_fit_int64():
     spec = binary()
     with pytest.raises(CapExceededError, match="int64 sequence index"):
         CoverCodebook(RateModel(spec), 64, 0.1, [], members=[])
+
+
+@pytest.mark.parametrize("layer, r1, r2", [(1, 15.75, 0.0), (2, 0.0, 15.75)])
+def test_keys_must_fit_62_bits(tmp_path, layer, r1, r2):
+    # floor(4 * 15.75) = 63 key bits; the codec's key fields are int64
+    with pytest.raises(CapExceededError, match=f"layer-{layer} key of 63 bits"):
+        build_codebook(binary(r1=r1, r2=r2), 4, 0.3)
+    cb = build_codebook(binary(r1=15.5, r2=15.5), 4, 0.3)
+    assert (cb.bits1, cb.bits2) == (62, 62)
+    # a saved keyless codebook whose key rate is rewritten to 63 bits does not load
+    path = tmp_path / "book.srcb"
+    save_codebook(build_codebook(binary(), 4, 0.3), str(path))
+    raw = bytearray(path.read_bytes())
+    # header: magic, version, four sizes, then alpha, delta, D1, D2, R1, R2, r1, r2
+    struct.pack_into("<2d", raw, 4 + 2 + 8 + 6 * 8, r1, r2)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CapExceededError, match=f"layer-{layer} key of 63 bits"):
+        load_codebook(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,15 @@ class TestCommands:
             "adversary", "--spec", spec_file, "--n", "6", "--delta", "0.3",
         ]) == EXIT_CAP
 
+    def test_simulate_key_wider_than_62_bits_is_a_cap_exit(self, tmp_path, capsys):
+        # floor(6 * 10.5) = 63 layer-1 key bits do not fit the int64 key field
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(FIG_SPEC, r1=10.5)))
+        assert run(["simulate", "--spec", str(path), "--n", "6", "--delta", "0.3"]) == EXIT_CAP
+        assert capsys.readouterr().err == (
+            "resource cap exceeded: a layer-1 key of 63 bits exceeds the 62-bit int64 key field\n"
+        )
+
     # each input asks for an array beyond the 128 TiB user address space, so
     # the allocation fails at once under any overcommit setting
     @pytest.mark.parametrize("argv, spec", [
