@@ -311,11 +311,23 @@ def type_class_members(t: TypeClass) -> np.ndarray:
     return rows
 
 
+def lex_index(rows: np.ndarray, k: int) -> np.ndarray:
+    """Lexicographic index of each row among all sequences of its length over k symbols."""
+    index = np.zeros(rows.shape[0], dtype=np.int64)
+    for t in range(rows.shape[1]):
+        index *= k
+        index += rows[:, t]
+    return index
+
+
+def lex_rows(index: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The length-n rows over k symbols, int8, at the given lexicographic indices."""
+    return (index[:, None] // k ** np.arange(n - 1, -1, -1, dtype=np.int64) % k).astype(np.int8)
+
+
 def all_sequences(alphabet_size: int, n: int, max_sequences: int = 1 << 22) -> np.ndarray:
     """All length-n sequences over the alphabet, lexicographic, as (k^n, n) int8."""
     total = alphabet_size**n
     if total > max_sequences:
         raise CapExceededError(f"{total} sequences exceed the cap of {max_sequences}")
-    idx = np.arange(total, dtype=np.int64)[:, None]
-    weights = alphabet_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((idx // weights) % alphabet_size).astype(np.int8)
+    return lex_rows(np.arange(total, dtype=np.int64), alphabet_size, n)

@@ -38,6 +38,8 @@ from .probcore import (
     count_types,
     enumerate_types,
     kl_divergence,
+    lex_index,
+    lex_rows,
     type_class_members,
     type_class_probability,
     type_count_vectors,
@@ -197,9 +199,10 @@ class CoverCodebook:
     Book type ids must be strictly increasing, and each must name its book's
     counts in the order of :func:`type_count_vectors`; any other id, books over
     the message budgets and a covering violation (checked last) raise
-    CodebookError.  ``members`` holds, per book, the members of its type
-    class in lexicographic order (the rows ``member_assign`` refers to).
-    The codec tables built from them are arrays:
+    CodebookError, and symbols, indices or keys too wide for the codec's
+    fields raise CapExceededError.  ``members`` holds, per book, the members
+    of its type class in lexicographic order (the rows ``member_assign``
+    refers to).  The codec tables built from them are arrays:
 
     * ``_seq_index``: sorted lexicographic indices of the in-ball sequences,
       with ``_seq_book``, ``_seq_ypos`` and ``_seq_zpos`` aligned to it;
@@ -233,13 +236,7 @@ class CoverCodebook:
         kx = spec.source.alphabet_size
         self.total_types = count_types(n, kx)
         self.has_out_of_ball = len(books) < self.total_types
-        if kx**n > np.iinfo(np.int64).max:
-            raise CapExceededError(f"{kx}^{n} sequences exceed the int64 sequence index")
-        for layer, bits in ((1, self.bits1), (2, self.bits2)):
-            if bits > 62:
-                raise CapExceededError(
-                    f"a layer-{layer} key of {bits} bits exceeds the 62-bit int64 key field"
-                )
+        _require_codec_widths(spec, n)
 
         self._y_count = np.array([len(b.y_codes) for b in books], dtype=np.int64)
         self._y_offset = _offsets(self._y_count)
@@ -261,7 +258,6 @@ class CoverCodebook:
         self._book_of_type[self._book_type_id] = np.arange(len(books))
 
         index = [np.zeros(0, dtype=np.int64)]
-        book = [np.zeros(0, dtype=np.int64)]
         assign = [np.zeros((0, 2), dtype=np.int64)]
         for k, (b, rows) in enumerate(zip(books, members)):
             a = b.member_assign
@@ -271,13 +267,12 @@ class CoverCodebook:
                 raise CodebookError(f"assignment of type {b.counts} names a missing codeword")
             if np.any((a[:, 1] < 0) | (a[:, 1] >= self._z_count[self._y_offset[k] + a[:, 0]])):
                 raise CodebookError(f"assignment of type {b.counts} names a missing codeword")
-            index.append(_lex_index(rows, kx))
-            book.append(np.full(rows.shape[0], k, dtype=np.int64))
+            index.append(lex_index(rows, kx))
             assign.append(a)
         index = np.concatenate(index)
         order = np.argsort(index, kind="stable")
         self._seq_index = index[order]
-        self._seq_book = np.concatenate(book)[order]
+        self._seq_book = np.repeat(np.arange(len(books)), [len(a) for a in assign[1:]])[order]
         positions = np.ascontiguousarray(np.concatenate(assign)[order].T, dtype=np.int64)
         self._seq_ypos, self._seq_zpos = positions
 
@@ -287,7 +282,7 @@ class CoverCodebook:
         self._realized_shapes = _group_rows(
             np.column_stack([self._seq_book, f["i"], f["wu"], f["u"], f["s2"]])
         )[1].size
-        del index, order, book, f  # free before the checks, which allocate their own temporaries
+        del index, order, f  # free before the checks, which allocate their own temporaries
         _check_budgets(self)
         verify_covering(self)
 
@@ -330,20 +325,18 @@ class CoverCodebook:
     def total_z_codewords(self) -> int:
         return len(self._Z)
 
-    def _positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per sequence row: whether it is in the ball, and its row in the codec tables."""
-        kx = self.spec.source.alphabet_size
-        index = _lex_index(rows, kx)
+    def _locate(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per lexicographic index: whether its sequence is in the ball, and its codec-table row."""
         pos = np.searchsorted(self._seq_index, index)
-        hit = (pos < self._seq_index.size) & ((rows >= 0) & (rows < kx)).all(axis=1)
+        hit = pos < self._seq_index.size
         hit[hit] = self._seq_index[pos[hit]] == index[hit]
         return hit, pos
 
     def lookup(self, x: np.ndarray) -> tuple[int, int, int] | None:
         """(book, y position, z position) of an in-ball sequence, None outside the ball.
 
-        One row of :meth:`_positions`, with the lexicographic index summed in
-        Python ints: a per-position numpy loop costs more than the search.
+        :meth:`_locate` of one sequence, with the lexicographic index summed
+        in Python ints: a per-position numpy loop costs more than the search.
         """
         kx = self.spec.source.alphabet_size
         index = 0
@@ -362,15 +355,6 @@ _CHUNK_CELLS = 250_000
 _GAIN_BLOCK = 256
 # rows per batch of the array codec (Monte-Carlo draws, oracle, verification)
 _CODEC_CHUNK = 4096
-
-
-def _lex_index(rows: np.ndarray, k: int) -> np.ndarray:
-    """Lexicographic index of each row among all sequences of its length over k symbols."""
-    index = np.zeros(rows.shape[0], dtype=np.int64)
-    for t in range(rows.shape[1]):
-        index *= k
-        index += rows[:, t]
-    return index
 
 
 def _half_table(dmat: np.ndarray, length: int) -> np.ndarray:
@@ -403,7 +387,7 @@ def _candidate_types(candidates: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     (the first candidate in index order) per type."""
     n = candidates.shape[1]
     counts = np.stack([np.count_nonzero(candidates == s, axis=1) for s in range(k)], axis=1)
-    _, first, of = np.unique(_lex_index(counts, n + 1), return_index=True, return_inverse=True)
+    _, first, of = np.unique(lex_index(counts, n + 1), return_index=True, return_inverse=True)
     return of.ravel(), candidates[first]
 
 
@@ -484,13 +468,13 @@ def _cover_matrix(
     near_at = _prefix_counts(left_vals, right_vals, budget + band).astype(rank_type)
     # per half: rows indexed by candidate half, columns by member
     left_rank = left_rank.reshape(kc**h, kx**h)
-    left_cols = _lex_index(members[:, :h], kx)
+    left_cols = lex_index(members[:, :h], kx)
     sure_left = np.take(sure_at[left_rank], left_cols, axis=1)
     near_left = np.take(near_at[left_rank], left_cols, axis=1) if (near_at != sure_at).any() else None
     right_rank = right_rank.reshape(kc ** (n - h), kx ** (n - h)).astype(rank_type)
-    right = np.take(right_rank, _lex_index(members[:, h:], kx), axis=1)
-    cand_left = _lex_index(candidates[:, :h], kc)
-    cand_right = _lex_index(candidates[:, h:], kc)
+    right = np.take(right_rank, lex_index(members[:, h:], kx), axis=1)
+    cand_left = lex_index(candidates[:, :h], kc)
+    cand_right = lex_index(candidates[:, h:], kc)
     chunk = max(1, _CHUNK_CELLS // max(n_members, 1))
     rows = min(chunk, candidates.shape[0])
     thr_buf = np.empty((rows, n_members), dtype=rank_type)
@@ -558,6 +542,19 @@ def default_delta(model: RateModel) -> float:
     return 0.5 * margin
 
 
+def _require_codec_widths(spec: SystemSpec, n: int) -> None:
+    """Refuse a code whose symbols, sequence indices or keys overflow the codec's int fields."""
+    kx = spec.source.alphabet_size
+    for size in (kx, spec.d1.cols, spec.d2.cols):
+        if size > 127:
+            raise CapExceededError(f"a {size}-letter alphabet exceeds the codec's 127-symbol limit")
+    if kx**n > np.iinfo(np.int64).max:
+        raise CapExceededError(f"{kx}^{n} sequences exceed the int64 sequence index")
+    for layer, bits in ((1, key_bits(n, spec.r1)), (2, key_bits(n, spec.r2))):
+        if bits > 62:
+            raise CapExceededError(f"a layer-{layer} key of {bits} bits exceeds the 62-bit int64 key field")
+
+
 def _require_delta(delta: float) -> None:
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -590,6 +587,7 @@ def build_codebook(
         raise ValueError("blocklength must be positive")
     kx = spec.source.alphabet_size
     ka, kb = spec.d1.cols, spec.d2.cols
+    _require_codec_widths(spec, n)
     for size in (kx, ka, kb):
         if size**n > max_sequences:
             raise CapExceededError(f"{size}^{n} sequences exceed the cap of {max_sequences}")
@@ -690,13 +688,10 @@ def verify_covering(cb: CoverCodebook) -> None:
     order with the distortions a per-sequence sum gives.
     """
     spec, n = cb.spec, cb.n
-    kx = spec.source.alphabet_size
-    weights = kx ** np.arange(n - 1, -1, -1, dtype=np.int64)
     bad: list[tuple[int, int, float, float]] = []
     for start in range(0, cb._seq_index.size, _CODEC_CHUNK):
         sl = slice(start, start + _CODEC_CHUNK)
-        # the sequences back from their lexicographic indices
-        rows = ((cb._seq_index[sl, None] // weights) % kx).astype(np.int8)
+        rows = lex_rows(cb._seq_index[sl], spec.source.alphabet_size, n)
         g = cb._y_offset[cb._seq_book[sl]] + cb._seq_ypos[sl]
         dist1 = spec.d1.matrix[rows, cb._Y[g]].sum(axis=1) / n
         dist2 = spec.d2.matrix[rows, cb._Z[cb._z_offset[g] + cb._seq_zpos[sl]]].sum(axis=1) / n
@@ -788,10 +783,10 @@ def decode(
     return DecodeResult(b.y_codes[ypos].copy(), z_codes[u * cb.cap2 + v].copy(), False)
 
 
-def _encode_array(cb: CoverCodebook, seqs: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> _Messages:
-    """:func:`encode` of each row of ``seqs`` under the keys ``(k1[r], k2[r])``."""
-    m = seqs.shape[0]
-    hit, pos = cb._positions(seqs)
+def _encode_array(cb: CoverCodebook, index: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> _Messages:
+    """:func:`encode` of the sequence of lexicographic index ``index[r]`` under ``(k1[r], k2[r])``."""
+    m = index.size
+    hit, pos = cb._locate(index)
     out = _Messages(
         erasure=~hit, type_id=np.full(m, -1, dtype=np.int64),
         bin1=np.zeros(m, np.int64), cipher1=np.zeros(m, np.int64), width1=np.zeros(m, np.int64),
@@ -915,8 +910,9 @@ def simulate_jep(cb: CoverCodebook, samples: int, rng: np.random.Generator) -> f
 
     Whether a draw errs depends on its (block, k1, k2) row alone, so each
     distinct row is encoded, decoded and checked once and counts as often
-    as it was drawn.  The rows are grouped by sorting one mixed-radix int64
-    code per draw when ``k^n * cap1 * cap2`` fits in it.  Otherwise each
+    as it was drawn; only its distortion sums read the block's symbols.
+    The rows are grouped by sorting one mixed-radix int64 code per draw
+    when ``k^n * cap1 * cap2`` fits in it.  Otherwise each
     draw is its own row with count 1: with that many key pairs per block,
     repeated draws are too rare to pay for a wider grouping.  Either way
     the error count is the same integer, so the estimate is the per-draw
@@ -934,7 +930,7 @@ def simulate_jep(cb: CoverCodebook, samples: int, rng: np.random.Generator) -> f
         symbols = np.zeros(u.shape, dtype=np.min_scalar_type(kx - 1))
         for edge in cdf[:-1]:
             symbols += u >= edge
-        index[start:start + u.shape[0]] = _lex_index(symbols, kx)
+        index[start:start + u.shape[0]] = lex_index(symbols, kx)
     keys = rng.integers(0, [cb.cap1, cb.cap2], size=(samples, 2))
     if kx**n * cb.cap1 * cb.cap2 <= 2**63:
         code = index
@@ -951,14 +947,12 @@ def simulate_jep(cb: CoverCodebook, samples: int, rng: np.random.Generator) -> f
     else:
         k1, k2 = keys.T
         counts = np.ones(samples, dtype=np.int64)
-    weights = kx ** np.arange(n - 1, -1, -1, dtype=np.int64)
     errors = 0
     for start in range(0, index.size, _CODEC_CHUNK):
         sl = slice(start, start + _CODEC_CHUNK)
-        block = (index[sl, None] // weights % kx).astype(np.int8)
-        erased, xhat1, xhat2 = _decode_array(
-            cb, _encode_array(cb, block, k1[sl], k2[sl]), k1[sl], k2[sl]
-        )
+        msgs = _encode_array(cb, index[sl], k1[sl], k2[sl])
+        erased, xhat1, xhat2 = _decode_array(cb, msgs, k1[sl], k2[sl])
+        block = lex_rows(index[sl], kx, n)
         d1 = spec.d1.matrix[block, xhat1].sum(axis=1) / n
         d2 = spec.d2.matrix[block, xhat2].sum(axis=1) / n
         errors += int(counts[sl][erased | (d1 > spec.D1 + 1e-9) | (d2 > spec.D2 + 1e-9)].sum())
@@ -994,8 +988,9 @@ def leakage_oracle(cb: CoverCodebook, which: Which, *, max_enum: int = DEFAULT_E
     largest conditional probability, by exhaustive enumeration of sequences
     and keys.
 
-    Each conditional probability is a count of keys over the key count, a
-    power of two, so every sum involved is exact and its order is free.
+    Sequences are enumerated as lexicographic indices.  Each conditional
+    probability is a count of keys over the key count, a power of two, so
+    every sum involved is exact and its order is free.
     """
     if which not in ("M1", "M1M2"):
         raise ValueError(f"unknown leakage target {which!r}")
@@ -1003,24 +998,18 @@ def leakage_oracle(cb: CoverCodebook, which: Which, *, max_enum: int = DEFAULT_E
     kx = spec.source.alphabet_size
     cap2 = cb.cap2 if which == "M1M2" else 1
     keyspace = cb.cap1 * cap2
-    if kx**n * keyspace > max_enum:
+    total = kx**n * keyspace
+    if total > max_enum:
         raise CapExceededError(
             f"{kx}^{n} sequences times {keyspace} keys exceed the enumeration cap {max_enum}"
         )
-    seqs = all_sequences(kx, n, max_enum)
-    k1 = np.repeat(np.arange(cb.cap1, dtype=np.int64), cap2)
-    k2 = np.tile(np.arange(cap2, dtype=np.int64), cb.cap1)
-    step = max(1, _CODEC_CHUNK // keyspace)
+    step = max(1, _CODEC_CHUNK // keyspace) * keyspace  # whole sequences, all their key pairs
     msgs, tops = [], []
-    for start in range(0, seqs.shape[0], step):
-        block = seqs[start:start + step]
-        reps = len(block)
-        fields = _encode_array(
-            cb, np.repeat(block, keyspace, axis=0), np.tile(k1, reps), np.tile(k2, reps)
-        ).columns(which)
-        owner = np.repeat(np.arange(reps, dtype=np.int64), keyspace)
+    for start in range(0, total, step):
+        index, key = np.divmod(np.arange(start, min(start + step, total), dtype=np.int64), keyspace)
+        k1, k2 = np.divmod(key, cap2)
         # keys per (sequence, message), then the largest count per message
-        keyed = np.column_stack([owner, fields])
+        keyed = np.column_stack([index, _encode_array(cb, index, k1, k2).columns(which)])
         order, starts = _group_rows(keyed)
         counts = np.diff(starts, append=order.size)
         block_msgs, top = _max_by_row(keyed[order[starts], 1:], counts)
@@ -1063,8 +1052,6 @@ def save_codebook(cb: CoverCodebook, path: str) -> None:
     spec = cb.spec
     kx = spec.source.alphabet_size
     ka, kb = spec.d1.cols, spec.d2.cols
-    if max(kx, ka, kb) > 255:
-        raise CodebookError("serialization supports alphabets up to 255 symbols")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))

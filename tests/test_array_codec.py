@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -275,31 +276,33 @@ def message_row(msgs, r):
 # ---------------------------------------------------------------------------
 
 
-def every_row_and_key_pair(cb):
-    """All sequences (in and out of the ball) times all key pairs."""
-    seqs = all_sequences(cb.spec.source.alphabet_size, cb.n)
+def every_index_and_key_pair(cb):
+    """The lexicographic index of every sequence (in and out of the ball)
+    times all key pairs."""
+    total = cb.spec.source.alphabet_size**cb.n
     k1, k2 = np.divmod(np.arange(cb.cap1 * cb.cap2), cb.cap2)
     reps = len(k1)
-    return np.repeat(seqs, reps, axis=0), np.tile(k1, len(seqs)), np.tile(k2, len(seqs))
+    return np.repeat(np.arange(total), reps), np.tile(k1, total), np.tile(k2, total)
 
 
 def test_array_encode_matches_scalar(book):
-    rows, k1, k2 = every_row_and_key_pair(book)
-    msgs = _encode_array(book, rows, k1, k2)
+    index, k1, k2 = every_index_and_key_pair(book)
+    seqs = all_sequences(book.spec.source.alphabet_size, book.n)
+    msgs = _encode_array(book, index, k1, k2)
     assert msgs.erasure.any() and not msgs.erasure.all()
-    for r in range(len(rows)):
+    for r in range(len(index)):
         keys = KeyPair(int(k1[r]), int(k2[r]), book.bits1, book.bits2)
-        assert message_row(msgs, r) == encode(rows[r], keys, book), r
+        assert message_row(msgs, r) == encode(seqs[index[r]], keys, book), r
 
 
 def test_array_decode_with_wrong_keys_matches_scalar(book):
-    rows, k1, k2 = every_row_and_key_pair(book)
-    msgs = _encode_array(book, rows, k1, k2)
+    index, k1, k2 = every_index_and_key_pair(book)
+    msgs = _encode_array(book, index, k1, k2)
     # decode each message under every key pair, the true one included
     for shift in range(book.cap1 * book.cap2):
         g1, g2 = np.divmod((k1 * book.cap2 + k2 + shift) % (book.cap1 * book.cap2), book.cap2)
         erased, xhat1, xhat2 = _decode_array(book, msgs, g1, g2)
-        for r in range(len(rows)):
+        for r in range(len(index)):
             m1, m2 = message_row(msgs, r)
             out = decode(m1, m2, KeyPair(int(g1[r]), int(g2[r]), book.bits1, book.bits2), book)
             assert erased[r] == out.erased, r
@@ -307,13 +310,13 @@ def test_array_decode_with_wrong_keys_matches_scalar(book):
 
 
 def test_array_decode_rejects_bad_messages(book):
-    rows, k1, k2 = every_row_and_key_pair(book)
-    kept = np.flatnonzero(~_encode_array(book, rows, k1, k2).erasure)[:1]
-    msgs = _encode_array(book, rows[kept], k1[kept], k2[kept])
+    index, k1, k2 = every_index_and_key_pair(book)
+    kept = np.flatnonzero(~_encode_array(book, index, k1, k2).erasure)[:1]
+    msgs = _encode_array(book, index[kept], k1[kept], k2[kept])
     msgs.type_id[:] = book.total_types
     with pytest.raises(CodebookError, match="unknown type id"):
         _decode_array(book, msgs, k1[kept], k2[kept])
-    msgs = _encode_array(book, rows[kept], k1[kept], k2[kept])
+    msgs = _encode_array(book, index[kept], k1[kept], k2[kept])
     msgs.bin1[:] = -1
     with pytest.raises(CodebookError, match="bin index out of range"):
         _decode_array(book, msgs, k1[kept], k2[kept])
@@ -329,7 +332,7 @@ def test_lookup_rejects_symbols_outside_the_alphabet():
 def test_lookup_matches_the_array_path(book):
     kx = book.spec.source.alphabet_size
     rows = all_sequences(kx, book.n)
-    hit, pos = book._positions(rows)
+    hit, pos = book._locate(np.arange(kx**book.n))
     assert hit.any() and not hit.all()
     for row, h, p in zip(rows, hit.tolist(), pos.tolist()):
         want = (int(book._seq_book[p]), int(book._seq_ypos[p]), int(book._seq_zpos[p])) if h else None
@@ -339,7 +342,6 @@ def test_lookup_matches_the_array_path(book):
         for t in range(book.n):
             outside = rows[hit].copy()
             outside[:, t] = bad
-            assert not book._positions(outside)[0].any()
             assert all(book.lookup(row) is None for row in outside)
 
 
@@ -494,6 +496,18 @@ def test_verify_covering_names_first_violation():
     )
 
 
+def test_constructor_rejects_an_assignment_table_short_of_its_class():
+    cb = build_codebook(binary(), 6, 0.3)
+    members = [typecodec.type_class_members(typecodec.TypeClass(6, b.counts)) for b in cb.books]
+    books = list(cb.books)
+    books[-1] = dataclasses.replace(books[-1], member_assign=books[-1].member_assign[:-1])
+    want = f"assignment table of type {books[-1].counts} does not match its class"
+    with pytest.raises(CodebookError, match=re.escape(want)):
+        CoverCodebook(cb.model, 6, cb.delta, books, members=members)
+    # the same books with their full tables construct
+    CoverCodebook(cb.model, 6, cb.delta, list(cb.books), members=members)
+
+
 def test_load_rejects_assignment_to_missing_codeword(tmp_path):
     cb = build_codebook(binary(), 6, 0.3)
     cb.books[0].member_assign[0, 0] = len(cb.books[0].y_codes)
@@ -542,6 +556,30 @@ def test_sequence_index_must_fit_int64():
     spec = binary()
     with pytest.raises(CapExceededError, match="int64 sequence index"):
         CoverCodebook(RateModel(spec), 64, 0.1, [], members=[])
+
+
+def wide_alphabet(source, cols1, cols2):
+    """Hamming measures over a uniform source, their columns widened."""
+    return SystemSpec(Distribution.uniform(source), DistortionMeasure.hamming(source, cols1),
+                      DistortionMeasure.hamming(source, cols2), 0.5, 0.0, 9.0, 9.0, 0.0, 0.0, 8.0)
+
+
+# 200 letters wrap in the int8 symbol field: 127 + 1 reads as -128
+@pytest.mark.parametrize("sizes", [(200, 200, 200), (2, 200, 2), (2, 2, 128)])
+def test_alphabets_must_fit_int8_symbols(monkeypatch, sizes):
+    spec = wide_alphabet(*sizes)
+    want = f"a {max(sizes)}-letter alphabet exceeds the codec's 127-symbol limit"
+    with pytest.raises(CapExceededError, match=want):
+        CoverCodebook(RateModel(spec), 1, 1.0, [], members=[])
+    # the build refuses before it enumerates a candidate
+    monkeypatch.setattr(typecodec, "all_sequences", None)
+    with pytest.raises(CapExceededError, match=want):
+        build_codebook(spec, 1, 1.0)
+
+
+def test_a_127_letter_alphabet_fits():
+    cb = CoverCodebook(RateModel(wide_alphabet(127, 127, 127)), 1, 1.0, [], members=[])
+    assert cb.total_types == 127
 
 
 @pytest.mark.parametrize("layer, r1, r2", [(1, 15.75, 0.0), (2, 0.0, 15.75)])

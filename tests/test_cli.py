@@ -219,6 +219,23 @@ class TestCommands:
         assert run(args) == EXIT_SPEC
         assert capsys.readouterr().err.startswith("error: layer-1 codeword of type ")
 
+    def test_simulate_beyond_the_oracle_cap_prints_closed_forms_alone(self, spec_file, tmp_path,
+                                                                      monkeypatch):
+        # 2^6 sequences times the key pairs exceed an enumeration cap of 1
+        args = ["simulate", "--spec", spec_file, "--n", "6", "--delta", "0.3", "--samples", "0"]
+        full, capped = tmp_path / "full.json", tmp_path / "capped.json"
+        assert run(args + ["--out", str(full)]) == EXIT_OK
+        monkeypatch.setenv("SRLEAK_MAX_ENUM", "1")
+        assert run(args + ["--out", str(capped)]) == EXIT_OK
+        full, capped = json.loads(full.read_text()), json.loads(capped.read_text())
+        assert full["invariants"]["oracle_enabled"] is True
+        assert capped["invariants"]["oracle_enabled"] is False
+        for field in ("m1_oracle", "m1_paths_agree", "joint_oracle", "joint_paths_agree"):
+            assert capped["leakage_bits"].pop(field) is None
+            full["leakage_bits"].pop(field)
+        del full["invariants"]["oracle_enabled"], capped["invariants"]["oracle_enabled"]
+        assert capped == full
+
     def test_simulate_cap_exit(self, spec_file, tmp_path, monkeypatch):
         monkeypatch.setenv("SRLEAK_MAX_SEQUENCES", "4")
         assert run([
@@ -236,6 +253,16 @@ class TestCommands:
         assert run(["simulate", "--spec", str(path), "--n", "6", "--delta", "0.3"]) == EXIT_CAP
         assert capsys.readouterr().err == (
             "resource cap exceeded: a layer-1 key of 63 bits exceeds the 62-bit int64 key field\n"
+        )
+
+    def test_simulate_alphabet_beyond_int8_symbols_is_a_cap_exit(self, tmp_path, capsys):
+        # at n = 1 every symbol covers itself; the refusal replaces a false covering failure
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(FIG_SPEC, source=[1 / 200] * 200, D1=0.5, D2=0.0,
+                                        R1=9.0, R2=9.0, r1=0.0, r2=0.0, alpha=8.0)))
+        assert run(["simulate", "--spec", str(path), "--n", "1", "--delta", "1"]) == EXIT_CAP
+        assert capsys.readouterr().err == (
+            "resource cap exceeded: a 200-letter alphabet exceeds the codec's 127-symbol limit\n"
         )
 
     # each input asks for an array beyond the 128 TiB user address space, so

@@ -17,6 +17,8 @@ from srleak.exponents import (
     _project_to_ball,
     RegionPoint,
     SystemSpec,
+    VERDICT_BETWEEN,
+    VERDICT_OUTSIDE,
     binary_ball_interval,
     binary_plateau_alpha,
     criterion_radius,
@@ -717,6 +719,16 @@ class TestRegion:
         b = region_boundary(RateModel(spec), "jep")
         verdict = region_check(b, RegionPoint(max(b.lambda1 - 0.01, 0.0), 5.0))
         assert verdict == "outside_outer"
+
+    def test_between_the_inner_and_outer_joint_floors(self):
+        # r1 above the layer-1 rate clamps the inner floor's first term at 0,
+        # while the outer floor subtracts all of r1
+        spec = make_spec(r1=0.5, r2=0.0)
+        b = region_boundary(RateModel(spec), "jep")
+        assert b.lambda2_in > b.lambda2_out + 0.2 and not b.matched
+        for l2 in (b.lambda2_out, 0.5 * (b.lambda2_in + b.lambda2_out)):
+            assert region_check(b, RegionPoint(b.lambda1, l2)) == VERDICT_BETWEEN
+        assert region_check(b, RegionPoint(b.lambda1, b.lambda2_out - 0.01)) == VERDICT_OUTSIDE
 
     def test_nan_budget_rejected(self):
         with pytest.raises(ValueError, match="leakage budgets"):

@@ -17,6 +17,8 @@ from srleak.probcore import (
     enumerate_types,
     expected_distortion,
     kl_divergence,
+    lex_index,
+    lex_rows,
     type_class_members,
     type_class_probability,
     type_count_vectors,
@@ -293,3 +295,31 @@ class TestAllSequences:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             all_sequences(2, 30)
+
+
+class TestLexIndex:
+    # (k, n) with k^n <= 2^62: the widest blocklengths of two, three and 127
+    # letters, then seeded alphabets, each at its longest and a short length
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(23)
+        fixed = [(2, 62), (3, 39), (127, 8), (127, 1)]
+        drawn = []
+        for k in rng.integers(2, 128, size=4).tolist():
+            longest = max(n for n in range(1, 63) if k**n <= 2**62)
+            drawn += [(k, longest), (k, int(rng.integers(1, longest + 1)))]
+        return fixed + drawn
+
+    def test_index_rows_index_round_trip(self):
+        rng = np.random.default_rng(5)
+        for k, n in self.cases():
+            top = k**n - 1
+            index = np.concatenate([[0, 1, top - 1, top], rng.integers(0, top, size=200, endpoint=True)])
+            rows = lex_rows(index, k, n)
+            assert rows.dtype == np.int8 and rows.shape == (index.size, n)
+            assert rows.min() >= 0 and rows.max() < k
+            assert np.array_equal(lex_index(rows, k), index), (k, n)
+            # the top index is the last symbol everywhere; each row spells its index
+            assert rows[3].tolist() == [k - 1] * n
+            for i, row in zip(index[:8].tolist(), rows[:8].tolist()):
+                assert sum(s * k ** (n - 1 - t) for t, s in enumerate(row)) == i
