@@ -294,12 +294,8 @@ class _ChainGuesser:
 
     def __init__(self, ctx: _GuessContext, seqs: np.ndarray, target: GuessTarget) -> None:
         self.ctx, self.seqs, self.target = ctx, seqs, target
-        n = seqs.shape[1]
-        # x-types as integers: the symbol counts in base n + 1
-        self._weights = (n + 1) ** np.arange(ctx.kx, dtype=np.int64)
-        self._x_code = np.zeros(seqs.shape[0], dtype=np.int64)
-        for s, w in enumerate(self._weights):
-            self._x_code += np.count_nonzero(seqs == s, axis=1) * w
+        # x-types as rows of symbol counts, matched whole: no packing to overflow
+        self._x_type = np.stack([np.count_nonzero(seqs == s, axis=1) for s in range(ctx.kx)], axis=1)
         self._draw: dict[bytes, float] = {}
 
     def masses(self, observed: np.ndarray, wanted: list) -> tuple[np.ndarray, np.ndarray]:
@@ -338,8 +334,7 @@ class _ChainGuesser:
         for lo, hi in zip(type_lo.tolist(), type_lo[1:].tolist() + [starts.size]):
             feasible = ctx.feasible(list(observed[first[lo]].astype(np.int64)))
             flat = feasible.reshape(len(feasible), cells)
-            x_codes = (flat.reshape(len(flat), ctx.kx, -1).sum(axis=2) * self._weights).sum(axis=1)
-            cands = np.flatnonzero(np.isin(self._x_code, x_codes))
+            cands = np.flatnonzero(_rows_in(self._x_type, flat.reshape(len(flat), ctx.kx, -1).sum(axis=2)))
             block = obs_cell[first[lo:hi]]
             for start in range(0, (hi - lo) * cands.size, step):
                 stop = min(start + step, (hi - lo) * cands.size)

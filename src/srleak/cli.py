@@ -269,7 +269,7 @@ def cmd_simulate(args) -> int:
         "delta": cb.delta,
         "key_bits": [cb.bits1, cb.bits2],
         "codebook": {
-            "in_ball_types": len(cb.books),
+            "in_ball_types": cb.type_ids.size,
             "total_types": cb.total_types,
             "layer1_codewords": cb.total_y_codewords(),
             "layer2_codewords": cb.total_z_codewords(),

@@ -137,13 +137,11 @@ def _key_prefix_array(key: np.ndarray, total_bits: int, width: np.ndarray) -> np
     return key >> np.maximum(total_bits - width, 0)
 
 
-@dataclass
-class _TypeBook:
-    type_id: int
-    counts: tuple[int, ...]
-    y_codes: np.ndarray             # (ny, n) int8, lexicographic
-    z_codes: list[np.ndarray]       # per y codeword, (nz, n) int8, lexicographic
-    member_assign: np.ndarray       # (m, 2) int64: y position, z position per member
+# one in-ball type's code as build_codebook and load_codebook hand it over:
+# type id, layer-1 codewords (ny, n), per layer-1 codeword its layer-2
+# codewords (nz, n), both int8 and lexicographic, and per class member its
+# (lexicographic index, y position, z position) as an (m, 3) int64 row
+_Block = tuple[int, np.ndarray, list[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -189,21 +187,19 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
-def _stack(blocks: list[np.ndarray], n: int) -> np.ndarray:
-    return np.concatenate(blocks) if blocks else np.zeros((0, n), dtype=np.int8)
-
-
 class CoverCodebook:
-    """Built two-layer codebook with its rate model, assignment and codec tables.
+    """Built two-layer codebook: its rate model and one set of codec tables.
 
-    Book type ids must be strictly increasing, and each must name its book's
-    counts in the order of :func:`type_count_vectors`; any other id, books over
-    the message budgets and a covering violation (checked last) raise
-    CodebookError, and symbols, indices or keys too wide for the codec's
-    fields raise CapExceededError.  ``members`` holds, per book, the members
-    of its type class in lexicographic order (the rows ``member_assign``
-    refers to).  The codec tables built from them are arrays:
+    The constructor stacks one ``_Block`` per in-ball type into the tables
+    and keeps nothing else, so each codeword, assignment and type is held
+    once.  Block type ids other than the ball's at ``alpha + delta`` in id
+    order, an assignment to a missing codeword, books over the message
+    budgets and a covering violation (checked last) raise CodebookError;
+    symbols, indices or keys too wide for the codec's fields raise
+    CapExceededError.  The tables are arrays:
 
+    * ``type_ids``/``type_counts``: per book, its type's id and its row of
+      :func:`type_count_vectors`;
     * ``_seq_index``: sorted lexicographic indices of the in-ball sequences,
       with ``_seq_book``, ``_seq_ypos`` and ``_seq_zpos`` aligned to it;
     * ``_y_count``/``_y_offset``: layer-1 codewords per book and where they
@@ -213,68 +209,57 @@ class CoverCodebook:
     * ``_book_of_type``: type id to book index, -1 for out-of-ball types.
 
     The counts fix the bin layout: bins of ``cap`` codewords, the last one
-    short, each field ``ceil(log2 size)`` bits wide.  The array codec and the
-    message-space accounting read it from ``_y_count`` and ``_z_count``; the
-    scalar :func:`encode` and :func:`decode` redo the arithmetic per call, as
-    the reference the array codec is tested against.
+    short, each field ``ceil(log2 size)`` bits wide.  Every reader takes it
+    from ``_y_count`` and ``_z_count``; the scalar :func:`encode` and
+    :func:`decode` redo the arithmetic per call, as the reference the array
+    codec is tested against.
 
     ``model`` is the :class:`RateModel` the codebook was built with (a loaded
     codebook makes one); the attack chain and the CLI reuse it.
     """
 
-    def __init__(self, model: RateModel, n: int, delta: float, books: list[_TypeBook],
-                 *, members: list[np.ndarray]) -> None:
+    def __init__(self, model: RateModel, n: int, delta: float, blocks: list[_Block]) -> None:
         self.model = model
         self.spec = spec = model.spec
         self.n = n
         self.delta = delta
-        self.books = books
         self.bits1 = key_bits(n, spec.r1)
         self.bits2 = key_bits(n, spec.r2)
         self.cap1 = 1 << self.bits1
         self.cap2 = 1 << self.bits2
         kx = spec.source.alphabet_size
         self.total_types = count_types(n, kx)
-        self.has_out_of_ball = len(books) < self.total_types
+        self.has_out_of_ball = len(blocks) < self.total_types
         _require_codec_widths(spec, n)
 
-        self._y_count = np.array([len(b.y_codes) for b in books], dtype=np.int64)
+        ids = [b[0] for b in blocks]
+        ball = [type_id for type_id, _ in _ball_types(spec, n, delta)]
+        if ids != ball:
+            raise CodebookError(f"codebook type ids {ids} are not the in-ball type ids {ball}")
+        self.type_ids = np.array(ids, dtype=np.int64)
+        self.type_counts = type_count_vectors(n, kx)[self.type_ids]
+        self._book_of_type = np.full(self.total_types, -1, dtype=np.int64)
+        self._book_of_type[self.type_ids] = np.arange(len(blocks))
+        self._y_count = np.array([len(b[1]) for b in blocks], dtype=np.int64)
         self._y_offset = _offsets(self._y_count)
-        self._Y = _stack([b.y_codes for b in books], n)
-        z_books = [z for b in books for z in b.z_codes]
+        no_codes = np.zeros((0, n), dtype=np.int8)
+        self._Y = np.concatenate([no_codes] + [b[1] for b in blocks])
+        z_books = [z for b in blocks for z in b[2]]
         self._z_count = np.array([len(z) for z in z_books], dtype=np.int64)
         self._z_offset = _offsets(self._z_count)
-        self._Z = _stack(z_books, n)
-        self._book_type_id = np.array([b.type_id for b in books], dtype=np.int64)
-        if np.any((self._book_type_id < 0) | (self._book_type_id >= self.total_types)):
-            raise CodebookError("codebook names a type id outside the type count")
-        if np.any(np.diff(self._book_type_id) <= 0):
-            raise CodebookError("codebook type ids are not strictly increasing")
-        named = type_count_vectors(n, kx)[self._book_type_id]
-        for b, counts in zip(books, map(tuple, named.tolist())):
-            if counts != b.counts:
-                raise CodebookError(f"type id {b.type_id} names type {counts}, not {b.counts}")
-        self._book_of_type = np.full(self.total_types, -1, dtype=np.int64)
-        self._book_of_type[self._book_type_id] = np.arange(len(books))
+        self._Z = np.concatenate([no_codes] + z_books)
 
-        index = [np.zeros(0, dtype=np.int64)]
-        assign = [np.zeros((0, 2), dtype=np.int64)]
-        for k, (b, rows) in enumerate(zip(books, members)):
-            a = b.member_assign
-            if a.shape != (rows.shape[0], 2):
-                raise CodebookError(f"assignment table of type {b.counts} does not match its class")
-            if np.any((a[:, 0] < 0) | (a[:, 0] >= len(b.y_codes))):
-                raise CodebookError(f"assignment of type {b.counts} names a missing codeword")
-            if np.any((a[:, 1] < 0) | (a[:, 1] >= self._z_count[self._y_offset[k] + a[:, 0]])):
-                raise CodebookError(f"assignment of type {b.counts} names a missing codeword")
-            index.append(lex_index(rows, kx))
-            assign.append(a)
-        index = np.concatenate(index)
-        order = np.argsort(index, kind="stable")
-        self._seq_index = index[order]
-        self._seq_book = np.repeat(np.arange(len(books)), [len(a) for a in assign[1:]])[order]
-        positions = np.ascontiguousarray(np.concatenate(assign)[order].T, dtype=np.int64)
-        self._seq_ypos, self._seq_zpos = positions
+        members = np.concatenate([np.zeros((0, 3), dtype=np.int64)] + [b[3] for b in blocks])
+        book = np.repeat(np.arange(len(blocks)), [len(b[3]) for b in blocks])
+        ypos, zpos = members[:, 1], members[:, 2]
+        ok = (ypos >= 0) & (ypos < self._y_count[book])
+        ok[ok] = (zpos[ok] >= 0) & (zpos[ok] < self._z_count[self._y_offset[book[ok]] + ypos[ok]])
+        if not ok.all():
+            counts = tuple(self.type_counts[book[np.argmin(ok)]].tolist())
+            raise CodebookError(f"assignment of type {counts} names a missing codeword")
+        order = np.argsort(members[:, 0], kind="stable")
+        self._seq_index, self._seq_ypos, self._seq_zpos = np.ascontiguousarray(members[order].T)
+        self._seq_book = book[order]
 
         # realized message structure: layer-1 bins, and (bin, second-layer shape)
         f = self._fields(self._seq_book, self._seq_ypos, self._seq_zpos)
@@ -282,7 +267,7 @@ class CoverCodebook:
         self._realized_shapes = _group_rows(
             np.column_stack([self._seq_book, f["i"], f["wu"], f["u"], f["s2"]])
         )[1].size
-        del index, order, f  # free before the checks, which allocate their own temporaries
+        del members, book, ok, order, f  # free before the checks, which allocate their own
         _check_budgets(self)
         verify_covering(self)
 
@@ -337,10 +322,11 @@ class CoverCodebook:
 
         :meth:`_locate` of one sequence, with the lexicographic index summed
         in Python ints: a per-position numpy loop costs more than the search.
+        Symbols are range-checked as given, before any cast could wrap them.
         """
         kx = self.spec.source.alphabet_size
         index = 0
-        for s in np.asarray(x, dtype=np.int8).ravel().tolist():
+        for s in np.asarray(x).ravel().tolist():
             if not 0 <= s < kx:
                 return None
             index = index * kx + s
@@ -385,9 +371,9 @@ def _cover_band(dmat: np.ndarray, n: int) -> float:
 def _candidate_types(candidates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Type index of each candidate over ``k`` symbols, and one representative
     (the first candidate in index order) per type."""
-    n = candidates.shape[1]
-    counts = np.stack([np.count_nonzero(candidates == s, axis=1) for s in range(k)], axis=1)
-    _, first, of = np.unique(lex_index(counts, n + 1), return_index=True, return_inverse=True)
+    # a type's code is the index of its sorted sequence, below k^n like every candidate's
+    code = lex_index(np.sort(candidates, axis=1), k)
+    _, first, of = np.unique(code, return_index=True, return_inverse=True)
     return of.ravel(), candidates[first]
 
 
@@ -555,6 +541,13 @@ def _require_codec_widths(spec: SystemSpec, n: int) -> None:
             raise CapExceededError(f"a layer-{layer} key of {bits} bits exceeds the 62-bit int64 key field")
 
 
+def _ball_types(spec: SystemSpec, n: int, delta: float) -> list[tuple[int, TypeClass]]:
+    """Id and type of each source type in the divergence ball at ``alpha + delta``, in id order."""
+    threshold = spec.alpha + delta
+    types = enumerate(enumerate_types(n, spec.source.alphabet_size))
+    return [(i, t) for i, t in types if not kl_divergence(t.empirical(), spec.source) > threshold]
+
+
 def _require_delta(delta: float) -> None:
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -596,19 +589,14 @@ def build_codebook(
         delta = default_delta(model)
     _require_delta(delta)
 
-    threshold = spec.alpha + delta
     cand_y = all_sequences(ka, n, max_sequences)
     cand_z = all_sequences(kb, n, max_sequences)
     types_y = _candidate_types(cand_y, ka)
     types_z = _candidate_types(cand_z, kb)
 
-    books: list[_TypeBook] = []
-    book_members: list[np.ndarray] = []
-    for type_id, t in enumerate(enumerate_types(n, kx)):
-        emp = t.empirical()
-        if kl_divergence(emp, spec.source) > threshold:
-            continue
-        rd1 = model.rd(emp, 1)
+    blocks: list[_Block] = []
+    for type_id, t in _ball_types(spec, n, delta):
+        rd1 = model.rd(t.empirical(), 1)
         if not rd1 < spec.R1 - 1e-12:
             raise CodebookError(
                 f"type {t.counts} needs layer-1 rate {rd1:.6f}, which is not below R1={spec.R1}"
@@ -625,8 +613,10 @@ def build_codebook(
         # lexicographic codeword order; members keep their chronological owner
         y_sel, y_pos = _lex_order(chrono_y)
         y_codes = cand_y[live_y[y_sel]]
-        assign = np.zeros((members.shape[0], 2), dtype=np.int64)
-        assign[:, 0] = y_pos[first_y]
+        # per member: lexicographic index, y position, z position
+        assign = np.zeros((members.shape[0], 3), dtype=np.int64)
+        assign[:, 0] = lex_index(members, kx)
+        assign[:, 1] = y_pos[first_y]
         y_rows = [np.flatnonzero(cover1[c]) for c in y_sel]
         del cover1  # before the layer-2 matrix is allocated, to keep the peak down
         # one layer-2 matrix per type; a codeword's cover is its members' columns,
@@ -639,12 +629,11 @@ def build_codebook(
             chrono_z, first_z = _greedy_cover(sub[:, keep].T)
             z_sel, z_pos = _lex_order(chrono_z)
             z_codes.append(cand_z[live_z[keep[z_sel]]])
-            owned = assign[rows, 0] == pos
-            assign[rows[owned], 1] = z_pos[first_z[owned]]
-        books.append(_TypeBook(type_id, t.counts, y_codes, z_codes, assign))
-        book_members.append(members)
+            owned = assign[rows, 1] == pos
+            assign[rows[owned], 2] = z_pos[first_z[owned]]
+        blocks.append((type_id, y_codes, z_codes, assign))
 
-    return CoverCodebook(model, n, delta, books, members=book_members)
+    return CoverCodebook(model, n, delta, blocks)
 
 
 def _lex_order(chrono: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -657,17 +646,18 @@ def _lex_order(chrono: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_budgets(cb: CoverCodebook) -> None:
+    # per book: its layer-1 codewords, and the layer-2 codewords under them
     layers = [
-        (1, cb.layer1_message_count, cb.spec.R1, "codebook", lambda b: len(b.y_codes)),
+        (1, cb.layer1_message_count, cb.spec.R1, "codebook", cb._y_count),
         (2, cb.layer2_message_count, cb.spec.R2, "refinement codebook",
-         lambda b: sum(len(z) for z in b.z_codes)),
+         np.add.reduceat(cb._z_count, cb._y_offset)),
     ]
-    for layer, message_count, rate, what, size in layers:
+    for layer, message_count, rate, what, sizes in layers:
         m = message_count()
         if math.log2(m + 1) > cb.n * rate + 1e-9:  # never with no books: m = 0
             raise CodebookError(
                 f"layer-{layer} messages ({m} patterns plus erasure) overflow 2^(n*R{layer}); "
-                f"largest {what} at type {max(cb.books, key=size).counts}"
+                f"largest {what} at type {tuple(cb.type_counts[np.argmax(sizes)].tolist())}"
             )
 
 
@@ -701,7 +691,8 @@ def verify_covering(cb: CoverCodebook) -> None:
     if bad:
         k, _, dist1, dist2 = min(bad)
         raise CodebookError(
-            f"covering violated at type {cb.books[k].counts}: distortions ({dist1}, {dist2})"
+            f"covering violated at type {tuple(cb.type_counts[k].tolist())}: "
+            f"distortions ({dist1}, {dist2})"
         )
 
 
@@ -718,7 +709,7 @@ def sample_keys(cb: CoverCodebook, rng: np.random.Generator) -> KeyPair:
 
 def encode(x: Iterable[int], keys: KeyPair, cb: CoverCodebook) -> tuple[Layer1Message, Layer2Message]:
     """Map a source sequence to its two messages (erasure pair when out of ball)."""
-    arr = np.asarray(list(x) if not isinstance(x, np.ndarray) else x, dtype=np.int8)
+    arr = np.asarray(list(x) if not isinstance(x, np.ndarray) else x)
     if arr.shape != (cb.n,):
         raise DimensionError(f"sequence must have length {cb.n}")
     if keys.bits1 != cb.bits1 or keys.bits2 != cb.bits2:
@@ -727,12 +718,11 @@ def encode(x: Iterable[int], keys: KeyPair, cb: CoverCodebook) -> tuple[Layer1Me
     if hit is None:
         return M0_LAYER1, M0_LAYER2
     k, ypos, zpos = hit
-    b = cb.books[k]
     i, j = divmod(ypos, cb.cap1)
-    s1 = _ceil_log2(min(cb.cap1, len(b.y_codes) - i * cb.cap1))
+    s1 = _ceil_log2(min(cb.cap1, int(cb._y_count[k]) - i * cb.cap1))
     cipher1 = j ^ _key_prefix(keys.k1, cb.bits1, s1)
-    m1 = Layer1Message(b.type_id, i, cipher1, s1)
-    nz = len(b.z_codes[ypos])
+    m1 = Layer1Message(int(cb.type_ids[k]), i, cipher1, s1)
+    nz = int(cb._z_count[cb._y_offset[k] + ypos])
     u, v = divmod(zpos, cb.cap2)
     s2 = _ceil_log2(min(cb.cap2, nz - u * cb.cap2))
     cipher2 = v ^ _key_prefix(keys.k2, cb.bits2, s2)
@@ -740,25 +730,24 @@ def encode(x: Iterable[int], keys: KeyPair, cb: CoverCodebook) -> tuple[Layer1Me
     return m1, m2
 
 
-def _layer1_position(m1: Layer1Message, keys: KeyPair, cb: CoverCodebook) -> tuple[int, int]:
-    """Book index and codeword position named by a non-erasure layer-1 message."""
+def _layer1_position(m1: Layer1Message, keys: KeyPair, cb: CoverCodebook) -> int:
+    """Row in the stacked layer-1 codewords named by a non-erasure layer-1 message."""
     k = int(cb._book_of_type[m1.type_id]) if 0 <= m1.type_id < cb.total_types else -1
     if k < 0:
         raise CodebookError(f"message names unknown type id {m1.type_id}")
-    i, ny = m1.bin_index, len(cb.books[k].y_codes)
+    i, ny = m1.bin_index, int(cb._y_count[k])
     if not 0 <= i < -(-ny // cb.cap1):
         raise CodebookError("layer-1 bin index out of range")
     size1 = min(cb.cap1, ny - i * cb.cap1)
     j = (m1.cipher ^ _key_prefix(keys.k1, cb.bits1, m1.cipher_width)) % size1
-    return k, i * cb.cap1 + j
+    return int(cb._y_offset[k]) + i * cb.cap1 + j
 
 
 def decode_layer1(m1: Layer1Message, keys: KeyPair, cb: CoverCodebook) -> tuple[np.ndarray, bool]:
     """First-layer reconstruction alone; returns (sequence, erased flag)."""
     if m1.erasure:
         return np.zeros(cb.n, dtype=np.int8), True
-    k, ypos = _layer1_position(m1, keys, cb)
-    return cb.books[k].y_codes[ypos].copy(), False
+    return cb._Y[_layer1_position(m1, keys, cb)].copy(), False
 
 
 def decode(
@@ -774,13 +763,12 @@ def decode(
         return DecodeResult(
             np.zeros(cb.n, dtype=np.int8), np.zeros(cb.n, dtype=np.int8), True
         )
-    k, ypos = _layer1_position(m1, keys, cb)
-    b = cb.books[k]
-    z_codes = b.z_codes[ypos]
-    u = m2.bin_index % -(-len(z_codes) // cb.cap2)
-    size2 = min(cb.cap2, len(z_codes) - u * cb.cap2)
+    g = _layer1_position(m1, keys, cb)
+    nz = int(cb._z_count[g])
+    u = m2.bin_index % -(-nz // cb.cap2)
+    size2 = min(cb.cap2, nz - u * cb.cap2)
     v = (m2.cipher ^ _key_prefix(keys.k2, cb.bits2, _ceil_log2(size2))) % size2
-    return DecodeResult(b.y_codes[ypos].copy(), z_codes[u * cb.cap2 + v].copy(), False)
+    return DecodeResult(cb._Y[g].copy(), cb._Z[int(cb._z_offset[g]) + u * cb.cap2 + v].copy(), False)
 
 
 def _encode_array(cb: CoverCodebook, index: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> _Messages:
@@ -796,7 +784,7 @@ def _encode_array(cb: CoverCodebook, index: np.ndarray, k1: np.ndarray, k2: np.n
     rows, pos = np.flatnonzero(hit), pos[hit]
     k = cb._seq_book[pos]
     f = cb._fields(k, cb._seq_ypos[pos], cb._seq_zpos[pos])
-    out.type_id[rows] = cb._book_type_id[k]
+    out.type_id[rows] = cb.type_ids[k]
     out.bin1[rows] = f["i"]
     out.cipher1[rows] = f["j"] ^ _key_prefix_array(k1[rows], cb.bits1, f["s1"])
     out.width1[rows] = f["s1"]
@@ -1048,7 +1036,7 @@ def leakage_report(cb: CoverCodebook, which: Which, *, max_enum: int = DEFAULT_E
 
 
 def save_codebook(cb: CoverCodebook, path: str) -> None:
-    """Write the codebook to a versioned binary file (magic ``SRCB``)."""
+    """Write the codebook to a versioned binary file (magic ``SRCB``), from its tables."""
     spec = cb.spec
     kx = spec.source.alphabet_size
     ka, kb = spec.d1.cols, spec.d2.cols
@@ -1065,21 +1053,28 @@ def save_codebook(cb: CoverCodebook, path: str) -> None:
         fh.write(spec.source.probs.astype("<f8").tobytes())
         fh.write(spec.d1.matrix.astype("<f8").tobytes())
         fh.write(spec.d2.matrix.astype("<f8").tobytes())
-        fh.write(struct.pack("<I", len(cb.books)))
-        for b in cb.books:
-            fh.write(struct.pack("<I", b.type_id))
-            fh.write(struct.pack(f"<{kx}I", *b.counts))
-            fh.write(struct.pack("<I", len(b.y_codes)))
-            fh.write(b.y_codes.astype(np.uint8).tobytes())
-            for z in b.z_codes:
-                fh.write(struct.pack("<I", len(z)))
-                fh.write(z.astype(np.uint8).tobytes())
-            fh.write(struct.pack("<I", b.member_assign.shape[0]))
-            fh.write(b.member_assign.astype("<u4").tobytes())
+        fh.write(struct.pack("<I", cb.type_ids.size))
+        # a book's members in class order are its rows in index order, kept by a stable sort
+        order = np.argsort(cb._seq_book, kind="stable")
+        assign = np.column_stack([cb._seq_ypos, cb._seq_zpos])[order].astype("<u4")
+        m_count = np.bincount(cb._seq_book, minlength=cb.type_ids.size)
+        for k, (type_id, counts, m0, m) in enumerate(zip(cb.type_ids.tolist(), cb.type_counts.tolist(),
+                                                         _offsets(m_count).tolist(), m_count.tolist())):
+            y0, ny = int(cb._y_offset[k]), int(cb._y_count[k])
+            fh.write(struct.pack(f"<I{kx}II", type_id, *counts, ny))
+            fh.write(cb._Y[y0 : y0 + ny].astype(np.uint8).tobytes())
+            for z0, nz in zip(cb._z_offset[y0 : y0 + ny].tolist(), cb._z_count[y0 : y0 + ny].tolist()):
+                fh.write(struct.pack("<I", nz))
+                fh.write(cb._Z[z0 : z0 + nz].astype(np.uint8).tobytes())
+            fh.write(struct.pack("<I", m))
+            fh.write(assign[m0 : m0 + m].tobytes())
 
 
 def load_codebook(path: str) -> CoverCodebook:
-    """Read a codebook written by :func:`save_codebook`; the constructor re-verifies it."""
+    """Read a codebook written by :func:`save_codebook`; the constructor re-verifies it.
+
+    Each type id must name the counts stored with it, and each assignment
+    table must hold one row per member of that type's class."""
     with open(path, "rb") as fh:
         raw = fh.read()
     off = 0
@@ -1113,11 +1108,16 @@ def load_codebook(path: str) -> CoverCodebook:
     d2 = DistortionMeasure(np.frombuffer(take(8 * kx * kb), dtype="<f8").reshape(kx, kb))
     spec = SystemSpec(source, d1, d2, D1, D2, R1, R2, r1, r2, alpha)
     (n_books,) = struct.unpack("<I", take(4))
-    books: list[_TypeBook] = []
-    members: list[np.ndarray] = []
+    all_types = type_count_vectors(n, kx)
+    blocks: list[_Block] = []
     for _ in range(n_books):
         (type_id,) = struct.unpack("<I", take(4))
         counts = struct.unpack(f"<{kx}I", take(4 * kx))
+        if type_id >= len(all_types):
+            raise CodebookError("codebook names a type id outside the type count")
+        named = tuple(all_types[type_id].tolist())
+        if named != counts:
+            raise CodebookError(f"type id {type_id} names type {named}, not {counts}")
         (ny,) = struct.unpack("<I", take(4))
         y_codes = codewords(ny, ka, 1)
         z_codes = []
@@ -1126,6 +1126,8 @@ def load_codebook(path: str) -> CoverCodebook:
             z_codes.append(codewords(nz, kb, 2))
         (m,) = struct.unpack("<I", take(4))
         assign = np.frombuffer(take(8 * m), dtype="<u4").reshape(m, 2).astype(np.int64)
-        books.append(_TypeBook(int(type_id), tuple(int(c) for c in counts), y_codes, z_codes, assign))
-        members.append(type_class_members(TypeClass(n, books[-1].counts)))
-    return CoverCodebook(RateModel(spec), n, delta, books, members=members)
+        members = type_class_members(TypeClass(n, counts))
+        if m != members.shape[0]:
+            raise CodebookError(f"assignment table of type {counts} does not match its class")
+        blocks.append((type_id, y_codes, z_codes, np.column_stack([lex_index(members, kx), assign])))
+    return CoverCodebook(RateModel(spec), n, delta, blocks)

@@ -1,6 +1,7 @@
 """Finite-n covering bounds shared by the leakage-trend tests, and the
 test-only oracles the library does not need: the exact minimum cover, the
-type of one sequence and the binary Hamming closed forms.
+type of one sequence, the binary Hamming closed forms, and a codebook's
+type blocks, as the constructor takes them and as a saved file lays them out.
 
 Plain helpers only: this file defines no fixtures and no collection hooks.
 The tests import it as ``conftest``.
@@ -87,6 +88,37 @@ def inball_type_classes(spec: SystemSpec, n: int, delta: float) -> tuple[list[Ty
         else:
             inball.append(t)
     return inball, out_of_ball
+
+
+def codebook_blocks(cb) -> list[tuple]:
+    """The per-type blocks a ``CoverCodebook`` is made from, read back from its
+    tables: type id, layer-1 codewords, per layer-1 codeword its layer-2
+    codewords, and per class member (index, y position, z position); copies."""
+    order = np.argsort(cb._seq_book, kind="stable")
+    members = np.column_stack([cb._seq_index, cb._seq_ypos, cb._seq_zpos])[order]
+    ends = np.cumsum(np.bincount(cb._seq_book, minlength=cb.type_ids.size)).tolist()
+    blocks = []
+    for k, (type_id, m0, m1) in enumerate(zip(cb.type_ids.tolist(), [0] + ends, ends)):
+        rows = range(cb._y_offset[k], cb._y_offset[k] + cb._y_count[k])
+        z_codes = [cb._Z[cb._z_offset[g] : cb._z_offset[g] + cb._z_count[g]].copy() for g in rows]
+        blocks.append((type_id, cb._Y[rows.start : rows.stop].copy(), z_codes, members[m0:m1]))
+    return blocks
+
+
+def block_spans(cb) -> list[tuple[int, int]]:
+    """Start and end byte of each type block in the file ``save_codebook`` writes for ``cb``."""
+    kx, ka, kb = cb.spec.source.alphabet_size, cb.spec.d1.cols, cb.spec.d2.cols
+    # magic, version, sizes, eight doubles, source law, both matrices, block count
+    offset = 4 + 2 + 8 + 64 + 8 * kx * (1 + ka + kb) + 4
+    members = np.bincount(cb._seq_book, minlength=cb.type_ids.size).tolist()
+    spans = []
+    for y0, ny, m in zip(cb._y_offset.tolist(), cb._y_count.tolist(), members):
+        # type id, counts, then the layer-1, layer-2 and assignment tables, each after its length
+        size = 4 + 4 * kx + 4 + cb.n * ny + 4 + 8 * m
+        size += sum(4 + cb.n * nz for nz in cb._z_count[y0 : y0 + ny].tolist())
+        spans.append((offset, offset + size))
+        offset += size
+    return spans
 
 
 def largest_ball_in_type(spec: SystemSpec, t: TypeClass) -> int:

@@ -176,8 +176,8 @@ def test_criterion_4_scheme_correctness():
     for n in (4, 6, 8):
         spec = spec_of(0.3, 0.2, 0.1, 1.3, 1.5, 0.25, 0.25, alpha)
         cb = build_codebook(spec, n, delta)
-        for b in cb.books:
-            members = type_class_members(TypeClass(n, b.counts))
+        for counts in cb.type_counts.tolist():
+            members = type_class_members(TypeClass(n, tuple(counts)))
             for row in members:
                 for k1 in range(cb.cap1):
                     for k2 in range(cb.cap2):

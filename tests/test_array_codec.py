@@ -38,6 +38,8 @@ from srleak.typecodec import (
     KeyPair,
     Layer1Message,
     Layer2Message,
+    M0_LAYER1,
+    M0_LAYER2,
     _decode_array,
     _encode_array,
     _group_rows,
@@ -51,6 +53,8 @@ from srleak.typecodec import (
     save_codebook,
     simulate_jep,
 )
+
+from conftest import block_spans, codebook_blocks
 
 H2 = DistortionMeasure.hamming(2)
 H3 = DistortionMeasure.hamming(3)
@@ -241,8 +245,7 @@ def loop_layer1_message_count(cb):
     """Per book, per bin of ``cap1`` codewords (the last one short): the
     patterns of its encrypted field."""
     total = 0
-    for b in cb.books:
-        ny = len(b.y_codes)
+    for ny in cb._y_count.tolist():
         for i in range(-(-ny // cb.cap1)):
             total += 1 << typecodec._ceil_log2(min(cb.cap1, ny - i * cb.cap1))
     return total
@@ -252,12 +255,11 @@ def loop_layer2_message_count(cb):
     """Per layer-1 codeword, per bin of its layer-2 codewords: collect the
     (bin-index width, bin index, cipher width) shapes, then count patterns."""
     shapes = set()
-    for b in cb.books:
-        for z in b.z_codes:
-            nbins = -(-len(z) // cb.cap2)
-            for u in range(nbins):
-                s2 = typecodec._ceil_log2(min(cb.cap2, len(z) - u * cb.cap2))
-                shapes.add((typecodec._ceil_log2(nbins), u, s2))
+    for nz in cb._z_count.tolist():
+        nbins = -(-nz // cb.cap2)
+        for u in range(nbins):
+            s2 = typecodec._ceil_log2(min(cb.cap2, nz - u * cb.cap2))
+            shapes.add((typecodec._ceil_log2(nbins), u, s2))
     return sum(1 << s2 for _, _, s2 in shapes)
 
 
@@ -327,6 +329,11 @@ def test_lookup_rejects_symbols_outside_the_alphabet():
     # [0, 0, 0, 2] shares its base-2 index with [0, 0, 1, 0]
     assert cb.lookup(np.array([0, 0, 1, 0])) is not None
     assert cb.lookup(np.array([0, 0, 0, 2])) is None
+    # 257 would wrap to the in-alphabet 1 in int8, and 200 would not cast at all
+    keys = KeyPair(0, 0, cb.bits1, cb.bits2)
+    for bad in ([0, 0, 0, 257], [0, 0, 0, 200]):
+        assert cb.lookup(np.array(bad)) is None
+        assert encode(np.array(bad), keys, cb) == encode(bad, keys, cb) == (M0_LAYER1, M0_LAYER2)
 
 
 def test_lookup_matches_the_array_path(book):
@@ -470,7 +477,7 @@ def test_type_classes_enumerated_once(tmp_path, monkeypatch):
     monkeypatch.setattr(typecodec, "type_class_members",
                         lambda t, *a, **k: calls.append(t.counts) or original(t, *a, **k))
     cb = build_codebook(ternary(r1=0.17, r2=0.17), 6, 0.05)
-    inball = [b.counts for b in cb.books]
+    inball = [tuple(c) for c in cb.type_counts.tolist()]
     assert calls == inball
     path = str(tmp_path / "book.srcb")
     save_codebook(cb, path)
@@ -483,34 +490,40 @@ def test_verify_covering_names_first_violation():
     cb = build_codebook(binary(r1=0.25, r2=0.25, alpha=0.12), 8, 0.2)
     # flip every layer-1 codeword: the first book's first member fails first
     cb._Y = 1 - cb._Y
-    first = typecodec.type_class_members(typecodec.TypeClass(8, cb.books[0].counts))[0]
-    ypos, zpos = cb.books[0].member_assign[0]
-    y = 1 - cb.books[0].y_codes[ypos]
-    z = cb.books[0].z_codes[ypos][zpos]
-    dist1 = float(H2.matrix[first, y].sum()) / 8
-    dist2 = float(H2.matrix[first, z].sum()) / 8
+    counts = tuple(cb.type_counts[0].tolist())
+    first = typecodec.type_class_members(typecodec.TypeClass(8, counts))[0]
+    k, ypos, zpos = cb.lookup(first)
+    g = cb._y_offset[k] + ypos
+    dist1 = float(H2.matrix[first, cb._Y[g]].sum()) / 8
+    dist2 = float(H2.matrix[first, cb._Z[cb._z_offset[g] + zpos]].sum()) / 8
     with pytest.raises(CodebookError) as err:
         typecodec.verify_covering(cb)
-    assert str(err.value) == (
-        f"covering violated at type {cb.books[0].counts}: distortions ({dist1}, {dist2})"
-    )
+    assert str(err.value) == f"covering violated at type {counts}: distortions ({dist1}, {dist2})"
 
 
-def test_constructor_rejects_an_assignment_table_short_of_its_class():
+def test_load_rejects_an_assignment_table_short_of_its_class(tmp_path):
     cb = build_codebook(binary(), 6, 0.3)
-    members = [typecodec.type_class_members(typecodec.TypeClass(6, b.counts)) for b in cb.books]
-    books = list(cb.books)
-    books[-1] = dataclasses.replace(books[-1], member_assign=books[-1].member_assign[:-1])
-    want = f"assignment table of type {books[-1].counts} does not match its class"
+    path = tmp_path / "book.srcb"
+    save_codebook(cb, str(path))
+    clean = path.read_bytes()
+    # the last block ends with its assignment count and table: drop the last row
+    _, end = block_spans(cb)[-1]
+    m = int(np.count_nonzero(cb._seq_book == cb.type_ids.size - 1))
+    raw = bytearray(clean[: end - 8])
+    struct.pack_into("<I", raw, end - 8 * m - 4, m - 1)
+    path.write_bytes(bytes(raw))
+    want = f"assignment table of type {tuple(cb.type_counts[-1].tolist())} does not match its class"
     with pytest.raises(CodebookError, match=re.escape(want)):
-        CoverCodebook(cb.model, 6, cb.delta, books, members=members)
-    # the same books with their full tables construct
-    CoverCodebook(cb.model, 6, cb.delta, list(cb.books), members=members)
+        load_codebook(str(path))
+    # the same file with its full table loads
+    path.write_bytes(clean)
+    load_codebook(str(path))
 
 
 def test_load_rejects_assignment_to_missing_codeword(tmp_path):
     cb = build_codebook(binary(), 6, 0.3)
-    cb.books[0].member_assign[0, 0] = len(cb.books[0].y_codes)
+    # the first member of the first book, in its class order
+    cb._seq_ypos[np.flatnonzero(cb._seq_book == 0)[0]] = cb._y_count[0]
     path = str(tmp_path / "book.srcb")
     save_codebook(cb, path)
     with pytest.raises(CodebookError, match="names a missing codeword"):
@@ -532,8 +545,9 @@ COUNT_BOOKS = [
 def check_message_counts(cb):
     assert cb.layer1_message_count() == loop_layer1_message_count(cb)
     assert cb.layer2_message_count() == loop_layer2_message_count(cb)
-    assert cb.total_y_codewords() == sum(len(b.y_codes) for b in cb.books)
-    assert cb.total_z_codewords() == sum(len(z) for b in cb.books for z in b.z_codes)
+    blocks = codebook_blocks(cb)
+    assert cb.total_y_codewords() == sum(len(y_codes) for _, y_codes, _, _ in blocks)
+    assert cb.total_z_codewords() == sum(len(z) for _, _, z_codes, _ in blocks for z in z_codes)
 
 
 def test_message_counts_match_per_bin_loops(book):
@@ -549,13 +563,13 @@ def test_message_counts_match_per_bin_loops_beyond_the_fixture(name, spec, n, de
         assert cb._y_offset.shape == cb._y_count.shape == (0,)
         assert cb._z_offset.shape == cb._z_count.shape == (0,)
     else:
-        assert any(len(b.y_codes) % cb.cap1 for b in cb.books) or cb.cap1 == 1
+        assert any(cb._y_count % cb.cap1) or cb.cap1 == 1
 
 
 def test_sequence_index_must_fit_int64():
     spec = binary()
     with pytest.raises(CapExceededError, match="int64 sequence index"):
-        CoverCodebook(RateModel(spec), 64, 0.1, [], members=[])
+        CoverCodebook(RateModel(spec), 64, 0.1, [])
 
 
 def wide_alphabet(source, cols1, cols2):
@@ -570,7 +584,7 @@ def test_alphabets_must_fit_int8_symbols(monkeypatch, sizes):
     spec = wide_alphabet(*sizes)
     want = f"a {max(sizes)}-letter alphabet exceeds the codec's 127-symbol limit"
     with pytest.raises(CapExceededError, match=want):
-        CoverCodebook(RateModel(spec), 1, 1.0, [], members=[])
+        CoverCodebook(RateModel(spec), 1, 1.0, [])
     # the build refuses before it enumerates a candidate
     monkeypatch.setattr(typecodec, "all_sequences", None)
     with pytest.raises(CapExceededError, match=want):
@@ -578,8 +592,9 @@ def test_alphabets_must_fit_int8_symbols(monkeypatch, sizes):
 
 
 def test_a_127_letter_alphabet_fits():
-    cb = CoverCodebook(RateModel(wide_alphabet(127, 127, 127)), 1, 1.0, [], members=[])
-    assert cb.total_types == 127
+    # every point type is in the ball; 2^127 count patterns overflow an int64 type code
+    cb = build_codebook(wide_alphabet(127, 127, 127), 1, 1.0)
+    assert cb.total_types == cb.type_ids.size == 127
 
 
 @pytest.mark.parametrize("layer, r1, r2", [(1, 15.75, 0.0), (2, 0.0, 15.75)])
@@ -625,7 +640,8 @@ def test_feasible_sets_match_loops(name, spec, n):
     kx, ka, kb = spec.source.alphabet_size, spec.d1.cols, spec.d2.cols
     # codeword pairs of a built code, and pairs no source sequence explains
     cb = build_codebook(spec, n, 0.5)
-    pairs = [(b.y_codes[0], b.z_codes[0][0]) for b in cb.books[:: max(1, len(cb.books) // 2)]]
+    blocks = codebook_blocks(cb)[:: max(1, cb.type_ids.size // 2)]
+    pairs = [(y_codes[0], z_codes[0][0]) for _, y_codes, z_codes, _ in blocks]
     pairs += [(np.zeros(n, np.int8), np.ones(n, np.int8)), (np.full(n, ka - 1), np.zeros(n))]
     pairs = [(y.astype(np.int64), z.astype(np.int64)) for y, z in pairs]
     nonempty = 0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -11,6 +12,8 @@ import srleak
 from srleak.cli import EXIT_CAP, EXIT_OK, EXIT_SPEC, _json_dump, load_system_spec, main
 from srleak.exponents import RateModel
 from srleak.typecodec import load_codebook, save_codebook
+
+from conftest import block_spans
 
 
 FIG_SPEC = {
@@ -213,11 +216,26 @@ class TestCommands:
         args = ["simulate", "--spec", spec_file, "--n", "6", "--delta", "0.3", "--cache", cache]
         assert run(args) == EXIT_OK
         cb = load_codebook(cache)
-        cb.books[0].y_codes[0, 0] = -1  # saved as the byte 0xFF
+        cb._Y[0, 0] = -1  # saved as the byte 0xFF
         save_codebook(cb, cache)
         capsys.readouterr()
         assert run(args) == EXIT_SPEC
         assert capsys.readouterr().err.startswith("error: layer-1 codeword of type ")
+
+    def test_simulate_rejects_a_cache_missing_a_type(self, spec_file, tmp_path, capsys):
+        # without its block for an in-ball type, a cache would erase that type's
+        # sequences while the exact JEP counts only the out-of-ball mass
+        cache = tmp_path / "book.srcb"
+        args = ["simulate", "--spec", spec_file, "--n", "8", "--samples", "0", "--cache", str(cache)]
+        assert run(args) == EXIT_OK
+        cb = load_codebook(str(cache))
+        start, end = block_spans(cb)[0]
+        raw = bytearray(cache.read_bytes())
+        struct.pack_into("<I", raw, start - 4, cb.type_ids.size - 1)  # the block count
+        cache.write_bytes(bytes(raw[:start] + raw[end:]))
+        capsys.readouterr()
+        assert run(args) == EXIT_SPEC
+        assert "are not the in-ball type ids" in capsys.readouterr().err
 
     def test_simulate_beyond_the_oracle_cap_prints_closed_forms_alone(self, spec_file, tmp_path,
                                                                       monkeypatch):

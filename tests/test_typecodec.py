@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import struct
 
 import numpy as np
@@ -41,7 +42,7 @@ from srleak.typecodec import (
     _cover_matrix,
 )
 
-from conftest import covering_count_bounds, minimum_cover_size
+from conftest import block_spans, codebook_blocks, covering_count_bounds, minimum_cover_size
 
 H2 = DistortionMeasure.hamming(2)
 
@@ -62,9 +63,7 @@ class TestBuild:
         # at n=1 the erasure slot plus one pattern per type need R1 >= 2 bits
         spec = make_spec(D1=1.5, D2=1.2, alpha=3.0, R1=2.0, R2=2.0)
         cb = build_codebook(spec, 1, delta=0.5)
-        assert len(cb.books) == 2
-        for b in cb.books:
-            assert len(b.y_codes) == 1
+        assert cb._y_count.tolist() == [1, 1]
 
     def test_zero_distortion_needs_every_sequence(self):
         spec = SystemSpec(
@@ -72,8 +71,8 @@ class TestBuild:
             D1=1e-13, D2=0.0, R1=3.0, R2=3.0, r1=0.0, r2=0.0, alpha=0.2,
         )
         cb = build_codebook(spec, 4, delta=0.05)
-        (book,) = [b for b in cb.books if b.counts == (2, 2)]
-        assert len(book.y_codes) == TypeClass(4, (2, 2)).cardinality == 6
+        k = cb.type_counts.tolist().index([2, 2])
+        assert cb._y_count[k] == TypeClass(4, (2, 2)).cardinality == 6
 
     def test_greedy_vs_exact_minimum(self):
         # weight-4 type at n=8, radius-2 covering
@@ -129,7 +128,7 @@ class TestBuild:
         # every kept matrix fits in 12740 cells, although 56 and 70 members
         # times all 2^8 candidates would not
         cb = build_codebook(make_spec(), 8, delta=0.1, max_cover_cells=70 * 182)
-        assert [b.counts for b in cb.books] == [(7, 1), (6, 2), (5, 3), (4, 4)]
+        assert cb.type_counts.tolist() == [[7, 1], [6, 2], [5, 3], [4, 4]]
 
     def test_layer2_cover_cells_cap(self):
         # d2 has three columns: layer-1 covers hold members x 2^8 cells (at
@@ -192,31 +191,43 @@ class TestCodebookChecks:
     """A CoverCodebook checks its message budgets and its covering when it is made."""
 
     @staticmethod
-    def remake(cb, books, spec=None):
-        members = [type_class_members(TypeClass(cb.n, b.counts)) for b in books]
-        return CoverCodebook(RateModel(spec or cb.spec), cb.n, cb.delta, books, members=members)
+    def remake(cb, blocks, spec=None):
+        return CoverCodebook(RateModel(spec or cb.spec), cb.n, cb.delta, blocks)
 
     @pytest.fixture
     def cb(self):
         return build_codebook(make_spec(r1=0.25, r2=0.25, alpha=0.12), 6, delta=0.2)
 
     def test_books_of_a_built_codebook_pass(self, cb):
-        again = self.remake(cb, cb.books)
+        again = self.remake(cb, codebook_blocks(cb))
+        for name in ("type_ids", "type_counts", "_seq_index", "_seq_book", "_seq_ypos", "_seq_zpos",
+                     "_y_count", "_Y", "_z_count", "_Z"):
+            assert np.array_equal(getattr(again, name), getattr(cb, name)), name
         for which in ("M1", "M1M2"):
             assert leakage_exact(again, which) == leakage_exact(cb, which)
 
     def test_flipped_codeword_violates_the_covering(self, cb):
-        book = cb.books[0]
-        flipped = dataclasses.replace(book, y_codes=book.y_codes.copy())
-        flipped.y_codes[0] = 1 - flipped.y_codes[0]
+        (type_id, y_codes, z_codes, members), *rest = codebook_blocks(cb)
+        y_codes[0] = 1 - y_codes[0]
         with pytest.raises(CodebookError, match=r"^covering violated at type "):
-            self.remake(cb, [flipped, *cb.books[1:]])
+            self.remake(cb, [(type_id, y_codes, z_codes, members), *rest])
 
     def test_books_over_the_layer1_budget(self, cb):
         spec = dataclasses.replace(cb.spec, R1=0.1)
         with pytest.raises(CodebookError, match=r"^layer-1 messages \(\d+ patterns plus erasure\) "
                                                 r"overflow 2\^\(n\*R1\); largest codebook at type "):
-            self.remake(cb, cb.books, spec)
+            self.remake(cb, codebook_blocks(cb), spec)
+
+    def test_type_set_other_than_the_balls_is_refused(self):
+        # the README point at n = 8: without its block for type (7, 1) the code
+        # erases that type, which the exact JEP (the out-of-ball mass) misses
+        cb = build_codebook(make_spec(r1=0.06, r2=0.1), 8)
+        blocks = codebook_blocks(cb)
+        assert cb.type_counts[0].tolist() == [7, 1]
+        ids = cb.type_ids.tolist()
+        for changed in (blocks[1:], blocks[:-1], blocks[1::-1] + blocks[2:], blocks + blocks[-1:]):
+            with pytest.raises(CodebookError, match=re.escape(f"are not the in-ball type ids {ids}")):
+                self.remake(cb, changed)
 
     def test_one_covering_check_per_build_and_load(self, tmp_path, monkeypatch):
         calls = []
@@ -246,8 +257,8 @@ class TestEncodeDecode:
         cb = build_codebook(spec, 6, delta=0.4)
         assert cb.bits1 == 0 and cb.bits2 == 0
         keys = KeyPair(0, 0, 0, 0)
-        for b in cb.books:
-            members = type_class_members(TypeClass(6, b.counts))
+        for counts in cb.type_counts.tolist():
+            members = type_class_members(TypeClass(6, tuple(counts)))
             for row in members:
                 m1, m2 = encode(row, keys, cb)
                 out = decode(m1, m2, keys, cb)
@@ -259,11 +270,8 @@ class TestEncodeDecode:
         spec = make_spec(r1=0.25, r2=0.25)  # 2 key bits each at n=8
         cb = build_codebook(spec, 8, delta=0.4)
         assert cb.bits1 == 2 and cb.bits2 == 2
-        x = None
-        for b in cb.books:
-            if b.counts == (6, 2):
-                x = type_class_members(TypeClass(8, b.counts))[0]
-        assert x is not None
+        assert [6, 2] in cb.type_counts.tolist()
+        x = type_class_members(TypeClass(8, (6, 2)))[0]
         ka = KeyPair(0, 0, 2, 2)
         kb = KeyPair(3, 2, 2, 2)
         m1a, m2a = encode(x, ka, cb)
@@ -275,8 +283,8 @@ class TestEncodeDecode:
         spec = make_spec(r1=0.25, r2=0.25, alpha=0.15)
         for n in (4, 6, 8):
             cb = build_codebook(spec, n, delta=0.3)
-            for b in cb.books:
-                members = type_class_members(TypeClass(n, b.counts))
+            for counts in cb.type_counts.tolist():
+                members = type_class_members(TypeClass(n, tuple(counts)))
                 for row in members:
                     for k1 in range(cb.cap1):
                         for k2 in range(cb.cap2):
@@ -292,8 +300,8 @@ class TestEncodeDecode:
         right = KeyPair(0, 0, cb.bits1, cb.bits2)
         wrong = KeyPair(cb.cap1 - 1, cb.cap2 - 1, cb.bits1, cb.bits2)
         garbled = 0
-        for b in cb.books:
-            members = type_class_members(TypeClass(6, b.counts))
+        for counts in cb.type_counts.tolist():
+            members = type_class_members(TypeClass(6, tuple(counts)))
             for row in members:
                 m1, m2 = encode(row, right, cb)
                 out = decode(m1, m2, wrong, cb)
@@ -322,7 +330,7 @@ class TestJep:
             D1=0.2, D2=0.1, R1=1.0, R2=1.0, r1=0.0, r2=0.0, alpha=1e-6,
         )
         cb = build_codebook(spec, 4, delta=1e-6)
-        assert len(cb.books) == 0
+        assert cb.type_ids.size == 0
         assert jep_exact(cb) == 1.0
         assert leakage_exact(cb, "M1") == 0.0
         assert leakage_exact(cb, "M1M2") == 0.0
@@ -403,7 +411,7 @@ class TestLeakage:
             D1=0.6, D2=0.5, R1=2.0, R2=2.0, r1=0.0, r2=0.0, alpha=0.08,
         )
         cb = build_codebook(spec, 4, delta=0.005)
-        assert len(cb.books) == 1
+        assert cb.type_ids.size == 1
         assert cb.has_out_of_ball
         assert leakage_exact(cb, "M1") == pytest.approx(1.0)  # log2(1 + 1)
 
@@ -411,9 +419,8 @@ class TestLeakage:
         # r1 high enough that each type codebook fits one bin
         spec = make_spec(r1=0.5, r2=0.5, alpha=0.15)
         cb = build_codebook(spec, 6, delta=0.1)
-        for b in cb.books:
-            assert 1 <= len(b.y_codes) <= cb.cap1
-        expect = math.log2(1 + len(cb.books))
+        assert np.all((1 <= cb._y_count) & (cb._y_count <= cb.cap1))
+        expect = math.log2(1 + cb.type_ids.size)
         assert leakage_exact(cb, "M1") == pytest.approx(expect, abs=1e-12)
         assert leakage_oracle(cb, "M1") == pytest.approx(expect, abs=1e-12)
 
@@ -437,8 +444,8 @@ class TestLeakage:
     def test_uniform_cipher_distribution(self):
         spec = make_spec(r1=0.25, r2=0.25)
         cb = build_codebook(spec, 8, delta=0.3)
-        for b in cb.books[:2]:
-            members = type_class_members(TypeClass(8, b.counts))
+        for counts in cb.type_counts[:2].tolist():
+            members = type_class_members(TypeClass(8, tuple(counts)))
             row = members[0]
             seen: dict = {}
             for k1 in range(cb.cap1):
@@ -470,7 +477,8 @@ class TestSerialization:
         loaded = load_codebook(path)
         assert loaded.n == cb.n
         assert loaded.delta == cb.delta
-        assert [b.type_id for b in loaded.books] == [b.type_id for b in cb.books]
+        assert loaded.type_ids.tolist() == cb.type_ids.tolist()
+        assert loaded.type_counts.tolist() == cb.type_counts.tolist()
         for which in ("M1", "M1M2"):
             assert leakage_exact(loaded, which) == leakage_exact(cb, which)
         rng = np.random.default_rng(3)
@@ -500,7 +508,8 @@ class TestSerialization:
     def test_codeword_symbol_outside_alphabet(self, tmp_path, layer, symbol):
         # -1 is written as the byte 0xFF, which an int8 cast would wrap back
         cb = build_codebook(make_spec(), 6, delta=0.2)
-        codes = cb.books[0].y_codes if layer == 1 else cb.books[0].z_codes[0]
+        # the first codeword of the first book, and the first one under it
+        codes = cb._Y if layer == 1 else cb._Z
         codes[0, 0] = symbol
         path = str(tmp_path / "book.srcb")
         save_codebook(cb, path)
@@ -516,19 +525,15 @@ class TestSerialization:
         path = tmp_path / "book.srcb"
         save_codebook(cb, str(path))
         clean = path.read_bytes()
-        kx, ka, kb = spec.source.alphabet_size, spec.d1.cols, spec.d2.cols
-        # magic, version, sizes, eight doubles, source law, both matrices, book count
-        offset = 4 + 2 + 8 + 64 + 8 * kx * (1 + ka + kb) + 4
-        for b in cb.books:
-            assert struct.unpack_from("<I", clean, offset) == (b.type_id,)
+        # each block opens with its type id
+        for type_id, (offset, _) in zip(cb.type_ids.tolist(), block_spans(cb)):
+            assert struct.unpack_from("<I", clean, offset) == (type_id,)
             for bit in range(32):
                 raw = bytearray(clean)
                 raw[offset + bit // 8] ^= 1 << (bit % 8)
                 path.write_bytes(bytes(raw))
                 with pytest.raises(CodebookError, match="type id"):
                     load_codebook(str(path))
-            offset += 4 + 4 * kx + 4 + n * len(b.y_codes) + 4 + 8 * len(b.member_assign)
-            offset += sum(4 + n * len(z) for z in b.z_codes)
 
     def test_bit_flips_fail_loudly_or_load_in_range(self, tmp_path):
         spec, n, delta, _ = PINNED_CODEBOOKS["binary-hamming"]
@@ -545,10 +550,8 @@ class TestSerialization:
             except (SrleakError, ValueError):
                 continue
             ka, kb = cb.spec.d1.cols, cb.spec.d2.cols
-            for b in cb.books:
-                assert b.y_codes.min() >= 0 and b.y_codes.max() < ka, bit
-                for z in b.z_codes:
-                    assert z.min() >= 0 and z.max() < kb, bit
+            assert np.all((cb._Y >= 0) & (cb._Y < ka)), bit
+            assert np.all((cb._Z >= 0) & (cb._Z < kb)), bit
 
 
 class TestKeyBits:
