@@ -27,12 +27,14 @@ from .exponents import RateModel, SystemSpec
 from .probcore import (
     Distribution,
     all_sequences,
+    count_types,
     entropy,
     enumerate_types,
     kl_divergence,
     type_count_vectors,
 )
 from .typecodec import (
+    DEFAULT_ENUM_CAP,
     CoverCodebook,
     KeyPair,
     _group_rows,
@@ -154,12 +156,15 @@ class _GuessContext:
     """Caches type enumerations and feasible sets across guessing queries.
 
     One context serves both guessers: the single-layer guesser observes
-    ``[xhat1]``, the refined guesser ``[xhat1, xhat2]``.
+    ``[xhat1]``, the refined guesser ``[xhat1, xhat2]``.  A joint-type table
+    of more than ``max_enum`` cells (types times cells per type) is refused
+    before it is built.
     """
 
-    def __init__(self, model: RateModel) -> None:
+    def __init__(self, model: RateModel, max_enum: int = DEFAULT_ENUM_CAP) -> None:
         self.spec = model.spec
         self.model = model
+        self.max_enum = max_enum
         self.kx = self.spec.source.alphabet_size
         self.sizes = [self.kx, self.spec.d1.cols, self.spec.d2.cols]
         self._joint_types: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -170,6 +175,12 @@ class _GuessContext:
         with each type's marginal over the reconstruction cells (summed over x)."""
         key = (n, cells)
         if key not in self._joint_types:
+            types = count_types(n, cells)
+            if types * cells > self.max_enum:
+                raise CapExceededError(
+                    f"the joint-type table of {types} types x {cells} cells exceeds "
+                    f"the enumeration cap {self.max_enum}"
+                )
             joints = type_count_vectors(n, cells)
             marginals = joints.reshape(len(joints), self.kx, cells // self.kx).sum(axis=1)
             self._joint_types[key] = joints, marginals
@@ -368,7 +379,7 @@ def end_to_end_guess_probability(
     cb: CoverCodebook,
     scheme: GuessScheme = GuessScheme(),
     *,
-    max_enum: int = 1 << 22,
+    max_enum: int = DEFAULT_ENUM_CAP,
 ) -> EndToEndResult:
     """Exact success probability of the full key-guess / decode / guess chain.
 
@@ -381,9 +392,11 @@ def end_to_end_guess_probability(
     target's maximum-posterior rule is that value.  An erased observation,
     or one no candidate explains, leaves the attacker the maximum-prior
     guess.  The sums over key pairs and sequences run in enumeration order.
+    ``max_enum`` caps both the chain's evaluations and the guesser's
+    joint-type table (types times cells).
     """
     _require_codebook_matches(spec, n, cb)
-    ctx = _GuessContext(cb.model)
+    ctx = _GuessContext(cb.model, max_enum)
     kx = spec.source.alphabet_size
     work = kx**n * (cb.cap1 * cb.cap2) ** 2
     if work > max_enum:

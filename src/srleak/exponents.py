@@ -260,26 +260,38 @@ def _golden_refine(f: Callable[[float], float], lo: float, hi: float):
     return x, f(x)
 
 
+def binary_ball_laws(p: float, alpha: float) -> tuple[Distribution, ...]:
+    """The candidate laws of a binary ball search at radius alpha, in search order.
+
+    The ends q_lo and q_hi of ``binary_ball_interval(p, alpha)``, the center
+    p, and the entropy maximizer 1/2 clamped into [q_lo, q_hi]; the center
+    alone when the interval is narrower than 1e-15.
+    """
+    q_lo, q_hi = binary_ball_interval(p, alpha)
+    if q_hi - q_lo < 1e-15:
+        return (Distribution.bernoulli(p),)
+    return tuple(Distribution.bernoulli(q) for q in (q_lo, q_hi, p, min(max(0.5, q_lo), q_hi)))
+
+
 def _ball_max_binary(
     p: Distribution,
     alpha: float,
     objective: Callable[[Distribution], float],
     entropy_monotone: bool,
-    interval: tuple[float, float] | None,
+    laws: tuple[Distribution, ...] | None,
 ) -> BallOptimum:
-    pb = float(p.probs[1])
-    q_lo, q_hi = binary_ball_interval(pb, alpha) if interval is None else interval
+    if laws is None:
+        laws = binary_ball_laws(float(p.probs[1]), alpha)
+    if len(laws) == 1:
+        return BallOptimum(objective(laws[0]), laws[0])
 
-    def f(qv: float) -> float:
-        return objective(Distribution.bernoulli(qv))
-
-    if q_hi - q_lo < 1e-15:
-        return BallOptimum(f(pb), Distribution.bernoulli(pb))
-
-    best_q, best_v = pb, -math.inf
+    best, best_v = laws[2], -math.inf
     if not entropy_monotone:
         # dense scan plus local refinement for arbitrary objectives
-        qs = np.linspace(q_lo, q_hi, _SCAN_POINTS)
+        def f(qv: float) -> float:
+            return objective(Distribution.bernoulli(qv))
+
+        qs = np.linspace(float(laws[0].probs[1]), float(laws[1].probs[1]), _SCAN_POINTS)
         vals = [f(float(qv)) for qv in qs]
         k = int(np.argmax(vals))
         best_q, best_v = float(qs[k]), vals[k]
@@ -289,15 +301,16 @@ def _ball_max_binary(
             xq, xv = _golden_refine(f, a, b)
             if xv > best_v:
                 best_q, best_v = xq, xv
+        best = Distribution.bernoulli(best_q)
     # deterministic candidates: interval ends, the source itself, and the
     # entropy maximizer when the ball reaches it; for objectives monotone in
-    # the binary entropy these four points contain every extremum, so the
+    # the binary entropy these four laws contain every extremum, so the
     # scan above is skipped entirely
-    for cand in (q_lo, q_hi, pb, min(max(0.5, q_lo), q_hi)):
-        cv = f(cand)
+    for law in laws:
+        cv = objective(law)
         if cv > best_v:
-            best_q, best_v = cand, cv
-    return BallOptimum(best_v, Distribution.bernoulli(best_q))
+            best, best_v = law, cv
+    return BallOptimum(best_v, best)
 
 
 def _project_to_ball(q: np.ndarray, p: Distribution, alpha: float) -> np.ndarray:
@@ -386,16 +399,19 @@ def kl_ball_maximize(
     objective: Callable[[Distribution], float],
     *,
     entropy_monotone: bool = False,
-    interval: tuple[float, float] | None = None,
+    laws: tuple[Distribution, ...] | None = None,
 ) -> BallOptimum:
     """Maximize a scalar objective over {Q : D(Q || P) <= alpha}.
 
     Binary alphabets use an interval search over the Bernoulli parameters
     of the ball, ``binary_ball_interval(P(1), alpha)``: a 41-point scan plus
-    golden-section refinement, then the interval ends, P and 1/2 when the
-    ball holds it.  A caller that searches one radius several times passes
-    that interval as ``interval`` so its two roots are solved once; it is
-    used as given.  Larger alphabets use projected ascent from the best of
+    golden-section refinement, then the candidate laws of
+    ``binary_ball_laws(P(1), alpha)`` (the interval ends, P and the law
+    nearest 1/2), scored in that order; an interval narrower than 1e-15
+    scores P alone.  A caller that searches one radius several times passes
+    those laws as ``laws`` so the interval's two roots are solved and its
+    laws built once; they are used as given, the first two as the interval
+    ends.  Larger alphabets use projected ascent from the best of
     six seeded random starts, the vertices pulled into the ball and, for
     ternary alphabets, the in-ball points of the denominator-12 simplex
     grid; the search is deterministic.
@@ -410,7 +426,7 @@ def kl_ball_maximize(
     if alpha == 0.0:
         return BallOptimum(objective(p), p)
     if p.alphabet_size == 2:
-        return _ball_max_binary(p, alpha, objective, entropy_monotone, interval)
+        return _ball_max_binary(p, alpha, objective, entropy_monotone, laws)
     return _ball_max_general(p, alpha, objective)
 
 
@@ -420,11 +436,11 @@ def kl_ball_minimize(
     objective: Callable[[Distribution], float],
     *,
     entropy_monotone: bool = False,
-    interval: tuple[float, float] | None = None,
+    laws: tuple[Distribution, ...] | None = None,
 ) -> BallOptimum:
     """Minimize a scalar objective over the divergence ball (mirror of maximize)."""
     out = kl_ball_maximize(p, alpha, lambda q: -objective(q),
-                           entropy_monotone=entropy_monotone, interval=interval)
+                           entropy_monotone=entropy_monotone, laws=laws)
     return BallOptimum(-out.value, out.argopt)
 
 
@@ -438,10 +454,13 @@ class RateModel:
 
     A binary source under Hamming measures is successively refinable, so
     R(q, D) = h(q) - h(D) below D = min(q, 1 - q), else 0, and the sum rate
-    is R(q, D2) once R1 reaches R(q, D1); any other spec calls the solvers,
-    once per candidate law: the sum-rate solver reuses the model's R(Q, D1)
-    and R(Q, D2) solutions.  For a binary source the model also keeps the
-    Bernoulli interval of each ball radius it searches.
+    is R(q, D2) once R1 reaches R(q, D1); such a closed-form model computes
+    the two layer rates of each law once, from one h(q), and every objective
+    reads them.  Any other spec calls the solvers, once per candidate law:
+    the sum-rate solver reuses the model's R(Q, D1) and R(Q, D2) solutions.
+    For a binary source the model also keeps the candidate laws of the
+    ball radius it last searched (``binary_ball_laws``), so every search in
+    a run at one radius scores the same law objects.
     """
 
     def __init__(self, spec: SystemSpec) -> None:
@@ -455,7 +474,9 @@ class RateModel:
         }
         self._rd: dict[tuple[bytes, int], RdSolution] = {}
         self._sum: dict[bytes, float] = {}
-        self._interval: dict[float, tuple[float, float]] = {}
+        # closed form: Bernoulli parameter -> (R(q, D1), R(q, D2))
+        self._rates: dict[float, tuple[float, float]] = {}
+        self._laws: dict[float, tuple[Distribution, ...]] = {}
 
     def _rd_solution(self, q: Distribution, layer: int) -> RdSolution:
         key = (q.probs.tobytes(), layer)
@@ -464,19 +485,30 @@ class RateModel:
             self._rd[key] = rd_function(q, d, D)
         return self._rd[key]
 
+    def _binary_rates(self, q: Distribution) -> tuple[float, float]:
+        p = float(q.probs[1])
+        rates = self._rates.get(p)
+        if rates is None:
+            m = min(p, 1.0 - p)
+            # D2 < D1, so when D2 is not below m neither rate reads h(q)
+            h = binary_entropy(p) if self.spec.D2 < m else 0.0
+            rates = self._rates[p] = tuple(
+                0.0 if D >= m else max(h - h_D, 0.0) for _, D, h_D in self._layers.values()
+            )
+        return rates
+
     def rd(self, q: Distribution, layer: int) -> float:
         """R(Q, D_layer) under the spec's measure for that layer."""
         if self.closed_form:
-            _, D, h_D = self._layers[layer]
-            p = float(q.probs[1])
-            return 0.0 if D >= min(p, 1.0 - p) else max(binary_entropy(p) - h_D, 0.0)
+            return self._binary_rates(q)[layer - 1]
         return self._rd_solution(q, layer).value
 
     def sum_rate(self, q: Distribution) -> float:
         """Two-layer minimum sum rate; inf when R1 is below R(Q, D1)."""
         spec = self.spec
         if self.closed_form:
-            return math.inf if spec.R1 < self.rd(q, 1) - 1e-9 else self.rd(q, 2)
+            rd1, rd2 = self._binary_rates(q)
+            return math.inf if spec.R1 < rd1 - 1e-9 else rd2
         key = q.probs.tobytes()
         if key not in self._sum:
             self._sum[key] = min_sum_rate(q, spec.d1, spec.d2, spec.R1, spec.D1, spec.D2,
@@ -496,13 +528,15 @@ class RateModel:
     def _search_options(self, alpha: float) -> dict:
         # closed-form rate objectives are monotone in the binary entropy, so the
         # ball search's four-candidate fast path is exact for them; the ball's
-        # Bernoulli interval is solved once per radius (a nonpositive or NaN
-        # radius never reaches it)
+        # candidate laws are built once per run of searches at one radius (a
+        # nonpositive or NaN radius never reaches them).  Only the latest
+        # radius's table is kept: a sweep never returns to a radius, and would
+        # otherwise hold all its tables until its model goes
         options: dict = {"entropy_monotone": self.closed_form}
         if self.spec.source.alphabet_size == 2 and alpha > 0.0:
-            if alpha not in self._interval:
-                self._interval[alpha] = binary_ball_interval(float(self.spec.source.probs[1]), alpha)
-            options["interval"] = self._interval[alpha]
+            if alpha not in self._laws:
+                self._laws = {alpha: binary_ball_laws(float(self.spec.source.probs[1]), alpha)}
+            options["laws"] = self._laws[alpha]
         return options
 
     def ball_search(self, objective: Callable[[Distribution], float], alpha: float) -> BallOptimum:

@@ -56,7 +56,8 @@ class Distribution:
 
     @property
     def full_support(self) -> bool:
-        return bool(np.all(self.probs > 0))
+        # entries are nonnegative, so nonzero is positive
+        return np.count_nonzero(self.probs) == self.probs.size
 
     @classmethod
     def bernoulli(cls, p: float) -> "Distribution":

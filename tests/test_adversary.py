@@ -18,6 +18,7 @@ from srleak.adversary import (
     g2_lower_bound,
     g2_success_probability,
 )
+from srleak.errors import CapExceededError
 from srleak.exponents import RateModel, SystemSpec
 from srleak.probcore import Distribution, DistortionMeasure, all_sequences
 from srleak.typecodec import build_codebook, leakage_exact
@@ -228,6 +229,26 @@ class TestEndToEnd:
         with pytest.raises(ValueError, match=re.escape(
                 "codebook was built for another spec or blocklength (r1 = 0.0, not 0.25)")):
             end_to_end_guess_probability(make_spec(alpha=0.3, r1=0.25), 4, cb)
+
+    def test_joint_type_table_beyond_the_cap_is_refused_before_it_is_built(self, monkeypatch):
+        # g2 at n = 4 on a binary Hamming code: C(11, 7) = 330 joint types of
+        # 2 x 2 x 2 cells, a 2,640-cell table; the chain's 2^4 evaluations
+        # (no key bits) are within either cap
+        spec = make_spec(alpha=0.3)
+        cb = build_codebook(spec, 4, delta=0.3)
+        assert end_to_end_guess_probability(spec, 4, cb, max_enum=2640) == \
+            end_to_end_guess_probability(spec, 4, cb)
+
+        def built(*args, **kwargs):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr("srleak.adversary.type_count_vectors", built)
+        message = re.escape("the joint-type table of 330 types x 8 cells exceeds the enumeration cap 2639")
+        with pytest.raises(CapExceededError, match=message):
+            end_to_end_guess_probability(spec, 4, cb, max_enum=2639)
+        x = [0, 0, 0, 0]
+        with pytest.raises(CapExceededError, match=message):
+            g2_success_probability(x, x, x, spec, ctx=_GuessContext(RateModel(spec), max_enum=2639))
 
     def test_chain_bound_rejects_nan_tau(self):
         spec = make_spec(alpha=0.3)

@@ -283,6 +283,19 @@ class TestCommands:
             "resource cap exceeded: a 200-letter alphabet exceeds the codec's 127-symbol limit\n"
         )
 
+    def test_adversary_joint_type_table_beyond_the_cap_is_a_cap_exit(self, tmp_path, capsys):
+        # 24^3 = 13,824 joint cells at n = 1: a 13,824 x 13,824 table, about
+        # 1.5 GB, refused before it is allocated
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(FIG_SPEC, source=[1 / 24] * 24, D1=0.5, D2=0.0,
+                                        R1=9.0, R2=9.0, r1=0.0, r2=0.0, alpha=8.0)))
+        argv = ["adversary", "--spec", str(path), "--n", "1", "--delta", "1", "--target", "identity"]
+        assert run(argv) == EXIT_CAP
+        assert capsys.readouterr().err == (
+            "resource cap exceeded: the joint-type table of 13824 types x 13824 cells "
+            "exceeds the enumeration cap 16777216\n"
+        )
+
     # each input asks for an array beyond the 128 TiB user address space, so
     # the allocation fails at once under any overcommit setting
     @pytest.mark.parametrize("argv, spec", [

@@ -20,6 +20,7 @@ from srleak.exponents import (
     VERDICT_BETWEEN,
     VERDICT_OUTSIDE,
     binary_ball_interval,
+    binary_ball_laws,
     binary_plateau_alpha,
     criterion_radius,
     divergence_ball_cap,
@@ -423,6 +424,155 @@ class TestBallInterval:
                 assert (got.value, got.argopt) == (want.value, want.argopt)
             want = kl_ball_minimize(spec.source, a, model.m1, entropy_monotone=model.closed_form).value
             assert model.ball_min(model.m1, a) == want
+
+
+def reference_closed_form_search(spec, objective, alpha, sign=1.0):
+    """The closed-form ball search as first written: each candidate a fresh
+    ``Distribution.bernoulli`` of q_lo, q_hi, p and the clamped 1/2, scored
+    in that order from best = p with ``>``; ``sign`` -1 gives the minimum.
+    Returns (value, argopt)."""
+    if alpha == 0.0:
+        return objective(spec.source), spec.source
+    pb = float(spec.source.probs[1])
+    q_lo, q_hi = binary_ball_interval(pb, alpha)
+
+    def f(q):
+        return sign * objective(Distribution.bernoulli(q))
+
+    if q_hi - q_lo < 1e-15:
+        return sign * f(pb), Distribution.bernoulli(pb)
+    best_q, best_v = pb, -math.inf
+    for cand in (q_lo, q_hi, pb, min(max(0.5, q_lo), q_hi)):
+        cv = f(cand)
+        if cv > best_v:
+            best_q, best_v = cand, cv
+    return sign * best_v, Distribution.bernoulli(best_q)
+
+
+def closed_form_objectives(spec):
+    """The spec's model, and name -> (the model's objective, the same
+    objective from the conftest closed forms, sign of the search): the three
+    floors and the layer-1 rate are maximized, the two key-threshold
+    objectives minimized."""
+    model = RateModel(spec)
+
+    def rd1(q):
+        return rd_binary_hamming(float(q.probs[1]), spec.D1)
+
+    def total(q):
+        return binary_hamming_sum_rate(float(q.probs[1]), spec.R1, spec.D1, spec.D2)
+
+    def pos(x):
+        return x if x > 0.0 else 0.0
+
+    return model, {
+        "m1": (model.m1, lambda q: pos(rd1(q) - spec.r1), 1.0),
+        "joint": (model.joint, lambda q: pos(rd1(q) - spec.r1) + pos(total(q) - rd1(q) - spec.r2), 1.0),
+        "joint_outer": (model.joint_outer, lambda q: pos(total(q) - spec.r1 - spec.r2), 1.0),
+        "rd1": (lambda q: model.rd(q, 1), rd1, 1.0),
+        "key1": (lambda q: model.rd(q, 1), rd1, -1.0),
+        "key2": (lambda q: model.sum_rate(q) - model.rd(q, 1), lambda q: total(q) - rd1(q), -1.0),
+    }
+
+
+def law_table_cases():
+    rng = np.random.default_rng(20)
+    seeded = [(round(float(rng.uniform(0.05, 0.95)), 6), float(10 ** rng.uniform(-4, 0.5)),
+               float(rng.choice([1.0, 0.3])), *np.round(rng.uniform(0.0, 0.3, 2), 6).tolist())
+              for _ in range(12)]
+    # radius 0; intervals narrower than 1e-15 (1e-40 gives (p, p)); intervals
+    # reaching 0 (p = 0.3, alpha 1), 1 (p = 0.8, alpha 1) and both (alpha 3)
+    edges = [(0.3, 0.0, 1.0, 0.06, 0.1), (0.3, 1e-40, 1.0, 0.06, 0.1), (0.3, 1e-31, 1.0, 0.06, 0.1),
+             (0.3, 1.0, 1.0, 0.06, 0.1), (0.8, 1.0, 0.3, 0.06, 0.1), (0.3, 3.0, 1.0, 0.0, 0.0),
+             (0.8, 3.0, 0.3, 0.2, 0.05)]
+    return seeded + edges
+
+
+class TestBinaryLawTable:
+    """A closed-form model scores one table of candidate laws per radius and
+    computes each law's rates once, with the search's old results bit for bit."""
+
+    @pytest.mark.parametrize("p, alpha, R1, r1, r2", law_table_cases())
+    def test_searches_equal_fresh_candidates_bit_for_bit(self, p, alpha, R1, r1, r2):
+        spec = make_spec(p=p, R1=R1, r1=r1, r2=r2)
+        model, objectives = closed_form_objectives(spec)
+        for name, (objective, reference, sign) in objectives.items():
+            want = reference_closed_form_search(spec, reference, alpha, sign)
+            if sign > 0:
+                got = model.ball_search(objective, alpha)
+                assert (got.value, got.argopt) == want, name
+                assert model.ball_max(objective, alpha) == want[0], name
+            else:
+                assert model.ball_min(objective, alpha) == want[0], name
+        want = tuple(reference_closed_form_search(spec, objectives[k][1], alpha, -1.0)[0]
+                     for k in ("key1", "key2"))
+        assert key_rate_thresholds(model, alpha) == want
+
+    def test_table_order_and_edges(self):
+        lo, hi = binary_ball_interval(0.3, 0.1)
+        assert binary_ball_laws(0.3, 0.1) == tuple(Distribution.bernoulli(q) for q in (lo, hi, 0.3, hi))
+        # 1/2 inside the ball, and an interval reaching 0 and 1
+        lo, hi = binary_ball_interval(0.3, 0.2)
+        assert lo < 0.5 < hi
+        assert [float(q.probs[1]) for q in binary_ball_laws(0.3, 0.2)] == [lo, hi, 0.3, 0.5]
+        assert [float(q.probs[1]) for q in binary_ball_laws(0.3, 3.0)] == [0.0, 1.0, 0.3, 0.5]
+        # radius 0 and a radius within rounding of it hold the center alone
+        assert binary_ball_interval(0.3, 0.0) == (0.3, 0.3)
+        for alpha in (0.0, 1e-40):
+            assert binary_ball_laws(0.3, alpha) == (Distribution.bernoulli(0.3),)
+
+    def test_given_laws_are_scored_as_given(self):
+        # the table's own law objects come back as the argopt, and a one-law
+        # table is scored alone
+        p = Distribution.bernoulli(0.3)
+        laws = binary_ball_laws(0.3, 0.1)
+        seen = []
+
+        def objective(q):
+            seen.append(q)
+            return float(q.probs[1])
+
+        out = kl_ball_maximize(p, 0.1, objective, entropy_monotone=True, laws=laws)
+        assert seen == list(laws) and all(a is b for a, b in zip(seen, laws))
+        assert out.argopt is laws[1] and out.value == float(laws[1].probs[1])
+        seen.clear()
+        center = (Distribution.bernoulli(0.3),)
+        out = kl_ball_maximize(p, 1e-40, objective, entropy_monotone=True, laws=center)
+        assert seen == list(center) and out.argopt is center[0]
+
+    def test_only_the_latest_radius_keeps_its_table(self, monkeypatch):
+        radii = []
+
+        def counted(p, alpha):
+            radii.append(alpha)
+            return binary_ball_interval(p, alpha)
+
+        monkeypatch.setattr("srleak.exponents.binary_ball_interval", counted)
+        model = RateModel(FIG_SPEC)
+        for alpha in (0.1, 0.1, 0.0, 0.1, 0.05, 0.1):
+            jep_floors(model, alpha)
+        # radius 0 searches no table; returning to a radius builds its table again
+        assert radii == [0.1, 0.05, 0.1]
+
+    def test_one_entropy_per_law_over_a_sweep(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return binary_entropy(p)
+
+        monkeypatch.setattr("srleak.exponents.binary_entropy", counted)
+        path, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+        path.write_text(json.dumps({
+            "source": [0.7, 0.3], "d1": {"hamming": True}, "d2": {"hamming": True},
+            "D1": 0.2, "D2": 0.1, "R1": 1.0, "R2": 1.0, "r1": 0.06, "r2": 0.1, "alpha": 0.1,
+        }))
+        assert main(["sweep", "--spec", str(path), "--alpha-range", "0:0.3:200", "--out", str(out)]) == 0
+        laws = {0.3} | {float(q.probs[1]) for a in np.linspace(0.0, 0.3, 200)[1:].tolist()
+                        for q in binary_ball_laws(0.3, a)}
+        # h(D1) and h(D2) once for the command's model, then each law at most once
+        assert calls[:2] == [0.2, 0.1]
+        assert len(calls[2:]) == len(set(calls[2:])) and set(calls[2:]) <= laws
 
 
 def reference_plateau_onset(f, cap):
