@@ -27,7 +27,6 @@ from .exponents import RateModel, SystemSpec
 from .probcore import (
     Distribution,
     all_sequences,
-    count_types,
     entropy,
     enumerate_types,
     kl_divergence,
@@ -133,10 +132,6 @@ def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.isin(as_bytes(rows), as_bytes(table))
 
 
-def _avg_distortion(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    return float(d[x, y].sum()) / len(x)
-
-
 def _conditional_class_size(joint: np.ndarray) -> int:
     """Number of x-sequences completing the observed marginal to this joint type."""
     obs = joint.sum(axis=0)
@@ -153,12 +148,12 @@ def _conditional_class_size(joint: np.ndarray) -> int:
 
 
 class _GuessContext:
-    """Caches type enumerations and feasible sets across guessing queries.
+    """Caches feasible sets across guessing queries.
 
     One context serves both guessers: the single-layer guesser observes
-    ``[xhat1]``, the refined guesser ``[xhat1, xhat2]``.  A joint-type table
-    of more than ``max_enum`` cells (types times cells per type) is refused
-    before it is built.
+    ``[xhat1]``, the refined guesser ``[xhat1, xhat2]``.  A query whose
+    candidate joint types (compositions of the observed counts, times cells
+    per type) exceed ``max_enum`` is refused before they are built.
     """
 
     def __init__(self, model: RateModel, max_enum: int = DEFAULT_ENUM_CAP) -> None:
@@ -167,53 +162,56 @@ class _GuessContext:
         self.max_enum = max_enum
         self.kx = self.spec.source.alphabet_size
         self.sizes = [self.kx, self.spec.d1.cols, self.spec.d2.cols]
-        self._joint_types: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._feasible: dict[tuple[int, bytes], np.ndarray] = {}
 
-    def joint_types(self, n: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
-        """All joint types as one (types, cells) array, in enumeration order,
-        with each type's marginal over the reconstruction cells (summed over x)."""
-        key = (n, cells)
-        if key not in self._joint_types:
-            types = count_types(n, cells)
-            if types * cells > self.max_enum:
-                raise CapExceededError(
-                    f"the joint-type table of {types} types x {cells} cells exceeds "
-                    f"the enumeration cap {self.max_enum}"
-                )
-            joints = type_count_vectors(n, cells)
-            marginals = joints.reshape(len(joints), self.kx, cells // self.kx).sum(axis=1)
-            self._joint_types[key] = joints, marginals
-        return self._joint_types[key]
+    def meets(self, x_xhat: np.ndarray, layer: int, n: int) -> np.ndarray:
+        """Whether each n-letter joint type of x and the layer's reconstruction,
+        (types, kx, k), keeps its total distortion within n times the layer's level."""
+        d, level = (self.spec.d1, self.spec.D1) if layer == 1 else (self.spec.d2, self.spec.D2)
+        return (x_xhat * d.matrix).reshape(len(x_xhat), d.matrix.size).sum(axis=1) <= n * level + 1e-9
 
     def feasible(self, observed: list[np.ndarray]) -> np.ndarray:
         """Joint types (kx, ka[, kb]) with the observed reconstructions' type that
         meet D1 and, when both layers are observed, D2 and the layer-1 rate, in
-        enumeration order."""
+        lexicographically descending order.
+
+        The candidates split each nonzero observed count over x in every way:
+        the product of its compositions, counted before any is built, and held
+        on the nonzero cells alone until the filters and the sort are done."""
         n = len(observed[0])
         sizes = self.sizes[: len(observed) + 1]
-        obs = _joint_counts(observed, sizes[1:])
+        obs = _joint_counts(observed, sizes[1:]).ravel()
         key = (len(observed), obs.tobytes())
         if key in self._feasible:
             return self._feasible[key]
-        spec = self.spec
-        joints, marginals = self.joint_types(n, math.prod(sizes))
-        joints = joints[(marginals == obs.ravel()).all(axis=1)].reshape(-1, *sizes)
-        x_xhat1 = joints.sum(axis=tuple(range(3, joints.ndim)))
-        joints = joints[_loads(x_xhat1, spec.d1.matrix) <= n * spec.D1 + 1e-9]
+        kx, cells = self.kx, np.flatnonzero(obs)
+        counts = obs[cells].tolist()
+        ways = [math.comb(c + kx - 1, kx - 1) for c in counts]
+        rows = math.prod(ways)
+        if rows * kx * obs.size > self.max_enum:
+            raise CapExceededError(f"{rows} candidate joint types x {kx * obs.size} cells "
+                                   f"exceed the enumeration cap {self.max_enum}")
+        split = np.empty((rows, kx, cells.size), dtype=np.int64)
+        outer = 1
+        for i, (c, m) in enumerate(zip(counts, ways)):
+            pick = np.tile(np.repeat(np.arange(m), rows // (outer * m)), outer)
+            split[:, :, i] = type_count_vectors(c, kx)[pick]
+            outer *= m
+        # each layer's (x, reconstruction) marginal: the split times a cell -> letter one-hot
+        letters = np.unravel_index(cells, sizes[1:])
+        split = split[self.meets(split @ np.eye(sizes[1], dtype=np.int64)[letters[0]], 1, n)]
         if len(observed) == 2:
-            joints = joints[_loads(joints.sum(axis=2), spec.d2.matrix) <= n * spec.D2 + 1e-9]
+            split = split[self.meets(split @ np.eye(sizes[2], dtype=np.int64)[letters[1]], 2, n)]
             # the layer-1 rate depends on the x-type alone: rate each distinct one once
-            x_types, which = np.unique(joints.sum(axis=(2, 3)), axis=0, return_inverse=True)
-            rate_ok = [self.model.rd(Distribution(t / n), 1) <= spec.R1 + 1e-9 for t in x_types]
-            joints = joints[np.array(rate_ok, dtype=bool)[which.reshape(-1)]]
-        self._feasible[key] = joints
+            x_types, which = np.unique(split.sum(axis=2), axis=0, return_inverse=True)
+            rate_ok = [self.model.rd(Distribution(t / n), 1) <= self.spec.R1 + 1e-9 for t in x_types]
+            split = split[np.array(rate_ok, dtype=bool)[which.reshape(-1)]]
+        # the cells left out are zero in every candidate, so they cannot change the order
+        split = split[np.lexsort(-split.reshape(len(split), kx * cells.size).T[::-1])]
+        joints = np.zeros((len(split), kx, obs.size), dtype=np.int64)
+        joints[:, :, cells] = split
+        self._feasible[key] = joints = joints.reshape(len(split), *sizes)
         return joints
-
-
-def _loads(joints: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Total distortion of each (kx, k) joint type: the sum of (joint * d), per joint."""
-    return (joints * d).reshape(len(joints), d.size).sum(axis=1)
 
 
 def _success_probability(x, observed: list, ctx: _GuessContext) -> float:
@@ -222,18 +220,16 @@ def _success_probability(x, observed: list, ctx: _GuessContext) -> float:
     name = f"g{len(observed)}"
     x = np.asarray(x, dtype=np.int64)
     observed = [np.asarray(o, dtype=np.int64) for o in observed]
-    for layer, (xhat, d, D) in enumerate(zip(observed, (spec.d1, spec.d2), (spec.D1, spec.D2)), 1):
-        if _avg_distortion(d.matrix, x, xhat) > D + 1e-9:
+    # the feasible set's own filters, so the true joint type is always in it
+    for layer, xhat in enumerate(observed, 1):
+        if not ctx.meets(_joint_counts([x, xhat], [ctx.kx, ctx.sizes[layer]])[None], layer, len(x))[0]:
             raise ValueError(f"{name} guarantee requires layer {layer} to meet D{layer}")
     if len(observed) == 2:
         q_x = Distribution(np.bincount(x, minlength=ctx.kx).astype(np.float64) / len(x))
         if ctx.model.rd(q_x, 1) > spec.R1 + 1e-9:
             raise ValueError("g2 guarantee requires R1 to cover the rate of the observed type")
     feasible = ctx.feasible(observed)
-    true_joint = _joint_counts([x, *observed], ctx.sizes[: len(observed) + 1])
-    if not any(np.array_equal(true_joint, f) for f in feasible):
-        return 0.0
-    size = _conditional_class_size(true_joint)
+    size = _conditional_class_size(_joint_counts([x, *observed], ctx.sizes[: len(observed) + 1]))
     return float(Fraction(1, len(feasible) * size))
 
 
@@ -392,8 +388,8 @@ def end_to_end_guess_probability(
     target's maximum-posterior rule is that value.  An erased observation,
     or one no candidate explains, leaves the attacker the maximum-prior
     guess.  The sums over key pairs and sequences run in enumeration order.
-    ``max_enum`` caps both the chain's evaluations and the guesser's
-    joint-type table (types times cells).
+    ``max_enum`` caps both the chain's evaluations and, per observed type,
+    the guesser's candidate joint types (types times cells).
     """
     _require_codebook_matches(spec, n, cb)
     ctx = _GuessContext(cb.model, max_enum)

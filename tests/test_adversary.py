@@ -72,6 +72,14 @@ class TestSequenceGuessers:
         x = [0, 1, 0, 1]
         with pytest.raises(ValueError, match="g2 guarantee requires R1 to cover the rate"):
             g2_success_probability(x, x, x, make_spec(D1=0.2, D2=0.1, R1=0.1))
+        # one error in four letters is within D1 + 1e-9 per letter but not
+        # within 4 D1 + 1e-9 in total, the feasible set's test: refused, not 0
+        x, one_off = [1, 0, 0, 0], [0, 0, 0, 0]
+        with pytest.raises(ValueError, match="g1 guarantee requires layer 1 to meet D1"):
+            g1_success_probability(x, one_off, make_spec(D1=(1 - 2e-9) / 4))
+        assert g1_success_probability(x, one_off, make_spec(D1=0.25)) == 0.125
+        with pytest.raises(ValueError, match="g2 guarantee requires layer 2 to meet D2"):
+            g2_success_probability(x, x, one_off, make_spec(D1=0.25, D2=(1 - 2e-9) / 4))
 
     def test_feasible_set_count_n2(self):
         # direct enumeration oracle at n=2, D1=D2=0.5
@@ -230,25 +238,24 @@ class TestEndToEnd:
                 "codebook was built for another spec or blocklength (r1 = 0.0, not 0.25)")):
             end_to_end_guess_probability(make_spec(alpha=0.3, r1=0.25), 4, cb)
 
-    def test_joint_type_table_beyond_the_cap_is_refused_before_it_is_built(self, monkeypatch):
-        # g2 at n = 4 on a binary Hamming code: C(11, 7) = 330 joint types of
-        # 2 x 2 x 2 cells, a 2,640-cell table; the chain's 2^4 evaluations
-        # (no key bits) are within either cap
+    def test_candidate_joint_types_beyond_the_cap_are_refused_unbuilt(self, monkeypatch):
+        # g2 at n = 4 on a binary Hamming code: the observation (0011, 0111)
+        # has reconstruction counts 1, 1 and 2, so its candidates are
+        # 2 * 2 * 3 = 12 joint types of 2 x 2 x 2 cells, 96 cells in all
         spec = make_spec(alpha=0.3)
-        cb = build_codebook(spec, 4, delta=0.3)
-        assert end_to_end_guess_probability(spec, 4, cb, max_enum=2640) == \
-            end_to_end_guess_probability(spec, 4, cb)
+        xhat1, xhat2 = np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1])
+        want = _GuessContext(RateModel(spec)).feasible([xhat1, xhat2])
+        assert np.array_equal(_GuessContext(RateModel(spec), max_enum=96).feasible([xhat1, xhat2]), want)
 
         def built(*args, **kwargs):
-            raise AssertionError("the table was built")
+            raise AssertionError("the candidates were built")
 
         monkeypatch.setattr("srleak.adversary.type_count_vectors", built)
-        message = re.escape("the joint-type table of 330 types x 8 cells exceeds the enumeration cap 2639")
+        message = re.escape("12 candidate joint types x 8 cells exceed the enumeration cap 95")
         with pytest.raises(CapExceededError, match=message):
-            end_to_end_guess_probability(spec, 4, cb, max_enum=2639)
-        x = [0, 0, 0, 0]
+            _GuessContext(RateModel(spec), max_enum=95).feasible([xhat1, xhat2])
         with pytest.raises(CapExceededError, match=message):
-            g2_success_probability(x, x, x, spec, ctx=_GuessContext(RateModel(spec), max_enum=2639))
+            g2_success_probability(xhat2, xhat1, xhat2, spec, ctx=_GuessContext(RateModel(spec), max_enum=95))
 
     def test_chain_bound_rejects_nan_tau(self):
         spec = make_spec(alpha=0.3)

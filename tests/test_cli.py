@@ -254,6 +254,17 @@ class TestCommands:
         del full["invariants"]["oracle_enabled"], capped["invariants"]["oracle_enabled"]
         assert capped == full
 
+    def test_simulate_beyond_the_oracle_cap_prints_null_oracle_fields(self, spec_file, capsys,
+                                                                     monkeypatch):
+        # 2^8 sequences exceed a cap of 1: closed forms print, oracle fields are null
+        monkeypatch.setenv("SRLEAK_MAX_ENUM", "1")
+        assert run(["simulate", "--spec", spec_file, "--n", "8", "--samples", "0"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert '"oracle_enabled": false' in out
+        report = json.loads(out)
+        for field in ("m1_oracle", "m1_paths_agree", "joint_oracle", "joint_paths_agree"):
+            assert report["leakage_bits"][field] is None
+
     def test_simulate_cap_exit(self, spec_file, tmp_path, monkeypatch):
         monkeypatch.setenv("SRLEAK_MAX_SEQUENCES", "4")
         assert run([
@@ -283,18 +294,33 @@ class TestCommands:
             "resource cap exceeded: a 200-letter alphabet exceeds the codec's 127-symbol limit\n"
         )
 
-    def test_adversary_joint_type_table_beyond_the_cap_is_a_cap_exit(self, tmp_path, capsys):
-        # 24^3 = 13,824 joint cells at n = 1: a 13,824 x 13,824 table, about
-        # 1.5 GB, refused before it is allocated
+    def test_adversary_on_a_24_letter_alphabet_runs_both_guessers(self, tmp_path, capsys):
+        # 24^3 = 13,824 joint cells at n = 1, but an observation fills one
+        # reconstruction cell: 24 candidate joint types, the same one-letter
+        # guess as g1's
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(dict(FIG_SPEC, source=[1 / 24] * 24, D1=0.5, D2=0.0,
                                         R1=9.0, R2=9.0, r1=0.0, r2=0.0, alpha=8.0)))
         argv = ["adversary", "--spec", str(path), "--n", "1", "--delta", "1", "--target", "identity"]
-        assert run(argv) == EXIT_CAP
-        assert capsys.readouterr().err == (
-            "resource cap exceeded: the joint-type table of 13824 types x 13824 cells "
-            "exceeds the enumeration cap 16777216\n"
-        )
+        outputs = []
+        for guesser in ("g2", "g1"):
+            assert run([*argv, "--guesser", guesser]) == EXIT_OK
+            out = json.loads(capsys.readouterr().out)
+            assert out.pop("guesser") == guesser
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_adversary_ternary_g2_beyond_the_joint_type_count(self, tmp_path, capsys, n):
+        # 27 joint cells: C(n + 26, 26) joint types, over the enumeration cap
+        # as a table at n = 6 and 7, while each observation's candidates are few
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(FIG_SPEC, source=[0.4, 0.33, 0.27], D1=0.3, D2=0.1,
+                                        R1=1.6, R2=1.6, r1=0.0, r2=0.0, alpha=0.5)))
+        assert math.comb(n + 26, 26) * 27 > 2**24
+        assert run(["adversary", "--spec", str(path), "--n", str(n), "--guesser", "g2"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["p_star"] <= out["probability"] <= 1.0
 
     # each input asks for an array beyond the 128 TiB user address space, so
     # the allocation fails at once under any overcommit setting
