@@ -387,7 +387,8 @@ def end_to_end_guess_probability(
     probability of a sequence candidate with the true target value; the
     target's maximum-posterior rule is that value.  An erased observation,
     or one no candidate explains, leaves the attacker the maximum-prior
-    guess.  The sums over key pairs and sequences run in enumeration order.
+    guess.  The sums over key pairs and sequences run in enumeration order,
+    and the result is clamped at 1.
     ``max_enum`` caps both the chain's evaluations and, per observed type,
     the guesser's candidate joint types (types times cells).
     """
@@ -448,7 +449,9 @@ def end_to_end_guess_probability(
             if g % per_row == per_row - 1:
                 total += float(seq_prob[rows[g // per_row]]) * row_total
                 row_total = 0.0
-    return EndToEndResult(total, scheme.target.p_star(spec.source, n))
+    # the float sums can overshoot a sure attack (1 + 1.3e-14 on a 24-letter
+    # point at n = 2); a probability never exceeds 1
+    return EndToEndResult(min(total, 1.0), scheme.target.p_star(spec.source, n))
 
 
 @dataclass

@@ -322,8 +322,18 @@ def lex_index(rows: np.ndarray, k: int) -> np.ndarray:
 
 
 def lex_rows(index: np.ndarray, k: int, n: int) -> np.ndarray:
-    """The length-n rows over k symbols, int8, at the given lexicographic indices."""
-    return (index[:, None] // k ** np.arange(n - 1, -1, -1, dtype=np.int64) % k).astype(np.int8)
+    """The length-n rows over k symbols, int8, at the given lexicographic indices.
+
+    Filled one column at a time, last position first, by ``divmod``: the
+    only temporaries are two int64 arrays of one entry per row.
+    """
+    rows = np.empty((index.size, n), dtype=np.int8)
+    rest = np.array(index, dtype=np.int64)
+    digit = np.empty_like(rest)
+    for t in range(n - 1, -1, -1):
+        np.divmod(rest, k, out=(rest, digit))
+        rows[:, t] = digit
+    return rows
 
 
 def all_sequences(alphabet_size: int, n: int, max_sequences: int = 1 << 22) -> np.ndarray:

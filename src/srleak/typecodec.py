@@ -50,7 +50,7 @@ from .rdsolver import rd_function  # noqa: F401
 Which = Literal["M1", "M1M2"]
 
 DEFAULT_SEQ_CAP = 1 << 22
-DEFAULT_COVER_CELLS = 150_000_000
+DEFAULT_COVER_CELLS = 1_200_000_000
 DEFAULT_ENUM_CAP = 1 << 24
 
 _MAGIC = b"SRCB"
@@ -337,8 +337,8 @@ class CoverCodebook:
 
 
 _CHUNK_CELLS = 250_000
-# member rows per gain update of the greedy cover
-_GAIN_BLOCK = 256
+# bytes of packed cover matrix per gain block of the greedy cover
+_GAIN_BYTES = 1 << 18
 # rows per batch of the array codec (Monte-Carlo draws, oracle, verification)
 _CODEC_CHUNK = 4096
 
@@ -424,7 +424,7 @@ def _prefix_counts(left: np.ndarray, right: np.ndarray, limit: float) -> np.ndar
 def _cover_matrix(
     members: np.ndarray, candidates: np.ndarray, dmat: np.ndarray, level: float, n: int
 ) -> np.ndarray:
-    """Boolean matrix: candidate c covers member m within average distortion.
+    """Packed cover matrix: whether candidate c covers member m within average distortion.
 
     Meet in the middle: the distortion of a pair is the sum of two half-block
     sums, each from a table over all half-sequences.  The tables hold the
@@ -435,14 +435,18 @@ def _cover_matrix(
     sure count.  Regrouping the sum moves it by less than ``band``; cells
     that are near but not sure are summed again position by position, so
     every cell equals the comparison ``sum_t d(x_t, c_t) <= level * n + 1e-9``
-    with the sum taken in order.  The matrix is stored member-major (Fortran
-    order), the layout :func:`_greedy_cover` reads.
+    with the sum taken in order.
+
+    One bit per cell: the result is a ``(ceil(m / 8), candidates)`` uint8
+    array whose byte row j holds members 8j to 8j + 7 in ``np.packbits``
+    order (member 8j in the high bit), the layout :func:`_greedy_cover`
+    reads.  Padding bits past the last member are zero.
     """
     dmat = np.ascontiguousarray(dmat, dtype=np.float64)
     kx, kc = dmat.shape
     h = n // 2
     n_members = members.shape[0]
-    out = np.zeros((candidates.shape[0], n_members), dtype=bool, order="F")
+    out = np.zeros((-(-n_members // 8), candidates.shape[0]), dtype=np.uint8)
     budget = level * n + 1e-9
     band = _cover_band(dmat, n)
     # each half table as ranks of its distinct sums, ascending
@@ -459,8 +463,6 @@ def _cover_matrix(
     near_left = np.take(near_at[left_rank], left_cols, axis=1) if (near_at != sure_at).any() else None
     right_rank = right_rank.reshape(kc ** (n - h), kx ** (n - h)).astype(rank_type)
     right = np.take(right_rank, lex_index(members[:, h:], kx), axis=1)
-    cand_left = lex_index(candidates[:, :h], kc)
-    cand_right = lex_index(candidates[:, h:], kc)
     chunk = max(1, _CHUNK_CELLS // max(n_members, 1))
     rows = min(chunk, candidates.shape[0])
     thr_buf = np.empty((rows, n_members), dtype=rank_type)
@@ -472,49 +474,85 @@ def _cover_matrix(
         thr, r = thr_buf[: stop - start], rank_buf[: stop - start]
         sure, near = sure_buf[: stop - start], near_buf[: stop - start]
         # indices are in range by construction; "clip" skips a buffered copy
-        np.take(right, cand_right[start:stop], axis=0, out=r, mode="clip")
-        np.take(sure_left, cand_left[start:stop], axis=0, out=thr, mode="clip")
+        cand_left = lex_index(candidates[start:stop, :h], kc)
+        np.take(right, lex_index(candidates[start:stop, h:], kc), axis=0, out=r, mode="clip")
+        np.take(sure_left, cand_left, axis=0, out=thr, mode="clip")
         np.less(r, thr, out=sure)
         if near_left is not None:
-            np.take(near_left, cand_left[start:stop], axis=0, out=thr, mode="clip")
+            np.take(near_left, cand_left, axis=0, out=thr, mode="clip")
             np.less(r, thr, out=near)
             ci, mi = np.nonzero(near ^ sure)
             exact = np.zeros(ci.size)
             for t in range(n):
                 exact += dmat[members[mi, t], candidates[start + ci, t]]
             sure[ci, mi] = exact <= budget
-        out[start:stop] = sure
+        out[:, start:stop] = np.packbits(sure, axis=1).T
     return out
 
 
-def _greedy_cover(cover: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Maximum-coverage greedy selection (first index wins ties).
+def _greedy_cover(bits: np.ndarray, wanted: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Maximum-coverage greedy selection of the members in ``wanted`` (first index wins ties).
 
-    Returns the selected candidate indices in chronological order and, per
-    member, the chronological rank of the selection that first covered it.
-    Each candidate's gain, its count of uncovered members, is kept up to
-    date by subtracting the members each pick newly covers, at most
-    ``_GAIN_BLOCK`` member rows at a time.
+    ``bits`` is a packed matrix as :func:`_cover_matrix` returns it and
+    ``wanted`` a boolean mask over its members.  Returns the selected
+    candidate indices in chronological order and, per member, the
+    chronological rank of the selection that first covered it (-1 for a
+    member not wanted).
+
+    Each candidate's gain is the popcount of its column under the mask,
+    counted a block of byte rows (about ``_GAIN_BYTES``) at a time together
+    with the check that every wanted member has a candidate.  When the byte
+    rows that hold a wanted member and the candidates with a gain are at
+    most half the matrix, the greedy works on a copy of that part alone; a
+    dropped candidate has no gain and never wins a pick.  Each pick
+    subtracts, from every gain, the popcount of the members it newly
+    covers, only in the byte rows it touches and one block at a time.
     """
-    n_members = cover.shape[1]
-    by_member = np.ascontiguousarray(cover.T)  # no copy for a member-major cover
-    if not by_member.any(axis=1).all():
+    first_cover = np.full(wanted.size, -1, dtype=np.int64)
+    mask = np.packbits(wanted)
+    rows = np.flatnonzero(mask)
+    gains = np.zeros(bits.shape[1], dtype=np.int32)
+    reach = np.zeros(rows.size, dtype=np.uint8)
+    step = max(1, _GAIN_BYTES // max(bits.shape[1], 1))
+    for start in range(0, rows.size, step):
+        block = rows[start : start + step]
+        cells = np.take(bits, block, axis=0)
+        cells &= mask[block, None]
+        reach[start : start + block.size] = np.bitwise_or.reduce(cells, axis=1)
+        gains += np.add.reduce(np.bitwise_count(cells, out=cells), axis=0, dtype=np.int32)
+    if (reach != mask[rows]).any():
         raise CodebookError("covering infeasible: a member has no candidate within budget")
-    uncovered = np.ones(n_members, dtype=bool)
+    keep = np.flatnonzero(gains)
+    if 2 * rows.size * keep.size <= bits.size:
+        bits, gains, mask = bits[np.ix_(rows, keep)], gains[keep], mask[rows]
+    else:
+        keep, rows = np.arange(bits.shape[1]), np.arange(bits.shape[0])
+    step = max(1, _GAIN_BYTES // max(bits.shape[1], 1))
+    # a pick's gain is the count of members it newly covers
+    remaining = int(np.count_nonzero(wanted))
+    uncovered = mask
     selected: list[int] = []
-    first_cover = np.full(n_members, -1, dtype=np.int64)
-    as_int = by_member.view(np.uint8)
-    gains = np.add.reduce(as_int, axis=0, dtype=np.int32)
-    while uncovered.any():
-        best = int(np.argmax(gains))
-        newly = by_member[:, best] & uncovered
-        first_cover[newly] = len(selected)
+    hits: list[np.ndarray] = []
+    hit_bytes: list[np.ndarray] = []
+    while remaining:
+        best = int(gains.argmax())
+        remaining -= int(gains[best])
+        newly = bits[:, best] & uncovered
+        uncovered ^= newly
+        touched = newly.nonzero()[0]
+        got = newly[touched]
         selected.append(best)
-        uncovered &= ~newly
-        rows = np.flatnonzero(newly)
-        for start in range(0, rows.size, _GAIN_BLOCK):
-            gains -= np.add.reduce(as_int[rows[start : start + _GAIN_BLOCK]], axis=0, dtype=np.int32)
-    return selected, first_cover
+        hits.append(touched)
+        hit_bytes.append(got)
+        for start in range(0, touched.size, step):
+            cells = bits[touched[start : start + step]]
+            cells &= got[start : start + step, None]
+            gains -= np.add.reduce(np.bitwise_count(cells, out=cells), axis=0, dtype=np.int32)
+    if selected:
+        i, j = np.nonzero(np.unpackbits(np.concatenate(hit_bytes)[:, None], axis=1))
+        rank = np.repeat(np.arange(len(selected)), [h.size for h in hits])
+        first_cover[8 * rows[np.concatenate(hits)[i]] + j] = rank[i]
+    return keep[selected].tolist(), first_cover
 
 
 def default_delta(model: RateModel) -> float:
@@ -573,8 +611,9 @@ def build_codebook(
 
     Each cover is computed only against the candidates of the types that can
     cover a member of the class (:func:`_reachable`), and the layer-2 covers
-    of one type are the column slices of one matrix; the greedy picks, and so
-    the codebook, are those of covers over every candidate.
+    of one type are one matrix under each layer-1 codeword's member mask; the
+    greedy picks, and so the codebook, are those of covers over every
+    candidate.
     """
     if n < 1:
         raise ValueError("blocklength must be positive")
@@ -608,7 +647,7 @@ def build_codebook(
             if members.shape[0] * live.size > max_cover_cells:
                 raise CapExceededError(f"{name} for type {t.counts} exceeds {max_cover_cells} cells")
         cover1 = _cover_matrix(members, cand_y[live_y], spec.d1.matrix, spec.D1, n)
-        chrono_y, first_y = _greedy_cover(cover1)
+        chrono_y, first_y = _greedy_cover(cover1, np.ones(members.shape[0], dtype=bool))
 
         # lexicographic codeword order; members keep their chronological owner
         y_sel, y_pos = _lex_order(chrono_y)
@@ -617,20 +656,20 @@ def build_codebook(
         assign = np.zeros((members.shape[0], 3), dtype=np.int64)
         assign[:, 0] = lex_index(members, kx)
         assign[:, 1] = y_pos[first_y]
-        y_rows = [np.flatnonzero(cover1[c]) for c in y_sel]
+        y_cols = cover1[:, y_sel]
         del cover1  # before the layer-2 matrix is allocated, to keep the peak down
-        # one layer-2 matrix per type; a codeword's cover is its members' columns,
-        # cut to the candidates that cover one of them (dropped rows have no gain)
-        by_member = _cover_matrix(members, cand_z[live_z], spec.d2.matrix, spec.D2, n).T
+        # one layer-2 matrix per type; a codeword's layer-2 cover is that matrix
+        # under the codeword's member set, its column of the layer-1 matrix
+        cover2 = _cover_matrix(members, cand_z[live_z], spec.d2.matrix, spec.D2, n)
         z_codes: list[np.ndarray] = []
-        for pos, rows in enumerate(y_rows):
-            sub = by_member[rows]
-            keep = np.flatnonzero(sub.any(axis=0))
-            chrono_z, first_z = _greedy_cover(sub[:, keep].T)
+        for pos in range(y_sel.size):
+            wanted = np.unpackbits(y_cols[:, pos], count=members.shape[0]).view(bool)
+            chrono_z, first_z = _greedy_cover(cover2, wanted)
             z_sel, z_pos = _lex_order(chrono_z)
-            z_codes.append(cand_z[live_z[keep[z_sel]]])
-            owned = assign[rows, 1] == pos
-            assign[rows[owned], 2] = z_pos[first_z[owned]]
+            z_codes.append(cand_z[live_z[z_sel]])
+            owned = assign[:, 1] == pos  # a member's owner covers it, so it is wanted
+            assign[owned, 2] = z_pos[first_z[owned]]
+        del cover2  # before the next type's matrices are allocated
         blocks.append((type_id, y_codes, z_codes, assign))
 
     return CoverCodebook(model, n, delta, blocks)

@@ -1,7 +1,8 @@
 """Finite-n covering bounds shared by the leakage-trend tests, and the
-test-only oracles the library does not need: the exact minimum cover, the
-type of one sequence, the binary Hamming closed forms, and a codebook's
-type blocks, as the constructor takes them and as a saved file lays them out.
+test-only oracles the library does not need: the exact minimum cover, a
+packed cover matrix as booleans and back, the type of one sequence, the
+binary Hamming closed forms, and a codebook's type blocks, as the
+constructor takes them and as a saved file lays them out.
 
 Plain helpers only: this file defines no fixtures and no collection hooks.
 The tests import it as ``conftest``.
@@ -53,6 +54,16 @@ def binary_hamming_sum_rate(p: float, R1: float, D1: float, D2: float) -> float:
     if R1 < rd_binary_hamming(p, D1) - 1e-9:
         return math.inf
     return rd_binary_hamming(p, D2)
+
+
+def unpack_cover(bits: np.ndarray, n_members: int) -> np.ndarray:
+    """A packed cover matrix as booleans: one row per candidate, one column per member."""
+    return np.unpackbits(bits, axis=0, count=n_members).view(bool).T
+
+
+def pack_cover(cover: np.ndarray) -> np.ndarray:
+    """The packed layout :func:`_cover_matrix` returns, of a (candidates, members) boolean matrix."""
+    return np.ascontiguousarray(np.packbits(cover, axis=1).T)
 
 
 def minimum_cover_size(cover: np.ndarray) -> int:
@@ -133,8 +144,8 @@ def largest_ball_in_type(spec: SystemSpec, t: TypeClass) -> int:
         [np.repeat(np.arange(spec.d1.cols), v.counts) for v in enumerate_types(t.n, spec.d1.cols)],
         dtype=np.int8,
     )
-    cover = _cover_matrix(type_class_members(t), reps, spec.d1.matrix, spec.D1, t.n)
-    return int(cover.sum(axis=1).max())
+    bits = _cover_matrix(type_class_members(t), reps, spec.d1.matrix, spec.D1, t.n)
+    return int(np.bitwise_count(bits).sum(axis=0).max())
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -64,7 +64,7 @@ from srleak.typecodec import (
 )
 
 from conftest import (ceil_div, covering_count_bounds, inball_type_classes, minimum_cover_size,
-                      rd_binary_hamming)
+                      rd_binary_hamming, unpack_cover)
 
 H2 = DistortionMeasure.hamming(2)
 
@@ -268,7 +268,8 @@ def test_criterion_6_achievability_trend():
     cap6 = 1 << key_bits(6, spec.r1)
     minimum6 = int(out_of_ball6)
     for t in types6:
-        cover = _cover_matrix(type_class_members(t), cand6, H2.matrix, spec.D1, 6)
+        members = type_class_members(t)
+        cover = unpack_cover(_cover_matrix(members, cand6, H2.matrix, spec.D1, 6), members.shape[0])
         minimum6 += ceil_div(minimum_cover_size(cover), cap6)
     lower8 = counts[8][0]
     assert lower8**6 > minimum6**8, (lower8, minimum6)

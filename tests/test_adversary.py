@@ -272,3 +272,16 @@ class TestEndToEnd:
         # at least as good as blind guessing the most likely first symbol
         assert res.probability >= 0.0
 
+
+    def test_sure_attack_probability_is_clamped_at_one(self):
+        # uniform 24 letters, lossless layer 2, no keys: g2 sees the source
+        # sequence, and the float sum over 576 sequences overshoots 1 by 1.3e-14
+        spec = SystemSpec(
+            source=Distribution.uniform(24), d1=DistortionMeasure.hamming(24),
+            d2=DistortionMeasure.hamming(24), D1=0.5, D2=0.0, R1=9.0, R2=9.0,
+            r1=0.0, r2=0.0, alpha=8.0,
+        )
+        cb = build_codebook(spec, 2, delta=1.0)
+        res = end_to_end_guess_probability(spec, 2, cb, GuessScheme("g2", IDENTITY_TARGET))
+        assert res.probability == 1.0
+        assert math.log2(res.probability / res.p_star) <= math.log2(1.0 / res.p_star)

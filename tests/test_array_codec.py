@@ -178,7 +178,8 @@ def loop_feasible_g2(spec, xhat1, xhat2, ctx):
 def loop_end_to_end(spec, n, cb, scheme, loop_g2_sets=True):
     """The attack chain with the guess distribution summed one candidate
     joint type at a time against the loop feasible sets (or, where their
-    type loop is too slow, the sets ``test_feasible_sets_match_loops`` checks)."""
+    type loop is too slow, the sets ``test_feasible_sets_match_loops`` checks),
+    clamped at 1 as the chain's probability is."""
     ctx = _GuessContext(RateModel(spec))
     kx, ka, kb = spec.source.alphabet_size, spec.d1.cols, spec.d2.cols
     seqs = all_sequences(kx, n)
@@ -238,7 +239,7 @@ def loop_end_to_end(spec, n, cb, scheme, loop_g2_sets=True):
                             hit = mass.get(u_true, 0.0)
                         row_total += key_prob * key_prob * hit
         total += float(px) * row_total
-    return total
+    return min(total, 1.0)
 
 
 def loop_layer1_message_count(cb):

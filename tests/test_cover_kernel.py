@@ -3,17 +3,22 @@ the straightforward implementations they replace, and the candidate-type
 filter and per-type layer-2 matrix that ``build_codebook`` feeds them.
 
 The oracles below sum distortions position by position and rescan the
-uncovered columns at every greedy step.  Both the cover matrix and the greedy
-selection must match them exactly, because codebooks (and every number
-derived from them) depend on each boolean and on the tie-break.  The filter
-may only drop candidates whose every cell is False.
+uncovered columns at every greedy step, on boolean (candidate, member)
+matrices.  The kernel packs eight members to a byte; its unpacked bits and
+the greedy selection on the packed matrix must match the oracles exactly,
+because codebooks (and every number derived from them) depend on each cell
+and on the tie-break.  The filter may only drop candidates whose every cell
+is False.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from srleak import typecodec
 from srleak.errors import CodebookError
 from srleak.exponents import SystemSpec
 from srleak.probcore import (
@@ -25,14 +30,16 @@ from srleak.probcore import (
     type_class_members,
 )
 from srleak.typecodec import (
-    _GAIN_BLOCK,
     _candidate_types,
     _cover_matrix,
     _greedy_cover,
     _half_table,
     _lex_order,
     _reachable,
+    build_codebook,
 )
+
+from conftest import pack_cover, unpack_cover
 
 
 def loop_cover_matrix(members, candidates, dmat, level, n):
@@ -49,17 +56,18 @@ def loop_cover_matrix(members, candidates, dmat, level, n):
     return out
 
 
-def rescan_greedy_cover(cover):
-    """Maximum-coverage greedy that recounts every gain at every step."""
+def rescan_greedy_cover(cover, wanted=None):
+    """Maximum-coverage greedy that recounts every gain at every step, over
+    the members in ``wanted`` (all of them by default)."""
     n_members = cover.shape[1]
-    uncovered = np.ones(n_members, dtype=bool)
+    uncovered = np.ones(n_members, dtype=bool) if wanted is None else wanted.copy()
     selected = []
     first_cover = np.full(n_members, -1, dtype=np.int64)
     while uncovered.any():
         gains = cover[:, uncovered].sum(axis=1)
-        best = int(np.argmax(gains))
-        if gains[best] == 0:
+        if not gains.any():
             raise CodebookError("covering infeasible: a member has no candidate within budget")
+        best = int(np.argmax(gains))
         newly = cover[best] & uncovered
         first_cover[newly] = len(selected)
         selected.append(best)
@@ -101,8 +109,10 @@ def test_cover_matrix_equals_loop(case):
     members, candidates, dmat, level, n = case
     got = _cover_matrix(members, candidates, dmat, level, n)
     want = loop_cover_matrix(members, candidates, dmat, level, n)
-    assert got.shape == want.shape and got.dtype == bool
-    assert np.array_equal(got, want)
+    assert got.shape == (-(-len(members) // 8), len(candidates)) and got.dtype == np.uint8
+    assert np.array_equal(unpack_cover(got, len(members)), want)
+    # the padding bits past the last member are zero
+    assert np.array_equal(got, pack_cover(want))
 
 
 def test_cover_matrix_on_sums_at_the_budget():
@@ -122,7 +132,7 @@ def test_cover_matrix_on_sums_at_the_budget():
     for s in sorted(sums):
         level = (s - 1e-9) / n
         assert np.array_equal(
-            _cover_matrix(members, candidates, dmat, level, n),
+            unpack_cover(_cover_matrix(members, candidates, dmat, level, n), len(members)),
             loop_cover_matrix(members, candidates, dmat, level, n),
         ), s
 
@@ -137,7 +147,7 @@ def test_cover_matrix_with_ranks_wider_than_a_byte():
     members, candidates = seqs[::11], seqs[::-13]
     for level in (0.2, 0.25, 0.3):
         assert np.array_equal(
-            _cover_matrix(members, candidates, dmat, level, n),
+            unpack_cover(_cover_matrix(members, candidates, dmat, level, n), len(members)),
             loop_cover_matrix(members, candidates, dmat, level, n),
         ), level
 
@@ -145,8 +155,9 @@ def test_cover_matrix_with_ranks_wider_than_a_byte():
 def test_cover_matrix_empty_inputs():
     seqs = all_sequences(2, 4)
     dmat = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert _cover_matrix(seqs[:0], seqs, dmat, 0.25, 4).shape == (16, 0)
-    assert _cover_matrix(seqs, seqs[:0], dmat, 0.25, 4).shape == (0, 16)
+    assert _cover_matrix(seqs[:0], seqs, dmat, 0.25, 4).shape == (0, 16)
+    assert _cover_matrix(seqs, seqs[:0], dmat, 0.25, 4).shape == (2, 0)
+    assert _cover_matrix(seqs[:0], seqs[:0], dmat, 0.25, 4).shape == (0, 0)
 
 
 @st.composite
@@ -179,7 +190,7 @@ def filter_cases(draw):
 def test_type_filter_keeps_every_covering_candidate(case):
     cls, members, candidates, kc, dmat, level, n = case
     live = _reachable(cls, _candidate_types(candidates, kc), dmat, level, n)
-    covering = np.flatnonzero(_cover_matrix(members, candidates, dmat, level, n).any(axis=1))
+    covering = np.flatnonzero(_cover_matrix(members, candidates, dmat, level, n).any(axis=0))
     assert np.all(np.diff(live) > 0)
     assert np.isin(covering, live).all()
 
@@ -209,27 +220,38 @@ TERNARY = SystemSpec(
     (ERASURE_D1, (6, 2)), (ERASURE_D1, (4, 4)), (TERNARY, (4, 1, 1)), (TERNARY, (2, 2, 2)),
 ])
 def test_layer2_column_slice_equals_per_codeword_matrix(spec, type_counts):
+    # the layer-2 cover of a layer-1 codeword is the type's one layer-2 matrix
+    # under the codeword's member set, its column of the layer-1 matrix
     n = sum(type_counts)
     ka, kb = spec.d1.cols, spec.d2.cols
     cand_y, cand_z = all_sequences(ka, n), all_sequences(kb, n)
     members = type_class_members(TypeClass(n, type_counts))
+    m = len(members)
     live_y = _reachable(members, _candidate_types(cand_y, ka), spec.d1.matrix, spec.D1, n)
     cover1 = _cover_matrix(members, cand_y[live_y], spec.d1.matrix, spec.D1, n)
-    y_sel, _ = _lex_order(_greedy_cover(cover1)[0])
+    y_sel, _ = _lex_order(_greedy_cover(cover1, np.ones(m, dtype=bool))[0])
     live_z = _reachable(members, _candidate_types(cand_z, kb), spec.d2.matrix, spec.D2, n)
     whole = _cover_matrix(members, cand_z[live_z], spec.d2.matrix, spec.D2, n)
     for c in y_sel:
-        rows = np.flatnonzero(cover1[c])
-        per_codeword = _cover_matrix(members[rows], cand_z, spec.d2.matrix, spec.D2, n)
-        assert np.array_equal(whole[:, rows], per_codeword[live_z])
+        wanted = np.unpackbits(cover1[:, c], count=m).view(bool)
+        rows = np.flatnonzero(wanted)
+        per_codeword = unpack_cover(
+            _cover_matrix(members[rows], cand_z, spec.d2.matrix, spec.D2, n), rows.size)
+        assert np.array_equal(unpack_cover(whole, m)[:, rows], per_codeword[live_z])
         # no candidate outside the live types covers any of these members
         assert not np.delete(per_codeword, live_z, axis=0).any()
+        # the masked greedy picks what a greedy over the codeword's own matrix picks
+        picks, first = _greedy_cover(whole, wanted)
+        want_picks, want_first = rescan_greedy_cover(per_codeword)
+        assert live_z[picks].tolist() == want_picks
+        assert np.array_equal(first[rows], want_first)
+        assert (first[~wanted] == -1).all()
 
 
 @st.composite
 def feasible_covers(draw):
     n_cand = draw(st.integers(1, 14))
-    n_members = draw(st.integers(0, 14))
+    n_members = draw(st.integers(0, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cover = rng.random((n_cand, n_members)) < draw(st.floats(0.05, 0.9))
     # repeated rows and columns force ties between equal gains
@@ -239,29 +261,91 @@ def feasible_covers(draw):
         cover = np.concatenate([cover, cover[:, rng.integers(n_members, size=n_members)]], axis=1)
     # every member needs one candidate
     cover[rng.integers(cover.shape[0], size=cover.shape[1]), np.arange(cover.shape[1])] = True
-    if draw(st.booleans()):
-        cover = np.asfortranarray(cover)
     return cover
 
 
 @settings(max_examples=200, deadline=None)
 @given(feasible_covers())
 def test_greedy_equals_rescan(cover):
-    selected, first_cover = _greedy_cover(cover)
+    selected, first_cover = _greedy_cover(pack_cover(cover), np.ones(cover.shape[1], dtype=bool))
     want_selected, want_first = rescan_greedy_cover(cover)
     assert selected == want_selected
     assert np.array_equal(first_cover, want_first)
 
 
+@st.composite
+def masked_covers(draw):
+    # any matrix, uncoverable members included, and a member mask that is
+    # random or a row of a second matrix, as a layer-1 codeword's members are
+    n_cand = draw(st.integers(0, 14))
+    n_members = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.05, 0.9))
+    cover = rng.random((n_cand, n_members)) < density
+    if draw(st.booleans()):
+        wanted = rng.random(n_members) < draw(st.floats(0.0, 1.0))
+    else:
+        wanted = (rng.random((5, n_members)) < density)[draw(st.integers(0, 4))]
+    if draw(st.booleans()) and n_cand:
+        # make the wanted members coverable, so the greedy runs to the end
+        cover[rng.integers(n_cand, size=n_members), np.arange(n_members)] |= wanted
+    return cover, wanted
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_covers())
+def test_masked_greedy_equals_rescan_over_the_wanted_members(case):
+    cover, wanted = case
+    bits = pack_cover(cover)
+    try:
+        want_selected, want_first = rescan_greedy_cover(cover, wanted)
+    except CodebookError:
+        with pytest.raises(CodebookError, match="covering infeasible"):
+            _greedy_cover(bits, wanted)
+        return
+    selected, first_cover = _greedy_cover(bits, wanted)
+    assert selected == want_selected
+    assert np.array_equal(first_cover, want_first)
+
+
+@pytest.mark.parametrize("n_members", [1, 7, 9, 13, 23])
+def test_padding_bits_are_never_counted_or_covered(n_members):
+    # member counts off a multiple of 8: padding bits set in the packed
+    # matrix, as though candidates covered members that do not exist,
+    # change no gain, pick or first cover
+    rng = np.random.default_rng(n_members)
+    cover = rng.random((12, n_members)) < 0.3
+    cover[rng.integers(12, size=n_members), np.arange(n_members)] = True
+    bits = pack_cover(cover)
+    dirty = bits.copy()
+    dirty[-1] |= np.uint8((1 << (-n_members % 8)) - 1)
+    wanted = np.ones(n_members, dtype=bool)
+    want = rescan_greedy_cover(cover)
+    for matrix in (bits, dirty):
+        selected, first_cover = _greedy_cover(matrix, wanted)
+        assert first_cover.shape == (n_members,)
+        assert selected == want[0] and np.array_equal(first_cover, want[1])
+
+
+def test_greedy_on_empty_inputs():
+    for shape, n_members in (((0, 0), 0), ((0, 5), 0), ((2, 0), 13), ((2, 5), 13)):
+        selected, first_cover = _greedy_cover(np.zeros(shape, dtype=np.uint8), np.zeros(n_members, dtype=bool))
+        assert selected == [] and first_cover.tolist() == [-1] * n_members
+    with pytest.raises(CodebookError, match="covering infeasible"):
+        _greedy_cover(np.zeros((2, 0), dtype=np.uint8), np.ones(13, dtype=bool))
+
+
 @pytest.mark.parametrize("covered", [700, 650])
-def test_greedy_first_pick_spans_several_gain_blocks(covered):
-    # the first pick newly covers more members than one gain update handles
+def test_greedy_first_pick_spans_several_gain_blocks(covered, monkeypatch):
+    # 64-byte gain blocks hold one byte row of the 40 candidates, so the
+    # first pick's update and the initial gains span many blocks
+    monkeypatch.setattr(typecodec, "_GAIN_BYTES", 64)
     rng = np.random.default_rng(covered)
     cover = rng.random((40, 700)) < 0.05
     cover[17, :covered] = True
     cover[rng.integers(40, size=700), np.arange(700)] = True
-    selected, first_cover = _greedy_cover(np.asfortranarray(cover))
-    assert selected[0] == 17 and np.count_nonzero(first_cover == 0) > 2 * _GAIN_BLOCK
+    selected, first_cover = _greedy_cover(pack_cover(cover), np.ones(700, dtype=bool))
+    assert selected[0] == 17 and np.count_nonzero(first_cover == 0) >= covered
     want_selected, want_first = rescan_greedy_cover(cover)
     assert selected == want_selected
     assert np.array_equal(first_cover, want_first)
@@ -269,15 +353,33 @@ def test_greedy_first_pick_spans_several_gain_blocks(covered):
 
 def test_greedy_tie_break_is_lowest_index():
     cover = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0]], dtype=bool)
-    selected, first_cover = _greedy_cover(cover)
+    selected, first_cover = _greedy_cover(pack_cover(cover), np.ones(4, dtype=bool))
     assert selected == [0, 1, 2] == rescan_greedy_cover(cover)[0]
     assert first_cover.tolist() == [1, 0, 0, 2]
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_greedy_uncoverable_member_raises(order):
-    cover = np.array([[1, 0, 1], [1, 0, 0]], dtype=bool, order=order)
+    cover = np.array([[1, 0, 1], [1, 0, 0]], dtype=bool)
+    bits = np.asarray(pack_cover(cover), order=order)
     with pytest.raises(CodebookError, match="covering infeasible"):
-        _greedy_cover(cover)
+        _greedy_cover(bits, np.ones(3, dtype=bool))
     with pytest.raises(CodebookError, match="covering infeasible"):
         rescan_greedy_cover(cover)
+    # outside the mask, the uncoverable member is not asked for
+    wanted = np.array([True, False, True])
+    assert _greedy_cover(bits, wanted)[0] == rescan_greedy_cover(cover, wanted)[0] == [0]
+
+
+def test_build_traced_peak_on_the_erasure_point():
+    # packed matrices and blocked gains keep the n = 10 erasure-d1 build
+    # (three-letter candidates) at 5.2 MB of traced numpy and Python
+    # allocations; its largest matrix alone would be 14.4 MB at a byte per cell
+    build_codebook(ERASURE_D1, 10, 0.05)
+    tracemalloc.start()
+    try:
+        build_codebook(ERASURE_D1, 10, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, peak

@@ -323,3 +323,14 @@ class TestLexIndex:
             assert rows[3].tolist() == [k - 1] * n
             for i, row in zip(index[:8].tolist(), rows[:8].tolist()):
                 assert sum(s * k ** (n - 1 - t) for t, s in enumerate(row)) == i
+
+    def test_lex_rows_equals_the_broadcast_formula(self):
+        # the column-by-column divmod against the (rows x n) power broadcast
+        # it replaced, for every alphabet the codec takes
+        rng = np.random.default_rng(11)
+        for k in range(1, 128):
+            for n in sorted({1, 2, max(n for n in range(1, 63) if k**n <= 2**62)}):
+                index = np.concatenate([[0, k**n - 1], rng.integers(0, k**n, size=50)])
+                want = (index[:, None] // k ** np.arange(n - 1, -1, -1, dtype=np.int64) % k).astype(np.int8)
+                assert np.array_equal(lex_rows(index, k, n), want), (k, n)
+        assert lex_rows(np.zeros(0, dtype=np.int64), 3, 4).shape == (0, 4)

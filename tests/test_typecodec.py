@@ -42,7 +42,8 @@ from srleak.typecodec import (
     _cover_matrix,
 )
 
-from conftest import block_spans, codebook_blocks, covering_count_bounds, minimum_cover_size
+from conftest import (block_spans, codebook_blocks, covering_count_bounds, minimum_cover_size,
+                      unpack_cover)
 
 H2 = DistortionMeasure.hamming(2)
 
@@ -78,10 +79,11 @@ class TestBuild:
         # weight-4 type at n=8, radius-2 covering
         members = type_class_members(TypeClass(8, (4, 4)))
         cands = all_sequences(2, 8)
-        cover = _cover_matrix(members, cands, H2.matrix, 0.25, 8)
+        bits = _cover_matrix(members, cands, H2.matrix, 0.25, 8)
         from srleak.typecodec import _greedy_cover
 
-        chrono, _ = _greedy_cover(cover)
+        chrono, _ = _greedy_cover(bits, np.ones(members.shape[0], dtype=bool))
+        cover = unpack_cover(bits, members.shape[0])
         exact = minimum_cover_size(cover)
         assert exact <= len(chrono)
         assert len(chrono) <= 2 * exact  # greedy stays in a sane band
