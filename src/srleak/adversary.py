@@ -28,9 +28,8 @@ from .probcore import (
     Distribution,
     all_sequences,
     entropy,
-    enumerate_types,
-    kl_divergence,
     type_count_vectors,
+    types_within,
 )
 from .typecodec import (
     DEFAULT_ENUM_CAP,
@@ -464,7 +463,8 @@ class ChainBound:
 def end_to_end_lower_bound(
     spec: SystemSpec, n: int, cb: CoverCodebook, tau: float, p_star: float
 ) -> ChainBound:
-    """The chained converse lower bound for the refined attack.
+    """The chained converse lower bound for the refined attack, a maximum over
+    the types of :func:`types_within` at ``alpha - tau``.
 
     Valid once the blocklength is large enough that (i) the per-type success
     discount factor is at least one half, detected as n*(tau - b3) >= 1 with
@@ -478,16 +478,13 @@ def end_to_end_lower_bound(
     b2 = (n + 1.0) ** (-(kx * ka * kb))
     b4 = (n + 1.0) ** (-kx) * b2
     b3 = (kx / n) * math.log2(n + 1.0)
-    candidates = [
-        t for t in enumerate_types(n, kx)
-        if kl_divergence(t.empirical(), spec.source) <= spec.alpha - tau
-    ]
+    rows, ball = types_within(n, spec.source, spec.alpha - tau)
     half_ok = n * (tau - b3) >= 1.0
     jep = jep_exact(cb)
     jep_ok = jep <= 2.0 ** (-n * spec.alpha) + 1e-15
-    if not candidates:
+    if not ball.size:
         return ChainBound(0.0, False, {"nonempty": False, "half_ok": half_ok, "jep_ok": jep_ok})
-    best = max(cb.model.sum_rate(t.empirical()) for t in candidates)
+    best = max(cb.model.sum_rate(Distribution(counts / n)) for counts in rows[ball])
     value = 0.5 * b4 * p_star * 2.0 ** (n * (best - spec.r1 - spec.r2))
     return ChainBound(
         value,

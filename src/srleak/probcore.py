@@ -257,16 +257,19 @@ def type_count_vectors(
     total = count_types(n, alphabet_size)
     if total > max_types:
         raise CapExceededError(f"{total} types exceed the cap of {max_types}")
-    rows = np.zeros((1, 0), dtype=np.int64)
+    levels = []  # per count column: each row's parent row and its count
     remaining = np.array([n], dtype=np.int64)
     for _ in range(alphabet_size - 1):
         # each row branches into next counts remaining, remaining - 1, ..., 0
-        parent = np.repeat(np.arange(len(rows)), remaining + 1)
-        start = np.repeat(np.cumsum(remaining + 1) - (remaining + 1), remaining + 1)
-        count = remaining[parent] - (np.arange(parent.size) - start)
-        rows = np.column_stack([rows[parent], count])
+        parent = np.repeat(np.arange(remaining.size), remaining + 1)
+        count = np.cumsum(remaining + 1)[parent] - 1 - np.arange(parent.size)
+        levels.append((parent, count))
         remaining = remaining[parent] - count
-    return np.column_stack([rows, remaining])
+    rows = np.empty((remaining.size, alphabet_size), dtype=np.int64)
+    rows[:, -1], row = remaining, np.arange(remaining.size)
+    for col, (parent, count) in reversed(list(enumerate(levels))):
+        rows[:, col], row = count[row], parent[row]
+    return rows
 
 
 def enumerate_types(
@@ -276,6 +279,23 @@ def enumerate_types(
     :func:`type_count_vectors`."""
     rows = type_count_vectors(n, alphabet_size, max_types)
     return [TypeClass(n, tuple(c)) for c in rows.tolist()]
+
+
+def types_within(n: int, p: Distribution, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`type_count_vectors` rows, and the ascending ids of the rows Q
+    with ``not kl_divergence(Q, p) > threshold``.  One vector pass sums the
+    scalar's terms in another order, which moves a sum by far less than 1e-12
+    of its absolute terms; a type in that band is decided by the scalar."""
+    if not p.full_support:
+        raise ValueError("types_within: reference distribution must have full support")
+    rows = type_count_vectors(n, p.alphabet_size)
+    q = np.arange(n + 1)[:, None] / n  # q[c] = c / n; a zero count adds 0 * (log2(1) - log2 p)
+    terms = (q * (np.log2(q + (q == 0)) - np.log2(p.probs)))[rows, np.arange(p.alphabet_size)]
+    div = terms.sum(axis=1)
+    inside = ~(div > threshold)
+    for i in np.flatnonzero(abs(div - threshold) <= 1e-12 * (1.0 + abs(terms).sum(axis=1))).tolist():
+        inside[i] = not kl_divergence(Distribution(rows[i] / n), p) > threshold
+    return rows, np.flatnonzero(inside)
 
 
 def type_class_probability(t: TypeClass, p: Distribution) -> float:

@@ -35,14 +35,12 @@ from .probcore import (
     DistortionMeasure,
     TypeClass,
     all_sequences,
-    count_types,
-    enumerate_types,
-    kl_divergence,
     lex_index,
     lex_rows,
     type_class_members,
     type_class_probability,
     type_count_vectors,
+    types_within,
 )
 # unused here; perfbench/selftest.py asserts that its tracer patches this binding
 from .rdsolver import rd_function  # noqa: F401
@@ -192,8 +190,8 @@ class CoverCodebook:
 
     The constructor stacks one ``_Block`` per in-ball type into the tables
     and keeps nothing else, so each codeword, assignment and type is held
-    once.  Block type ids other than the ball's at ``alpha + delta`` in id
-    order, an assignment to a missing codeword, books over the message
+    once.  Block type ids other than :func:`types_within`'s at ``alpha +
+    delta``, an assignment to a missing codeword, books over the message
     budgets and a covering violation (checked last) raise CodebookError;
     symbols, indices or keys too wide for the codec's fields raise
     CapExceededError.  The tables are arrays:
@@ -227,17 +225,16 @@ class CoverCodebook:
         self.bits2 = key_bits(n, spec.r2)
         self.cap1 = 1 << self.bits1
         self.cap2 = 1 << self.bits2
-        kx = spec.source.alphabet_size
-        self.total_types = count_types(n, kx)
-        self.has_out_of_ball = len(blocks) < self.total_types
         _require_codec_widths(spec, n)
+        rows, ball = types_within(n, spec.source, spec.alpha + delta)
+        self.total_types = len(rows)
+        self.has_out_of_ball = len(blocks) < self.total_types
 
         ids = [b[0] for b in blocks]
-        ball = [type_id for type_id, _ in _ball_types(spec, n, delta)]
-        if ids != ball:
-            raise CodebookError(f"codebook type ids {ids} are not the in-ball type ids {ball}")
-        self.type_ids = np.array(ids, dtype=np.int64)
-        self.type_counts = type_count_vectors(n, kx)[self.type_ids]
+        if ids != ball.tolist():
+            raise CodebookError(f"codebook type ids {ids} are not the in-ball type ids {ball.tolist()}")
+        self.type_ids = ball
+        self.type_counts = rows[ball]
         self._book_of_type = np.full(self.total_types, -1, dtype=np.int64)
         self._book_of_type[self.type_ids] = np.arange(len(blocks))
         self._y_count = np.array([len(b[1]) for b in blocks], dtype=np.int64)
@@ -579,13 +576,6 @@ def _require_codec_widths(spec: SystemSpec, n: int) -> None:
             raise CapExceededError(f"a layer-{layer} key of {bits} bits exceeds the 62-bit int64 key field")
 
 
-def _ball_types(spec: SystemSpec, n: int, delta: float) -> list[tuple[int, TypeClass]]:
-    """Id and type of each source type in the divergence ball at ``alpha + delta``, in id order."""
-    threshold = spec.alpha + delta
-    types = enumerate(enumerate_types(n, spec.source.alphabet_size))
-    return [(i, t) for i, t in types if not kl_divergence(t.empirical(), spec.source) > threshold]
-
-
 def _require_delta(delta: float) -> None:
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -634,7 +624,9 @@ def build_codebook(
     types_z = _candidate_types(cand_z, kb)
 
     blocks: list[_Block] = []
-    for type_id, t in _ball_types(spec, n, delta):
+    rows, ball = types_within(n, spec.source, spec.alpha + delta)
+    for type_id, counts in zip(ball.tolist(), rows[ball].tolist()):
+        t = TypeClass(n, tuple(counts))
         rd1 = model.rd(t.empirical(), 1)
         if not rd1 < spec.R1 - 1e-12:
             raise CodebookError(
@@ -873,11 +865,11 @@ def _decode_array(
 
 
 def ball_complement_probability(source: Distribution, n: int, threshold: float) -> float:
-    """Probability that the empirical type diverges from the source beyond the threshold."""
+    """Source mass of the types beyond the threshold, per :func:`types_within`, summed in id order."""
+    rows, ball = types_within(n, source, threshold)
     total = 0.0
-    for t in enumerate_types(n, source.alphabet_size):
-        if kl_divergence(t.empirical(), source) > threshold:
-            total += type_class_probability(t, source)
+    for counts in np.delete(rows, ball, axis=0).tolist():
+        total += type_class_probability(TypeClass(n, tuple(counts)), source)
     return total
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from srleak.adversary import (
 )
 from srleak.errors import CapExceededError
 from srleak.exponents import RateModel, SystemSpec
-from srleak.probcore import Distribution, DistortionMeasure, all_sequences
-from srleak.typecodec import build_codebook, leakage_exact
+from srleak.probcore import Distribution, DistortionMeasure, all_sequences, enumerate_types, kl_divergence
+from srleak.typecodec import build_codebook, jep_exact, leakage_exact, load_codebook, save_codebook
 
 H2 = DistortionMeasure.hamming(2)
 
@@ -285,3 +286,31 @@ class TestEndToEnd:
         res = end_to_end_guess_probability(spec, 2, cb, GuessScheme("g2", IDENTITY_TARGET))
         assert res.probability == 1.0
         assert math.log2(res.probability / res.p_star) <= math.log2(1.0 / res.p_star)
+
+
+def test_type_queries_make_no_scalar_divergence_calls(tmp_path, monkeypatch):
+    # a binary point as the benchmark draws them: every type lies more than
+    # 1e-6 from both thresholds, so the one vector pass decides every type
+    spec = make_spec(p=0.35, D1=0.2, D2=0.1, R1=1.6, R2=1.6, r1=0.15, r2=0.15, alpha=0.1)
+    n, delta, tau = 8, 0.05, 0.05
+    div = np.array([kl_divergence(t.empirical(), spec.source) for t in enumerate_types(n, 2)])
+    for threshold in (spec.alpha + delta, spec.alpha - tau):
+        assert np.abs(div - threshold).min() > 1e-6
+    cb = build_codebook(spec, n, delta)
+    path = str(tmp_path / "book.srcb")
+    save_codebook(cb, path)
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "srleak" and hasattr(module, "kl_divergence"):
+            original = module.kl_divergence
+            monkeypatch.setattr(module, "kl_divergence", lambda q, p, f=original: calls.append(q) or f(q, p))
+    runs = {
+        "build_codebook": lambda: build_codebook(spec, n, delta),
+        "load_codebook": lambda: load_codebook(path),
+        "jep_exact": lambda: jep_exact(cb),
+        "end_to_end_lower_bound": lambda: end_to_end_lower_bound(spec, n, cb, tau, 0.5),
+    }
+    for name, run in runs.items():
+        run()
+        assert len(calls) == 0, f"{name} made {len(calls)} kl_divergence calls"
+    assert end_to_end_lower_bound(spec, n, cb, tau, 0.5).conditions["nonempty"]

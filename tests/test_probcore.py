@@ -22,6 +22,7 @@ from srleak.probcore import (
     type_class_members,
     type_class_probability,
     type_count_vectors,
+    types_within,
 )
 
 from conftest import sequence_type
@@ -232,7 +233,7 @@ class TestTypes:
             return [(first,) + rest for first in range(total, -1, -1)
                     for rest in compositions(total - first, parts - 1)]
 
-        for n, k in [(1, 1), (5, 1), (1, 4), (6, 2), (4, 3), (5, 4), (3, 8)]:
+        for n, k in [(1, 1), (5, 1), (1, 4), (6, 2), (4, 3), (5, 4), (3, 8), (3, 64), (2, 127)]:
             rows = type_count_vectors(n, k)
             assert rows.dtype == np.int64 and rows.shape == (count_types(n, k), k)
             assert [tuple(r) for r in rows.tolist()] == compositions(n, k)
@@ -285,6 +286,27 @@ class TestTypes:
                 upper = 2.0 ** (-n * div)
                 lower = (n + 1) ** (-2) * upper
                 assert lower - 1e-15 <= prob <= upper + 1e-12
+
+
+class TestTypesWithin:
+    @pytest.mark.parametrize("k, n", [(2, 200), (3, 30), (4, 20), (8, 6), (24, 3), (64, 3)])
+    @pytest.mark.parametrize("law", ["uniform", "random"])
+    def test_ids_equal_the_scalar_comparison_at_the_edge(self, k, n, law):
+        # thresholds exactly at a type's scalar divergence and one float to
+        # either side, at the types whose all-column sum moved off the scalar's
+        # (the band's work) and at one seeded type
+        rng = np.random.default_rng(k * 1000 + n)
+        p = Distribution.uniform(k) if law == "uniform" else Distribution(rng.dirichlet(np.ones(k)))
+        div = np.array([kl_divergence(t.empirical(), p) for t in enumerate_types(n, k)])
+        counts = type_count_vectors(n, k)
+        q = np.where(counts > 0, counts / n, 1.0)
+        moved = np.flatnonzero(((counts > 0) * q * (np.log2(q) - np.log2(p.probs))).sum(axis=1) != div)
+        picks = rng.choice(moved, size=min(2, moved.size), replace=False).tolist()
+        for j in picks + [int(rng.integers(div.size))]:
+            for threshold in (np.nextafter(div[j], -np.inf), div[j], np.nextafter(div[j], np.inf)):
+                rows, ids = types_within(n, p, threshold)
+                assert np.array_equal(rows, counts)
+                assert ids.tolist() == np.flatnonzero(~(div > threshold)).tolist(), (k, n, j)
 
 
 class TestAllSequences:

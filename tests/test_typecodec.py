@@ -324,6 +324,12 @@ class TestJep:
             1.0, abs=1e-12
         )
 
+    def test_reference_without_full_support_raises(self):
+        # the vector pass refuses a zero-mass letter as kl_divergence does,
+        # before any log2(0) could warn or put every type inside the ball
+        with pytest.raises(ValueError, match="full support"):
+            ball_complement_probability(Distribution([0.5, 0.5, 0.0]), 3, 0.1)
+
     def test_empty_ball_semantics(self):
         # no type fits inside a vanishing ball: every sequence erases, the
         # error probability is one, and a constant message leaks nothing
