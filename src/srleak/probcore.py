@@ -173,8 +173,12 @@ class TypeClass:
     @property
     def log2_cardinality(self) -> float:
         """log2 of the multinomial count, evaluated in log space."""
-        lg = math.lgamma(self.n + 1) - sum(math.lgamma(c + 1) for c in self.counts)
-        return lg / math.log(2.0)
+        return _log2_multinomial(self.n, self.counts)
+
+
+def _log2_multinomial(n: int, counts: Sequence[int]) -> float:
+    lg = math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)
+    return lg / math.log(2.0)
 
 
 def entropy(q: Distribution) -> float:
@@ -302,14 +306,23 @@ def type_class_probability(t: TypeClass, p: Distribution) -> float:
     """Exact probability that an i.i.d. p-sequence lands in the type class of t."""
     if t.alphabet_size != p.alphabet_size:
         raise DimensionError("type_class_probability: alphabet sizes differ")
+    letters = [x for x, c in enumerate(t.counts) if c]
+    return type_probability(t.n, [t.counts[x] for x in letters], p.probs[letters].tolist())
+
+
+def type_probability(n: int, counts: Sequence[int], probs: Sequence[float]) -> float:
+    """P^n of the type class of length-n sequences with these letter counts.
+
+    ``counts`` are the nonzero counts in letter order and ``probs`` their
+    letters' probabilities.  A zero count would add lgamma(1) = 0.0 to a
+    nonnegative sum and nothing to log2 P, so leaving it out changes no bit.
+    """
     log2p = 0.0
-    for c, px in zip(t.counts, p.probs):
-        if c == 0:
-            continue
+    for c, px in zip(counts, probs):
         if px == 0.0:
             return 0.0
         log2p += c * math.log2(px)
-    return float(2.0 ** (t.log2_cardinality + log2p))
+    return float(2.0 ** (_log2_multinomial(n, counts) + log2p))
 
 
 def type_class_members(t: TypeClass) -> np.ndarray:

@@ -21,6 +21,7 @@ definitional sum over messages of the largest conditional probability.
 
 from __future__ import annotations
 
+import heapq
 import math
 import struct
 from dataclasses import dataclass, fields
@@ -38,8 +39,8 @@ from .probcore import (
     lex_index,
     lex_rows,
     type_class_members,
-    type_class_probability,
     type_count_vectors,
+    type_probability,
     types_within,
 )
 # unused here; perfbench/selftest.py asserts that its tracer patches this binding
@@ -336,6 +337,10 @@ class CoverCodebook:
 _CHUNK_CELLS = 250_000
 # bytes of packed cover matrix per gain block of the greedy cover
 _GAIN_BYTES = 1 << 18
+# live bytes of a cover (wanted byte rows x candidates with a gain) below
+# which the greedy picks on Python ints: over the seed-7 codebook-build and
+# codebook-reuse covers the int loop won below 1 KiB and lost above it
+_INT_GREEDY_BYTES = 1 << 10
 # rows per batch of the array codec (Monte-Carlo draws, oracle, verification)
 _CODEC_CHUNK = 4096
 
@@ -498,12 +503,13 @@ def _greedy_cover(bits: np.ndarray, wanted: np.ndarray) -> tuple[list[int], np.n
 
     Each candidate's gain is the popcount of its column under the mask,
     counted a block of byte rows (about ``_GAIN_BYTES``) at a time together
-    with the check that every wanted member has a candidate.  When the byte
-    rows that hold a wanted member and the candidates with a gain are at
-    most half the matrix, the greedy works on a copy of that part alone; a
-    dropped candidate has no gain and never wins a pick.  Each pick
-    subtracts, from every gain, the popcount of the members it newly
-    covers, only in the byte rows it touches and one block at a time.
+    with the check that every wanted member has a candidate.  The live part
+    is the byte rows that hold a wanted member times the candidates with a
+    gain; a dropped candidate has no gain and never wins a pick.  Below
+    ``_INT_GREEDY_BYTES`` of live part the picks are made by
+    :func:`_int_picks`, otherwise by :func:`_packed_picks`; both pick the
+    first candidate of largest gain, so the picks, their order and every
+    first cover are the same on either loop.
     """
     first_cover = np.full(wanted.size, -1, dtype=np.int64)
     mask = np.packbits(wanted)
@@ -520,19 +526,79 @@ def _greedy_cover(bits: np.ndarray, wanted: np.ndarray) -> tuple[list[int], np.n
     if (reach != mask[rows]).any():
         raise CodebookError("covering infeasible: a member has no candidate within budget")
     keep = np.flatnonzero(gains)
-    if 2 * rows.size * keep.size <= bits.size:
-        bits, gains, mask = bits[np.ix_(rows, keep)], gains[keep], mask[rows]
+    live = rows.size * keep.size
+    if live < _INT_GREEDY_BYTES:
+        selected, rank, cell = _int_picks(bits[rows[:, None], keep], mask[rows], gains[keep])
     else:
-        keep, rows = np.arange(bits.shape[1]), np.arange(bits.shape[0])
+        if 2 * live <= bits.size:
+            bits, gains, mask = bits[np.ix_(rows, keep)], gains[keep], mask[rows]
+        else:
+            keep, rows = np.arange(bits.shape[1]), np.arange(bits.shape[0])
+        selected, rank, cell = _packed_picks(bits, gains, mask, int(np.count_nonzero(wanted)))
+    # cell 8j + b is bit b (high bit first) of live byte row j
+    first_cover[8 * rows[cell >> 3] + (cell & 7)] = rank
+    return keep[selected].tolist(), first_cover
+
+
+def _int_picks(
+    cells: np.ndarray, mask: np.ndarray, gains: np.ndarray
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Lazy greedy on a small live part, one Python int per candidate column.
+
+    ``cells`` is the live byte rows by the live candidates (a copy, masked
+    here), ``mask`` the wanted bits of those rows and ``gains`` each
+    candidate's popcount under the mask.  A heap keyed by (-gain, index) is
+    refreshed only at its top (Minoux's accelerated greedy): gains never
+    rise, so a stale key bounds its candidate's gain, and a top whose
+    recounted gain equals its key is the first candidate of largest gain.
+    Returns the picks, and per newly covered cell its pick's rank and its
+    position in the live rows.
+    """
+    width = cells.shape[0]
+    cells &= mask[:, None]
+    flat = cells.T.tobytes()
+    cols = [int.from_bytes(flat[i * width : (i + 1) * width], "big") for i in range(cells.shape[1])]
+    uncovered = int.from_bytes(mask.tobytes(), "big")
+    heap = [(-g, i) for i, g in enumerate(gains.tolist())]
+    heapq.heapify(heap)
+    selected: list[int] = []
+    # the newly covered bits of every pick, one width-byte field per pick
+    newly = 0
+    while uncovered:
+        key, i = heap[0]
+        hit = cols[i] & uncovered
+        gain = hit.bit_count()
+        if gain == -key:
+            heapq.heappop(heap)
+            uncovered ^= hit
+            selected.append(i)
+            newly = newly << 8 * width | hit
+        elif gain:
+            heapq.heapreplace(heap, (-gain, i))
+        else:
+            heapq.heappop(heap)
+    hits = np.frombuffer(newly.to_bytes(width * len(selected), "big"), np.uint8)
+    rank, cell = np.divmod(np.unpackbits(hits).nonzero()[0], 8 * width)
+    return selected, rank, cell
+
+
+def _packed_picks(
+    bits: np.ndarray, gains: np.ndarray, uncovered: np.ndarray, remaining: int
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Greedy on the packed matrix with a gains vector, for ``remaining`` wanted members.
+
+    Each pick subtracts, from every gain, the popcount of the members it
+    newly covers, only in the byte rows it touches and one block of about
+    ``_GAIN_BYTES`` at a time.  ``uncovered`` (the mask of wanted bits per
+    byte row) is consumed.  Returns what :func:`_int_picks` returns.
+    """
     step = max(1, _GAIN_BYTES // max(bits.shape[1], 1))
-    # a pick's gain is the count of members it newly covers
-    remaining = int(np.count_nonzero(wanted))
-    uncovered = mask
     selected: list[int] = []
     hits: list[np.ndarray] = []
     hit_bytes: list[np.ndarray] = []
     while remaining:
         best = int(gains.argmax())
+        # a pick's gain is the count of members it newly covers
         remaining -= int(gains[best])
         newly = bits[:, best] & uncovered
         uncovered ^= newly
@@ -545,11 +611,9 @@ def _greedy_cover(bits: np.ndarray, wanted: np.ndarray) -> tuple[list[int], np.n
             cells = bits[touched[start : start + step]]
             cells &= got[start : start + step, None]
             gains -= np.add.reduce(np.bitwise_count(cells, out=cells), axis=0, dtype=np.int32)
-    if selected:
-        i, j = np.nonzero(np.unpackbits(np.concatenate(hit_bytes)[:, None], axis=1))
-        rank = np.repeat(np.arange(len(selected)), [h.size for h in hits])
-        first_cover[8 * rows[np.concatenate(hits)[i]] + j] = rank[i]
-    return keep[selected].tolist(), first_cover
+    i, j = np.nonzero(np.unpackbits(np.concatenate(hit_bytes)[:, None], axis=1))
+    rank = np.repeat(np.arange(len(selected)), [h.size for h in hits])
+    return selected, rank[i], 8 * np.concatenate(hits)[i] + j
 
 
 def default_delta(model: RateModel) -> float:
@@ -865,11 +929,20 @@ def _decode_array(
 
 
 def ball_complement_probability(source: Distribution, n: int, threshold: float) -> float:
-    """Source mass of the types beyond the threshold, per :func:`types_within`, summed in id order."""
+    """Source mass of the types beyond the threshold, per :func:`types_within`, summed in id order.
+
+    Each type's mass is :func:`type_probability` of its nonzero counts, as
+    ``type_class_probability`` computes it.
+    """
     rows, ball = types_within(n, source, threshold)
+    outside = np.delete(rows, ball, axis=0)
+    # the nonzero counts row by row in letter order, and where each row starts
+    row, letter = np.nonzero(outside)
+    counts, probs = outside[row, letter].tolist(), source.probs[letter].tolist()
+    bounds = np.searchsorted(row, np.arange(outside.shape[0] + 1)).tolist()
     total = 0.0
-    for counts in np.delete(rows, ball, axis=0).tolist():
-        total += type_class_probability(TypeClass(n, tuple(counts)), source)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        total += type_probability(n, counts[start:stop], probs[start:stop])
     return total
 
 

@@ -34,6 +34,21 @@ def sequence_type(seq: Sequence[int], alphabet_size: int) -> TypeClass:
     return TypeClass(int(arr.size), tuple(int(c) for c in counts))
 
 
+def per_letter_type_probability(counts: Sequence[int], probs: Sequence[float]) -> float:
+    """P^n of a type class as it was first computed: lgamma over every count,
+    zero counts too, then log2 P summed over the nonzero counts in letter order."""
+    log2p = 0.0
+    for c, px in zip(counts, probs):
+        if c == 0:
+            continue
+        if px == 0.0:
+            return 0.0
+        log2p += c * math.log2(px)
+    n = sum(counts)
+    card = (math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)) / math.log(2.0)
+    return float(2.0 ** (card + log2p))
+
+
 def rd_binary_hamming(p: float, D: float) -> float:
     """Closed-form binary-source Hamming rate-distortion function.
 

@@ -12,6 +12,7 @@ is False.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -306,6 +307,95 @@ def test_masked_greedy_equals_rescan_over_the_wanted_members(case):
     selected, first_cover = _greedy_cover(bits, wanted)
     assert selected == want_selected
     assert np.array_equal(first_cover, want_first)
+
+
+@st.composite
+def covers_about_the_int_boundary(draw):
+    """A cover whose live part (wanted byte rows x candidates with a gain)
+    lies on a drawn side of ``_INT_GREEDY_BYTES``, with duplicate candidates
+    and members (ties), unwanted members, padding bits set in the packed
+    matrix and, unless made feasible, wanted members no candidate covers."""
+    side = draw(st.sampled_from(["int", "packed"]))
+    limit = typecodec._INT_GREEDY_BYTES
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if side == "int":
+        byte_rows = draw(st.integers(1, 40))
+        n_cand = draw(st.integers(0, (limit - 1) // byte_rows))
+    else:
+        byte_rows = draw(st.integers(8, 40))
+        n_cand = draw(st.integers(-(-limit // byte_rows), -(-limit // byte_rows) + 40))
+    n_members = 8 * byte_rows - draw(st.integers(0, 7))
+    cover = rng.random((n_cand, n_members)) < draw(st.floats(0.01, 0.5))
+    wanted = rng.random(n_members) < draw(st.floats(0.0, 1.0))
+    if n_cand and draw(st.booleans()):
+        dup = rng.integers(n_cand, size=n_cand // 2)
+        cover[rng.permutation(n_cand)[: dup.size]] = cover[dup]
+    if draw(st.booleans()):
+        dup = rng.integers(n_members, size=n_members // 4)
+        cover[:, rng.permutation(n_members)[: dup.size]] = cover[:, dup]
+    if side == "packed":
+        # every byte row holds a wanted member and every candidate covers one
+        row_member = np.minimum(8 * np.arange(byte_rows) + rng.integers(8, size=byte_rows), n_members - 1)
+        wanted[row_member] = True
+        held = np.flatnonzero(wanted)
+        cover[np.arange(n_cand), held[rng.integers(held.size, size=n_cand)]] = True
+    feasibility = draw(st.sampled_from(["made", "drawn", "broken"]))
+    if feasibility == "made" and n_cand:
+        cover[rng.integers(n_cand, size=n_members), np.arange(n_members)] |= wanted
+    elif feasibility == "broken" and wanted.any():
+        cover[:, rng.choice(np.flatnonzero(wanted))] = False
+    bits = pack_cover(cover)
+    if n_members % 8 and n_cand:
+        bits[-1] |= ((rng.random(n_cand) < 0.5) * ((1 << (-n_members % 8)) - 1)).astype(np.uint8)
+    return side, cover, bits, wanted
+
+
+def live_bytes(cover, wanted):
+    """Wanted byte rows times candidates with a gain."""
+    rows = np.count_nonzero(np.packbits(wanted))
+    return rows * np.count_nonzero((cover & wanted).any(axis=1))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(covers_about_the_int_boundary())
+def test_both_pick_loops_equal_rescan(case):
+    # the int loop below the boundary and the packed loop above it pick what
+    # the rescan picks, in its order, with its first covers; an infeasible
+    # mask raises before either loop runs
+    side, cover, bits, wanted = case
+    with mock.patch.object(typecodec, "_int_picks", wraps=typecodec._int_picks) as small, \
+         mock.patch.object(typecodec, "_packed_picks", wraps=typecodec._packed_picks) as large:
+        try:
+            want_selected, want_first = rescan_greedy_cover(cover, wanted)
+        except CodebookError:
+            with pytest.raises(CodebookError, match="covering infeasible"):
+                _greedy_cover(bits, wanted)
+            assert not small.called and not large.called
+            return
+        selected, first_cover = _greedy_cover(bits, wanted)
+    assert (live_bytes(cover, wanted) < typecodec._INT_GREEDY_BYTES) == (side == "int")
+    assert (small.call_count, large.call_count) == ((1, 0) if side == "int" else (0, 1))
+    assert selected == want_selected
+    assert np.array_equal(first_cover, want_first)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pick_loops_agree_bit_for_bit(seed, monkeypatch):
+    # one matrix through each loop, forced by the boundary: the same picks,
+    # order and first covers, with ties from duplicate candidates
+    rng = np.random.default_rng(seed)
+    n_members = int(rng.integers(20, 300))
+    cover = rng.random((60, n_members)) < rng.uniform(0.02, 0.3)
+    cover[30:] = cover[rng.integers(30, size=30)]
+    wanted = rng.random(n_members) < rng.uniform(0.2, 1.0)
+    cover[rng.integers(60, size=n_members), np.arange(n_members)] = True
+    runs = []
+    for limit in (0, 1 << 40):
+        monkeypatch.setattr(typecodec, "_INT_GREEDY_BYTES", limit)
+        runs.append(_greedy_cover(pack_cover(cover), wanted))
+    (picks_packed, first_packed), (picks_int, first_int) = runs
+    assert picks_packed == picks_int == rescan_greedy_cover(cover, wanted)[0]
+    assert np.array_equal(first_packed, first_int)
 
 
 @pytest.mark.parametrize("n_members", [1, 7, 9, 13, 23])

@@ -22,10 +22,11 @@ from srleak.probcore import (
     type_class_members,
     type_class_probability,
     type_count_vectors,
+    type_probability,
     types_within,
 )
 
-from conftest import sequence_type
+from conftest import per_letter_type_probability, sequence_type
 
 
 def hb(p: float) -> float:
@@ -276,6 +277,23 @@ class TestTypes:
                 p = Distribution(rng.dirichlet(np.ones(k)) * 0.9 + 0.1 / k)
                 total = sum(type_class_probability(t, p) for t in enumerate_types(n, k))
                 assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n, k, zeros", [
+        (1, 3, 0), (7, 2, 0), (6, 3, 1), (5, 4, 2), (12, 6, 0), (16, 8, 1), (3, 64, 0), (2, 127, 5),
+    ])
+    def test_probability_equals_the_per_letter_formula(self, n, k, zeros):
+        # type_class_probability and type_probability of the nonzero counts
+        # give the first formula's float, bit for bit, zero-mass letters too
+        rng = np.random.default_rng(n * 1000 + k)
+        probs = rng.dirichlet(np.ones(k))
+        probs[rng.permutation(k)[:zeros]] = 0.0
+        p = Distribution(probs / probs.sum())
+        rows = type_count_vectors(n, k)
+        for counts in rows[rng.permutation(len(rows))[:500]].tolist():
+            want = per_letter_type_probability(counts, p.probs)
+            assert type_class_probability(TypeClass(n, tuple(counts)), p) == want
+            nonzero = [x for x, c in enumerate(counts) if c]
+            assert type_probability(n, [counts[x] for x in nonzero], p.probs[nonzero].tolist()) == want
 
     def test_sandwich_bound(self):
         p = Distribution.bernoulli(0.3)

@@ -18,6 +18,7 @@ from srleak.probcore import (
     binary_kl,
     type_class_members,
     type_class_probability,
+    types_within,
 )
 from srleak.typecodec import (
     CoverCodebook,
@@ -43,7 +44,7 @@ from srleak.typecodec import (
 )
 
 from conftest import (block_spans, codebook_blocks, covering_count_bounds, minimum_cover_size,
-                      unpack_cover)
+                      per_letter_type_probability, unpack_cover)
 
 H2 = DistortionMeasure.hamming(2)
 
@@ -186,6 +187,24 @@ def test_codebook_bytes_pinned(name, tmp_path):
     spec, n, delta, digest = PINNED_CODEBOOKS[name]
     path = tmp_path / "book.srcb"
     save_codebook(build_codebook(spec, n, delta), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["binary-hamming-n12", "ternary-hamming-n8"])
+def test_pinned_builds_run_both_pick_loops(name, tmp_path, monkeypatch):
+    # the criterion 6 source and distortions at n = 12, and the ternary
+    # benchmark point: small layer-2 covers pick on Python ints, the larger
+    # covers on the packed matrix, and the bytes keep their pins
+    spec, n, delta, digest = PINNED_CODEBOOKS[name]
+    calls = {"_int_picks": 0, "_packed_picks": 0}
+    for loop in calls:
+        def counted(*args, _loop=loop, _f=getattr(typecodec, loop)):
+            calls[_loop] += 1
+            return _f(*args)
+        monkeypatch.setattr(typecodec, loop, counted)
+    path = tmp_path / "book.srcb"
+    save_codebook(build_codebook(spec, n, delta), str(path))
+    assert calls["_int_picks"] > 0 and calls["_packed_picks"] > 0, calls
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -354,6 +373,21 @@ class TestJep:
             if binary_kl(t.counts[1] / 8, 0.3) > 0.15
         )
         assert jep_exact(cb) == pytest.approx(expect, abs=1e-15)
+
+    @pytest.mark.parametrize("probs, n, threshold", [
+        ([0.7, 0.3], 12, 0.15), ([0.4, 0.33, 0.27], 8, 0.15), ([0.1, 0.2, 0.3, 0.4], 10, 0.05),
+        ([0.05, 0.1, 0.15, 0.2, 0.22, 0.28], 9, 0.1), ([1 / 64] * 64, 3, 2.0), ([1 / 64] * 64, 2, 0.5),
+        ([0.7, 0.3], 9, 0.0),
+    ])
+    def test_complement_equals_the_per_type_loop(self, probs, n, threshold):
+        # the first formula per out-of-ball type, summed in id order as the
+        # per-TypeClass loop summed it: the same float, bit for bit
+        source = Distribution(probs)
+        rows, ball = types_within(n, source, threshold)
+        want = 0.0
+        for counts in np.delete(rows, ball, axis=0).tolist():
+            want += per_letter_type_probability(counts, source.probs)
+        assert ball_complement_probability(source, n, threshold) == want
 
     def test_type_count_bound_holds(self):
         spec = make_spec(alpha=0.1)
