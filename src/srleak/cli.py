@@ -321,8 +321,7 @@ def cmd_adversary(args) -> int:
         "chain_bound": {
             "value": bound.value,
             "valid": bound.valid,
-            "conditions": {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v)
-                           for k, v in bound.conditions.items()},
+            "conditions": bound.conditions,
         },
         "meets_bound": (res.probability >= bound.value - 1e-15) if bound.valid else None,
     }

@@ -273,44 +273,32 @@ def binary_ball_laws(p: float, alpha: float) -> tuple[Distribution, ...]:
     return tuple(Distribution.bernoulli(q) for q in (q_lo, q_hi, p, min(max(0.5, q_lo), q_hi)))
 
 
-def _ball_max_binary(
+def _binary_scan(
     p: Distribution,
     alpha: float,
     objective: Callable[[Distribution], float],
-    entropy_monotone: bool,
-    laws: tuple[Distribution, ...] | None,
-) -> BallOptimum:
-    if laws is None:
-        laws = binary_ball_laws(float(p.probs[1]), alpha)
+) -> tuple[tuple[Distribution, ...], Distribution, float]:
+    """The binary ball's candidate laws, and the best law and value of a
+    41-point scan plus golden refinement over their interval (none when
+    the ball holds P alone)."""
+    laws = binary_ball_laws(float(p.probs[1]), alpha)
     if len(laws) == 1:
-        return BallOptimum(objective(laws[0]), laws[0])
+        return laws, laws[0], -math.inf
 
-    best, best_v = laws[2], -math.inf
-    if not entropy_monotone:
-        # dense scan plus local refinement for arbitrary objectives
-        def f(qv: float) -> float:
-            return objective(Distribution.bernoulli(qv))
+    def f(qv: float) -> float:
+        return objective(Distribution.bernoulli(qv))
 
-        qs = np.linspace(float(laws[0].probs[1]), float(laws[1].probs[1]), _SCAN_POINTS)
-        vals = [f(float(qv)) for qv in qs]
-        k = int(np.argmax(vals))
-        best_q, best_v = float(qs[k]), vals[k]
-        a = float(qs[max(k - 1, 0)])
-        b = float(qs[min(k + 1, _SCAN_POINTS - 1)])
-        if b > a:
-            xq, xv = _golden_refine(f, a, b)
-            if xv > best_v:
-                best_q, best_v = xq, xv
-        best = Distribution.bernoulli(best_q)
-    # deterministic candidates: interval ends, the source itself, and the
-    # entropy maximizer when the ball reaches it; for objectives monotone in
-    # the binary entropy these four laws contain every extremum, so the
-    # scan above is skipped entirely
-    for law in laws:
-        cv = objective(law)
-        if cv > best_v:
-            best, best_v = law, cv
-    return BallOptimum(best_v, best)
+    qs = np.linspace(float(laws[0].probs[1]), float(laws[1].probs[1]), _SCAN_POINTS)
+    vals = [f(float(qv)) for qv in qs]
+    k = int(np.argmax(vals))
+    best_q, best_v = float(qs[k]), vals[k]
+    a = float(qs[max(k - 1, 0)])
+    b = float(qs[min(k + 1, _SCAN_POINTS - 1)])
+    if b > a:
+        xq, xv = _golden_refine(f, a, b)
+        if xv > best_v:
+            best_q, best_v = xq, xv
+    return laws, Distribution.bernoulli(best_q), best_v
 
 
 def _project_to_ball(q: np.ndarray, p: Distribution, alpha: float) -> np.ndarray:
@@ -398,26 +386,23 @@ def kl_ball_maximize(
     alpha: float,
     objective: Callable[[Distribution], float],
     *,
-    entropy_monotone: bool = False,
     laws: tuple[Distribution, ...] | None = None,
 ) -> BallOptimum:
     """Maximize a scalar objective over {Q : D(Q || P) <= alpha}.
 
-    Binary alphabets use an interval search over the Bernoulli parameters
-    of the ball, ``binary_ball_interval(P(1), alpha)``: a 41-point scan plus
-    golden-section refinement, then the candidate laws of
-    ``binary_ball_laws(P(1), alpha)`` (the interval ends, P and the law
+    ``laws`` are candidate laws known to hold the objective's maximum over
+    the ball: they are scored in order, the first strictly greatest wins,
+    and nothing else is evaluated.  For an objective monotone in the binary
+    entropy, ``binary_ball_laws(P(1), alpha)`` is such a table.  Without
+    them, binary alphabets use an interval search over the Bernoulli
+    parameters of the ball, ``binary_ball_interval(P(1), alpha)``: a
+    41-point scan plus golden-section refinement, then the candidate laws
+    of ``binary_ball_laws(P(1), alpha)`` (the interval ends, P and the law
     nearest 1/2), scored in that order; an interval narrower than 1e-15
-    scores P alone.  A caller that searches one radius several times passes
-    those laws as ``laws`` so the interval's two roots are solved and its
-    laws built once; they are used as given, the first two as the interval
-    ends.  Larger alphabets use projected ascent from the best of
+    scores P alone.  Larger alphabets use projected ascent from the best of
     six seeded random starts, the vertices pulled into the ball and, for
     ternary alphabets, the in-ball points of the denominator-12 simplex
     grid; the search is deterministic.
-    Setting ``entropy_monotone`` asserts that the objective's extrema over
-    any Bernoulli-parameter interval sit at its ends or at the entropy
-    maximizer, which skips the scan (binary alphabets only).
     """
     if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")
@@ -425,9 +410,18 @@ def kl_ball_maximize(
         raise ValueError("the ball center must have full support")
     if alpha == 0.0:
         return BallOptimum(objective(p), p)
-    if p.alphabet_size == 2:
-        return _ball_max_binary(p, alpha, objective, entropy_monotone, laws)
-    return _ball_max_general(p, alpha, objective)
+    if laws is not None:
+        best, best_v = laws[0], -math.inf
+    elif p.alphabet_size == 2:
+        laws, best, best_v = _binary_scan(p, alpha, objective)
+    else:
+        return _ball_max_general(p, alpha, objective)
+    # a later law replaces the best only when strictly greater
+    for law in laws:
+        cv = objective(law)
+        if cv > best_v:
+            best, best_v = law, cv
+    return BallOptimum(best_v, best)
 
 
 def kl_ball_minimize(
@@ -435,12 +429,10 @@ def kl_ball_minimize(
     alpha: float,
     objective: Callable[[Distribution], float],
     *,
-    entropy_monotone: bool = False,
     laws: tuple[Distribution, ...] | None = None,
 ) -> BallOptimum:
     """Minimize a scalar objective over the divergence ball (mirror of maximize)."""
-    out = kl_ball_maximize(p, alpha, lambda q: -objective(q),
-                           entropy_monotone=entropy_monotone, laws=laws)
+    out = kl_ball_maximize(p, alpha, lambda q: -objective(q), laws=laws)
     return BallOptimum(-out.value, out.argopt)
 
 
@@ -458,9 +450,9 @@ class RateModel:
     the two layer rates of each law once, from one h(q), and every objective
     reads them.  Any other spec calls the solvers, once per candidate law:
     the sum-rate solver reuses the model's R(Q, D1) and R(Q, D2) solutions.
-    For a binary source the model also keeps the candidate laws of the
-    ball radius it last searched (``binary_ball_laws``), so every search in
-    a run at one radius scores the same law objects.
+    A closed-form model also keeps the candidate laws of the ball radius it
+    last searched (``binary_ball_laws``) and passes them to the ball search,
+    so every search in a run at one radius scores the same law objects.
     """
 
     def __init__(self, spec: SystemSpec) -> None:
@@ -525,29 +517,26 @@ class RateModel:
     def joint_outer(self, q: Distribution) -> float:
         return _pos(self.sum_rate(q) - self.spec.r1 - self.spec.r2)
 
-    def _search_options(self, alpha: float) -> dict:
+    def _ball_laws(self, alpha: float) -> tuple[Distribution, ...] | None:
         # closed-form rate objectives are monotone in the binary entropy, so the
-        # ball search's four-candidate fast path is exact for them; the ball's
-        # candidate laws are built once per run of searches at one radius (a
-        # nonpositive or NaN radius never reaches them).  Only the latest
-        # radius's table is kept: a sweep never returns to a radius, and would
-        # otherwise hold all its tables until its model goes
-        options: dict = {"entropy_monotone": self.closed_form}
-        if self.spec.source.alphabet_size == 2 and alpha > 0.0:
-            if alpha not in self._laws:
-                self._laws = {alpha: binary_ball_laws(float(self.spec.source.probs[1]), alpha)}
-            options["laws"] = self._laws[alpha]
-        return options
+        # ball's candidate laws hold every extremum; they are built once per run
+        # of searches at one radius (a nonpositive or NaN radius never reaches
+        # them).  Only the latest radius's table is kept: a sweep never returns
+        # to a radius, and would otherwise hold all its tables until its model goes
+        if not (self.closed_form and alpha > 0.0):
+            return None
+        if alpha not in self._laws:
+            self._laws = {alpha: binary_ball_laws(float(self.spec.source.probs[1]), alpha)}
+        return self._laws[alpha]
 
     def ball_search(self, objective: Callable[[Distribution], float], alpha: float) -> BallOptimum:
-        return kl_ball_maximize(self.spec.source, alpha, objective, **self._search_options(alpha))
+        return kl_ball_maximize(self.spec.source, alpha, objective, laws=self._ball_laws(alpha))
 
     def ball_max(self, objective: Callable[[Distribution], float], alpha: float) -> float:
         return self.ball_search(objective, alpha).value
 
     def ball_min(self, objective: Callable[[Distribution], float], alpha: float) -> float:
-        return kl_ball_minimize(self.spec.source, alpha, objective,
-                                **self._search_options(alpha)).value
+        return kl_ball_minimize(self.spec.source, alpha, objective, laws=self._ball_laws(alpha)).value
 
     def require_layer1_rate(self, alpha: float) -> None:
         """Raise unless R1 exceeds the ball maximum of R(Q, D1) at radius alpha."""

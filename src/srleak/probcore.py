@@ -18,7 +18,7 @@ from .errors import CapExceededError, DimensionError
 #: tolerance for "probabilities sum to one"
 SUM_TOL = 1e-12
 
-#: default cap on the number of types an enumeration may produce
+#: cap on the number of types an enumeration may produce
 DEFAULT_TYPE_CAP = 5_000_000
 
 #: cap on the number of sequences one type class may enumerate
@@ -245,22 +245,20 @@ def count_types(n: int, alphabet_size: int) -> int:
     return math.comb(n + alphabet_size - 1, alphabet_size - 1)
 
 
-def type_count_vectors(
-    n: int, alphabet_size: int, max_types: int = DEFAULT_TYPE_CAP
-) -> np.ndarray:
+def type_count_vectors(n: int, alphabet_size: int) -> np.ndarray:
     """All length-n types as rows of counts, (types, alphabet_size) int64.
 
     The order is lexicographically descending on the count vector, so the
     all-mass-on-symbol-0 type comes first.  Raises CapExceededError when the
-    type count exceeds ``max_types``.
+    type count exceeds ``DEFAULT_TYPE_CAP``.
     """
     if n < 1:
         raise ValueError("blocklength must be positive")
     if alphabet_size < 1:
         raise ValueError("alphabet size must be positive")
     total = count_types(n, alphabet_size)
-    if total > max_types:
-        raise CapExceededError(f"{total} types exceed the cap of {max_types}")
+    if total > DEFAULT_TYPE_CAP:
+        raise CapExceededError(f"{total} types exceed the cap of {DEFAULT_TYPE_CAP}")
     levels = []  # per count column: each row's parent row and its count
     remaining = np.array([n], dtype=np.int64)
     for _ in range(alphabet_size - 1):
@@ -276,12 +274,10 @@ def type_count_vectors(
     return rows
 
 
-def enumerate_types(
-    n: int, alphabet_size: int, max_types: int = DEFAULT_TYPE_CAP
-) -> list[TypeClass]:
+def enumerate_types(n: int, alphabet_size: int) -> list[TypeClass]:
     """All length-n types over {0, ..., alphabet_size-1}, in the order of
     :func:`type_count_vectors`."""
-    rows = type_count_vectors(n, alphabet_size, max_types)
+    rows = type_count_vectors(n, alphabet_size)
     return [TypeClass(n, tuple(c)) for c in rows.tolist()]
 
 

@@ -39,7 +39,6 @@ from .probcore import (
     lex_index,
     lex_rows,
     type_class_members,
-    type_count_vectors,
     type_probability,
     types_within,
 )
@@ -222,11 +221,11 @@ class CoverCodebook:
         self.spec = spec = model.spec
         self.n = n
         self.delta = delta
+        _require_codec_widths(spec, n)
         self.bits1 = key_bits(n, spec.r1)
         self.bits2 = key_bits(n, spec.r2)
         self.cap1 = 1 << self.bits1
         self.cap2 = 1 << self.bits2
-        _require_codec_widths(spec, n)
         rows, ball = types_within(n, spec.source, spec.alpha + delta)
         self.total_types = len(rows)
         self.has_out_of_ball = len(blocks) < self.total_types
@@ -635,8 +634,12 @@ def _require_codec_widths(spec: SystemSpec, n: int) -> None:
             raise CapExceededError(f"a {size}-letter alphabet exceeds the codec's 127-symbol limit")
     if kx**n > np.iinfo(np.int64).max:
         raise CapExceededError(f"{kx}^{n} sequences exceed the int64 sequence index")
-    for layer, bits in ((1, key_bits(n, spec.r1)), (2, key_bits(n, spec.r2))):
-        if bits > 62:
+    for layer, rate in ((1, spec.r1), (2, spec.r2)):
+        # compared before any floor: n * rate is inf for a finite rate near 1e308;
+        # from 2^63 on the width is printed as the product, not as its floor
+        width = n * rate + 1e-9
+        if width >= 63:
+            bits = math.floor(width) if width < 2.0**63 else f"{n} * {rate!r}"
             raise CapExceededError(f"a layer-{layer} key of {bits} bits exceeds the 62-bit int64 key field")
 
 
@@ -653,7 +656,6 @@ def build_codebook(
     delta: float | None = None,
     *,
     max_sequences: int = DEFAULT_SEQ_CAP,
-    max_cover_cells: int = DEFAULT_COVER_CELLS,
 ) -> CoverCodebook:
     """Construct the per-type covering codebooks and assignment maps.
 
@@ -662,6 +664,7 @@ def build_codebook(
     CodebookError when a type's rate requirement or the message-space budget
     conflicts with the configured rates, naming the offending type; the
     :class:`CoverCodebook` constructor checks the budgets and the covering.
+    A cover matrix over ``DEFAULT_COVER_CELLS`` cells raises CapExceededError.
 
     Each cover is computed only against the candidates of the types that can
     cover a member of the class (:func:`_reachable`), and the layer-2 covers
@@ -700,8 +703,8 @@ def build_codebook(
         live_y = _reachable(members, types_y, spec.d1.matrix, spec.D1, n)
         live_z = _reachable(members, types_z, spec.d2.matrix, spec.D2, n)
         for name, live in (("cover matrix", live_y), ("layer-2 cover matrix", live_z)):
-            if members.shape[0] * live.size > max_cover_cells:
-                raise CapExceededError(f"{name} for type {t.counts} exceeds {max_cover_cells} cells")
+            if members.shape[0] * live.size > DEFAULT_COVER_CELLS:
+                raise CapExceededError(f"{name} for type {t.counts} exceeds {DEFAULT_COVER_CELLS} cells")
         cover1 = _cover_matrix(members, cand_y[live_y], spec.d1.matrix, spec.D1, n)
         chrono_y, first_y = _greedy_cover(cover1, np.ones(members.shape[0], dtype=bool))
 
@@ -1177,8 +1180,10 @@ def save_codebook(cb: CoverCodebook, path: str) -> None:
 def load_codebook(path: str) -> CoverCodebook:
     """Read a codebook written by :func:`save_codebook`; the constructor re-verifies it.
 
-    Each type id must name the counts stored with it, and each assignment
-    table must hold one row per member of that type's class."""
+    Each block's members are enumerated from the counts stored with it; each
+    assignment table must hold one row per member of that class, and each
+    type id must name the counts stored with it, checked against the built
+    codebook's ``type_counts``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     off = 0
@@ -1212,16 +1217,14 @@ def load_codebook(path: str) -> CoverCodebook:
     d2 = DistortionMeasure(np.frombuffer(take(8 * kx * kb), dtype="<f8").reshape(kx, kb))
     spec = SystemSpec(source, d1, d2, D1, D2, R1, R2, r1, r2, alpha)
     (n_books,) = struct.unpack("<I", take(4))
-    all_types = type_count_vectors(n, kx)
     blocks: list[_Block] = []
+    stored: list[tuple[int, ...]] = []
     for _ in range(n_books):
         (type_id,) = struct.unpack("<I", take(4))
         counts = struct.unpack(f"<{kx}I", take(4 * kx))
-        if type_id >= len(all_types):
-            raise CodebookError("codebook names a type id outside the type count")
-        named = tuple(all_types[type_id].tolist())
-        if named != counts:
-            raise CodebookError(f"type id {type_id} names type {named}, not {counts}")
+        if sum(counts) != n:
+            raise CodebookError(f"type id {type_id} is stored with counts {counts}, not summing to n = {n}")
+        stored.append(counts)
         (ny,) = struct.unpack("<I", take(4))
         y_codes = codewords(ny, ka, 1)
         z_codes = []
@@ -1234,4 +1237,8 @@ def load_codebook(path: str) -> CoverCodebook:
         if m != members.shape[0]:
             raise CodebookError(f"assignment table of type {counts} does not match its class")
         blocks.append((type_id, y_codes, z_codes, np.column_stack([lex_index(members, kx), assign])))
-    return CoverCodebook(RateModel(spec), n, delta, blocks)
+    cb = CoverCodebook(RateModel(spec), n, delta, blocks)
+    for type_id, named, counts in zip(cb.type_ids.tolist(), cb.type_counts.tolist(), stored):
+        if tuple(named) != counts:
+            raise CodebookError(f"type id {type_id} names type {tuple(named)}, not {counts}")
+    return cb

@@ -258,6 +258,16 @@ class TestEndToEnd:
         with pytest.raises(CapExceededError, match=message):
             g2_success_probability(xhat2, xhat1, xhat2, spec, ctx=_GuessContext(RateModel(spec), max_enum=95))
 
+    def test_chain_bound_conditions_are_python_values(self):
+        # the CLI prints them as they are: bools and a float, no numpy scalars;
+        # tau = 1 empties the ball at alpha - tau
+        spec = make_spec(alpha=0.3)
+        cb = build_codebook(spec, 4, delta=0.3)
+        flags = {"nonempty": bool, "half_ok": bool, "jep_ok": bool}
+        for tau, want in ((0.1, dict(flags, jep=float)), (1.0, flags)):
+            bound = end_to_end_lower_bound(spec, 4, cb, tau, 0.5)
+            assert {k: type(v) for k, v in bound.conditions.items()} == want
+
     def test_chain_bound_rejects_nan_tau(self):
         spec = make_spec(alpha=0.3)
         cb = build_codebook(spec, 4, delta=0.3)

@@ -284,6 +284,31 @@ class TestCommands:
             "resource cap exceeded: a layer-1 key of 63 bits exceeds the 62-bit int64 key field\n"
         )
 
+    @pytest.mark.parametrize("command, n", [("simulate", "8"), ("adversary", "4")])
+    def test_a_finite_key_rate_whose_key_overflows_a_float_is_a_cap_exit(self, tmp_path, capsys,
+                                                                          command, n):
+        # n * 1e308 is inf: refused before any floor, with no int(inf) in the message
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(FIG_SPEC, r1=1e308)))
+        assert run([command, "--spec", str(path), "--n", n, "--delta", "0.3"]) == EXIT_CAP
+        assert capsys.readouterr().err == (
+            f"resource cap exceeded: a layer-1 key of {n} * 1e+308 bits exceeds the 62-bit int64 key field\n"
+        )
+
+    def test_a_cache_whose_header_key_rate_overflows_is_a_cap_exit(self, spec_file, tmp_path, capsys):
+        cache = tmp_path / "book.srcb"
+        args = ["simulate", "--spec", spec_file, "--n", "8", "--samples", "0", "--cache", str(cache)]
+        assert run(args) == EXIT_OK
+        raw = bytearray(cache.read_bytes())
+        # header: magic, version, four sizes, then alpha, delta, D1, D2, R1, R2, r1, r2
+        struct.pack_into("<d", raw, 4 + 2 + 8 + 6 * 8, 1e308)
+        cache.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run(args) == EXIT_CAP
+        assert capsys.readouterr().err == (
+            "resource cap exceeded: a layer-1 key of 8 * 1e+308 bits exceeds the 62-bit int64 key field\n"
+        )
+
     def test_simulate_alphabet_beyond_int8_symbols_is_a_cap_exit(self, tmp_path, capsys):
         # at n = 1 every symbol covers itself; the refusal replaces a false covering failure
         path = tmp_path / "spec.json"

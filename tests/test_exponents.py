@@ -415,14 +415,16 @@ class TestBallInterval:
     ], ids=["hamming", "erasure-d1"])
     def test_searches_equal_the_uninformed_search(self, spec):
         # the rate gap between the layers, not the joint objectives: the erasure
-        # spec's would call the sum-rate solver, ~0.5 s per law
+        # spec's would call the sum-rate solver, ~0.5 s per law; the closed
+        # form scores the ball's candidate laws alone, any other model searches
         model = RateModel(spec)
         for a in (0.01, 0.1, 2.0):
+            laws = binary_ball_laws(float(spec.source.probs[1]), a) if model.closed_form else None
             for f in (model.m1, lambda q: model.rd(q, 2) - model.rd(q, 1)):
-                want = kl_ball_maximize(spec.source, a, f, entropy_monotone=model.closed_form)
+                want = kl_ball_maximize(spec.source, a, f, laws=laws)
                 got = model.ball_search(f, a)
                 assert (got.value, got.argopt) == (want.value, want.argopt)
-            want = kl_ball_minimize(spec.source, a, model.m1, entropy_monotone=model.closed_form).value
+            want = kl_ball_minimize(spec.source, a, model.m1, laws=laws).value
             assert model.ball_min(model.m1, a) == want
 
 
@@ -532,13 +534,33 @@ class TestBinaryLawTable:
             seen.append(q)
             return float(q.probs[1])
 
-        out = kl_ball_maximize(p, 0.1, objective, entropy_monotone=True, laws=laws)
+        out = kl_ball_maximize(p, 0.1, objective, laws=laws)
         assert seen == list(laws) and all(a is b for a, b in zip(seen, laws))
         assert out.argopt is laws[1] and out.value == float(laws[1].probs[1])
         seen.clear()
         center = (Distribution.bernoulli(0.3),)
-        out = kl_ball_maximize(p, 1e-40, objective, entropy_monotone=True, laws=center)
+        out = kl_ball_maximize(p, 1e-40, objective, laws=center)
         assert seen == list(center) and out.argopt is center[0]
+
+    @pytest.mark.parametrize("p", [Distribution.bernoulli(0.3), Distribution([0.2, 0.3, 0.5])],
+                             ids=["binary", "ternary"])
+    def test_only_given_laws_reach_the_objective(self, p):
+        # any alphabet; the first of two equal maxima wins, and the minimum is
+        # the mirror of the maximum over the same laws
+        laws = tuple(Distribution(np.roll(p.probs, s)) for s in range(p.alphabet_size)) + (p,)
+        seen = []
+
+        def objective(q):
+            seen.append(q)
+            return -abs(float(q.probs[0]) - float(p.probs[0]))
+
+        out = kl_ball_maximize(p, 0.5, objective, laws=laws)
+        assert len(seen) == len(laws) and all(a is b for a, b in zip(seen, laws))
+        assert out.argopt is laws[0] and out.value == 0.0
+        seen.clear()
+        out = kl_ball_minimize(p, 0.5, objective, laws=laws)
+        assert len(seen) == len(laws) and all(a is b for a, b in zip(seen, laws))
+        assert out.value == min(objective(q) for q in laws)
 
     def test_only_the_latest_radius_keeps_its_table(self, monkeypatch):
         radii = []

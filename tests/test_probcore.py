@@ -6,6 +6,7 @@ import pytest
 
 from srleak.errors import CapExceededError, DimensionError
 from srleak.probcore import (
+    DEFAULT_TYPE_CAP,
     Distribution,
     DistortionMeasure,
     TypeClass,
@@ -223,8 +224,9 @@ class TestTypes:
         assert len(enumerate_types(4, 3)) == 15
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            enumerate_types(100, 6, max_types=1000)
+        # C(105, 5) types exceed DEFAULT_TYPE_CAP, refused before any allocation
+        with pytest.raises(CapExceededError, match=f"exceed the cap of {DEFAULT_TYPE_CAP}"):
+            enumerate_types(100, 6)
 
     def test_count_vectors_in_recursive_order(self):
         def compositions(total, parts):

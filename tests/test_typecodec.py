@@ -3,12 +3,13 @@ import hashlib
 import math
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from srleak.errors import CapExceededError, CodebookError, SrleakError
-from srleak import typecodec
+from srleak import probcore, typecodec
 from srleak.exponents import RateModel, SystemSpec
 from srleak.probcore import (
     Distribution,
@@ -118,32 +119,37 @@ class TestBuild:
         with pytest.raises(CapExceededError):
             build_codebook(spec, 8, delta=0.1, max_sequences=100)
 
-    def test_cover_cells_cap(self):
+    def test_cover_cells_cap(self, monkeypatch):
         # in-ball types (7, 1), (6, 2), (5, 3), (4, 4) have 8, 28, 56 and 70
         # members; their layer-1 covers keep 37, 92, 154 and 182 of the 2^8
         # candidates: 296, 2576, 8624 and 12740 cells
         spec = make_spec()
+        monkeypatch.setattr("srleak.typecodec.DEFAULT_COVER_CELLS", 56 * 154 - 1)
         with pytest.raises(CapExceededError, match=r"type \(5, 3\) exceeds 8623 cells"):
-            build_codebook(spec, 8, delta=0.1, max_cover_cells=56 * 154 - 1)
-        build_codebook(spec, 8, delta=0.1, max_cover_cells=70 * 256)
+            build_codebook(spec, 8, delta=0.1)
+        monkeypatch.setattr("srleak.typecodec.DEFAULT_COVER_CELLS", 70 * 256)
+        build_codebook(spec, 8, delta=0.1)
 
-    def test_layer1_cover_cells_cap_counts_kept_candidates(self):
+    def test_layer1_cover_cells_cap_counts_kept_candidates(self, monkeypatch):
         # every kept matrix fits in 12740 cells, although 56 and 70 members
         # times all 2^8 candidates would not
-        cb = build_codebook(make_spec(), 8, delta=0.1, max_cover_cells=70 * 182)
+        monkeypatch.setattr("srleak.typecodec.DEFAULT_COVER_CELLS", 70 * 182)
+        cb = build_codebook(make_spec(), 8, delta=0.1)
         assert cb.type_counts.tolist() == [[7, 1], [6, 2], [5, 3], [4, 4]]
 
-    def test_layer2_cover_cells_cap(self):
+    def test_layer2_cover_cells_cap(self, monkeypatch):
         # d2 has three columns: layer-1 covers hold members x 2^8 cells (at
         # most 70 x 256 = 17920), the layer-2 cover of type (5, 3) 56 members
         # x 504 live candidates = 28224, of type (4, 4) 70 x 630 = 44100
         spec = SystemSpec(Distribution.bernoulli(0.3), H2,
                           DistortionMeasure([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]),
                           0.25, 0.1, 1.6, 1.6, 0.125, 0.125, 0.1)
+        monkeypatch.setattr("srleak.typecodec.DEFAULT_COVER_CELLS", 70 * 256)
         with pytest.raises(CapExceededError,
                            match=r"layer-2 cover matrix for type \(5, 3\) exceeds 17920 cells"):
-            build_codebook(spec, 8, delta=0.1, max_cover_cells=70 * 256)
-        build_codebook(spec, 8, delta=0.1, max_cover_cells=70 * 630)
+            build_codebook(spec, 8, delta=0.1)
+        monkeypatch.setattr("srleak.typecodec.DEFAULT_COVER_CELLS", 70 * 630)
+        build_codebook(spec, 8, delta=0.1)
 
 
 # SHA-256 of the save_codebook bytes, recorded with the per-position cover
@@ -576,6 +582,47 @@ class TestSerialization:
                 path.write_bytes(bytes(raw))
                 with pytest.raises(CodebookError, match="type id"):
                     load_codebook(str(path))
+
+    def test_counts_that_disagree_with_their_id_refused(self, tmp_path):
+        # the first two blocks trade places under their own ids: each id now
+        # carries the other type's counts, codewords and assignments, which
+        # cover their members, so only the id check can catch the swap
+        spec, n, delta, _ = PINNED_CODEBOOKS["binary-hamming"]
+        cb = build_codebook(spec, n, delta)
+        path = tmp_path / "book.srcb"
+        save_codebook(cb, str(path))
+        clean = path.read_bytes()
+        (a0, a1), (b0, b1) = block_spans(cb)[:2]
+        id_a, id_b = cb.type_ids[:2].tolist()
+        swapped = (clean[:a0] + struct.pack("<I", id_a) + clean[b0 + 4 : b1]
+                   + struct.pack("<I", id_b) + clean[a0 + 4 : a1] + clean[b1:])
+        path.write_bytes(swapped)
+        named, stored = tuple(cb.type_counts[0].tolist()), tuple(cb.type_counts[1].tolist())
+        with pytest.raises(CodebookError, match=re.escape(f"type id {id_a} names type {named}, not {stored}")):
+            load_codebook(str(path))
+        # counts that name no type of length n
+        raw = bytearray(clean)
+        struct.pack_into("<I", raw, a0 + 4, n + 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CodebookError, match=f"type id {id_a} is stored with counts .* not summing to n = {n}"):
+            load_codebook(str(path))
+
+    def test_load_enumerates_types_only_for_the_ball(self, tmp_path, monkeypatch):
+        # the type table is built once, by the constructor's in-ball query
+        spec, n, delta, _ = PINNED_CODEBOOKS["binary-erasure-d1"]
+        path = str(tmp_path / "book.srcb")
+        save_codebook(build_codebook(spec, n, delta), path)
+        callers = []
+        vectors = probcore.type_count_vectors
+
+        def spy(*args):
+            caller = sys._getframe(1)
+            callers.append((caller.f_code.co_name, caller.f_back.f_code.co_name))
+            return vectors(*args)
+
+        monkeypatch.setattr(probcore, "type_count_vectors", spy)
+        load_codebook(path)
+        assert callers == [("types_within", "__init__")]
 
     def test_bit_flips_fail_loudly_or_load_in_range(self, tmp_path):
         spec, n, delta, _ = PINNED_CODEBOOKS["binary-hamming"]
