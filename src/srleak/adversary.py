@@ -163,6 +163,12 @@ class _GuessContext:
         self.sizes = [self.kx, self.spec.d1.cols, self.spec.d2.cols]
         self._feasible: dict[tuple[int, bytes], np.ndarray] = {}
 
+    def rate_ok(self, q: Distribution) -> bool:
+        """Whether R1 covers R(Q, D1) within 1e-9.  R(Q, D1) <= H(Q), so an
+        entropy below ``R1 - 1e-9`` answers without the solver, as the build's
+        own rate check does."""
+        return entropy(q) < self.spec.R1 - 1e-9 or self.model.rd(q, 1) <= self.spec.R1 + 1e-9
+
     def meets(self, x_xhat: np.ndarray, layer: int, n: int) -> np.ndarray:
         """Whether each n-letter joint type of x and the layer's reconstruction,
         (types, kx, k), keeps its total distortion within n times the layer's level."""
@@ -203,7 +209,7 @@ class _GuessContext:
             split = split[self.meets(split @ np.eye(sizes[2], dtype=np.int64)[letters[1]], 2, n)]
             # the layer-1 rate depends on the x-type alone: rate each distinct one once
             x_types, which = np.unique(split.sum(axis=2), axis=0, return_inverse=True)
-            rate_ok = [self.model.rd(Distribution(t / n), 1) <= self.spec.R1 + 1e-9 for t in x_types]
+            rate_ok = [self.rate_ok(Distribution(t / n)) for t in x_types]
             split = split[np.array(rate_ok, dtype=bool)[which.reshape(-1)]]
         # the cells left out are zero in every candidate, so they cannot change the order
         split = split[np.lexsort(-split.reshape(len(split), kx * cells.size).T[::-1])]
@@ -215,7 +221,6 @@ class _GuessContext:
 
 def _success_probability(x, observed: list, ctx: _GuessContext) -> float:
     """Exact probability that the guesser observing one or two layers recovers x."""
-    spec = ctx.spec
     name = f"g{len(observed)}"
     x = np.asarray(x, dtype=np.int64)
     observed = [np.asarray(o, dtype=np.int64) for o in observed]
@@ -225,7 +230,7 @@ def _success_probability(x, observed: list, ctx: _GuessContext) -> float:
             raise ValueError(f"{name} guarantee requires layer {layer} to meet D{layer}")
     if len(observed) == 2:
         q_x = Distribution(np.bincount(x, minlength=ctx.kx).astype(np.float64) / len(x))
-        if ctx.model.rd(q_x, 1) > spec.R1 + 1e-9:
+        if not ctx.rate_ok(q_x):
             raise ValueError("g2 guarantee requires R1 to cover the rate of the observed type")
     feasible = ctx.feasible(observed)
     size = _conditional_class_size(_joint_counts([x, *observed], ctx.sizes[: len(observed) + 1]))
@@ -469,7 +474,9 @@ def end_to_end_lower_bound(
     Valid once the blocklength is large enough that (i) the per-type success
     discount factor is at least one half, detected as n*(tau - b3) >= 1 with
     b3 the normalized type-count exponent, and (ii) the built code meets its
-    reliability target.  Both conditions are reported, never assumed.
+    reliability target.  Both conditions are reported, never assumed, and
+    decided first: the maximum, one sum rate per type in the ball, is taken
+    only for a valid bound.  An invalid bound, or an empty ball, has value 0.
     """
     if math.isnan(tau):
         raise ValueError("tau must be a number")
@@ -484,10 +491,8 @@ def end_to_end_lower_bound(
     jep_ok = jep <= 2.0 ** (-n * spec.alpha) + 1e-15
     if not ball.size:
         return ChainBound(0.0, False, {"nonempty": False, "half_ok": half_ok, "jep_ok": jep_ok})
+    conditions = {"nonempty": True, "half_ok": half_ok, "jep_ok": jep_ok, "jep": jep}
+    if not (half_ok and jep_ok):
+        return ChainBound(0.0, False, conditions)
     best = max(cb.model.sum_rate(Distribution(counts / n)) for counts in rows[ball])
-    value = 0.5 * b4 * p_star * 2.0 ** (n * (best - spec.r1 - spec.r2))
-    return ChainBound(
-        value,
-        bool(half_ok and jep_ok),
-        {"nonempty": True, "half_ok": half_ok, "jep_ok": jep_ok, "jep": jep},
-    )
+    return ChainBound(0.5 * b4 * p_star * 2.0 ** (n * (best - spec.r1 - spec.r2)), True, conditions)

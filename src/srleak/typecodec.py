@@ -36,6 +36,7 @@ from .probcore import (
     DistortionMeasure,
     TypeClass,
     all_sequences,
+    entropy,
     lex_index,
     lex_rows,
     type_class_members,
@@ -369,6 +370,46 @@ def _cover_band(dmat: np.ndarray, n: int) -> float:
     return 1e-12 + 2.0 * n * n * float(np.abs(dmat).max()) * np.finfo(np.float64).eps
 
 
+class _CoverKernel:
+    """One layer's meet-in-the-middle tables, shared by every type of a build.
+
+    A length-n sequence splits into a left half of ``h = n // 2`` positions
+    and a right half of ``n - h``; the lexicographic index of a sequence over
+    k symbols is ``left * k^(n - h) + right`` in the halves' own indices.
+    The tables depend only on the layer's measure, level and n:
+
+    * ``left_sums``/``right_sums``: :func:`_half_table` of each half;
+    * ``budget`` and ``band``: ``level * n + 1e-9`` and :func:`_cover_band`;
+    * ``sure_left`` (and ``near_left``, None when no left sum has a near
+      count above its sure count): per entry of ``left_sums``, how many of
+      the ascending distinct right sums keep the regrouped sum at most
+      ``budget - band`` (``budget + band``), found by :func:`_prefix_counts`;
+    * ``right_rank``: per entry of ``right_sums``, its rank among them.
+
+    Ranks and counts take the narrowest unsigned type that holds them.
+    """
+
+    def __init__(self, dmat: np.ndarray, level: float, n: int) -> None:
+        self.dmat = dmat = np.ascontiguousarray(dmat, dtype=np.float64)
+        self.n, h = n, n // 2
+        self.kx, self.kc = dmat.shape
+        # the divisors that split a sequence index into its two half indices
+        self.x_right, self.c_right = self.kx ** (n - h), self.kc ** (n - h)
+        self.budget = level * n + 1e-9
+        self.band = _cover_band(dmat, n)
+        self.left_sums = _half_table(dmat, h)
+        self.right_sums = _half_table(dmat, n - h)
+        left_vals, left_rank = np.unique(self.left_sums, return_inverse=True)
+        right_vals, right_rank = np.unique(self.right_sums, return_inverse=True)
+        rank_type = np.min_scalar_type(right_vals.size)
+        sure_at = _prefix_counts(left_vals, right_vals, self.budget - self.band).astype(rank_type)
+        near_at = _prefix_counts(left_vals, right_vals, self.budget + self.band).astype(rank_type)
+        left_rank = left_rank.reshape(self.left_sums.shape)
+        self.sure_left = sure_at[left_rank]
+        self.near_left = near_at[left_rank] if (near_at != sure_at).any() else None
+        self.right_rank = right_rank.reshape(self.right_sums.shape).astype(rank_type)
+
+
 def _candidate_types(candidates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Type index of each candidate over ``k`` symbols, and one representative
     (the first candidate in index order) per type."""
@@ -379,28 +420,30 @@ def _candidate_types(candidates: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
 
 
 def _reachable(
-    members: np.ndarray, types: tuple[np.ndarray, np.ndarray], dmat: np.ndarray, level: float, n: int
+    kernel: _CoverKernel, member_index: np.ndarray, types: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Ascending indices of the candidates whose type can cover a member.
 
-    ``members`` is a whole type class and ``types`` is what
-    :func:`_candidate_types` returns for the candidates.  A candidate type is
-    kept when the in-order distortion sum from its representative to some
-    member is at most ``budget + band``, with the budget and band of
-    :func:`_cover_matrix`.  Dropping the rest is exact: a permutation of
-    positions maps any (member, candidate) pair onto a (member', representative)
-    pair with the same multiset of symbol pairs, and member' is in the class,
-    so both exact sums are equal.  Each in-order float sum is within band / 4
-    of its exact sum, so a candidate whose cell is True in
+    ``member_index`` holds the lexicographic indices of a whole type class
+    and ``types`` is what :func:`_candidate_types` returns for the
+    candidates.  A candidate type is kept when the distortion sum from its
+    representative to some member, its left-half sum plus its right-half sum
+    from the kernel's tables, is at most ``budget + band``.  Dropping the rest
+    is exact: a permutation of positions maps any (member, candidate) pair
+    onto a (member', representative) pair with the same multiset of symbol
+    pairs, and member' is in the class, so both exact sums are equal.  Any
+    summation order, the in-order one and this regrouped one alike, is
+    within band / 4 of its exact sum, so a candidate whose cell is True in
     :func:`_cover_matrix` (in-order sum at most the budget) has a type whose
     representative sums to at most ``budget + band / 2`` for some member.
     Every cell of a dropped candidate is therefore False.
     """
     of, reps = types
-    sums = np.zeros((reps.shape[0], members.shape[0]))
-    for t in range(n):
-        sums += dmat[members[None, :, t], reps[:, t, None]]
-    live = sums.min(axis=1) <= level * n + 1e-9 + _cover_band(dmat, n)
+    member_left, member_right = np.divmod(member_index, kernel.x_right)
+    rep_left, rep_right = np.divmod(lex_index(reps, kernel.kc), kernel.c_right)
+    sums = kernel.left_sums[rep_left[:, None], member_left]
+    sums += kernel.right_sums[rep_right[:, None], member_right]
+    live = sums.min(axis=1) <= kernel.budget + kernel.band
     return np.flatnonzero(live[of])
 
 
@@ -422,71 +465,60 @@ def _prefix_counts(left: np.ndarray, right: np.ndarray, limit: float) -> np.ndar
     return count
 
 
-def _cover_matrix(
-    members: np.ndarray, candidates: np.ndarray, dmat: np.ndarray, level: float, n: int
-) -> np.ndarray:
+def _cover_matrix(kernel: _CoverKernel, member_index: np.ndarray, cand_index: np.ndarray) -> np.ndarray:
     """Packed cover matrix: whether candidate c covers member m within average distortion.
 
-    Meet in the middle: the distortion of a pair is the sum of two half-block
-    sums, each from a table over all half-sequences.  The tables hold the
-    ranks of their few distinct sums.  The float sum of a left value and the
-    right values is monotone in the right value, so the right sums that keep
-    it at most ``budget - band`` ("sure") or ``budget + band`` ("near") are
-    prefixes, and a cell is sure iff its right rank is below its left sum's
-    sure count.  Regrouping the sum moves it by less than ``band``; cells
-    that are near but not sure are summed again position by position, so
-    every cell equals the comparison ``sum_t d(x_t, c_t) <= level * n + 1e-9``
-    with the sum taken in order.
+    Members and candidates are given by their lexicographic indices (a
+    candidate's is its position in :func:`all_sequences` order).  Meet in
+    the middle: the distortion of a pair is the sum of two half-block sums,
+    each from one of the kernel's tables, which hold the ranks of their few
+    distinct sums.  The float sum of a left value and the right values is
+    monotone in the right value, so the right sums that keep it at most
+    ``budget - band`` ("sure") or ``budget + band`` ("near") are prefixes,
+    and a cell is sure iff its right rank is below its left sum's sure
+    count.  Regrouping the sum moves it by less than ``band``; cells that
+    are near but not sure are summed again position by position, on their
+    few rows rebuilt from the indices, so every cell equals the comparison
+    ``sum_t d(x_t, c_t) <= level * n + 1e-9`` with the sum taken in order.
 
     One bit per cell: the result is a ``(ceil(m / 8), candidates)`` uint8
     array whose byte row j holds members 8j to 8j + 7 in ``np.packbits``
     order (member 8j in the high bit), the layout :func:`_greedy_cover`
     reads.  Padding bits past the last member are zero.
     """
-    dmat = np.ascontiguousarray(dmat, dtype=np.float64)
-    kx, kc = dmat.shape
-    h = n // 2
-    n_members = members.shape[0]
-    out = np.zeros((-(-n_members // 8), candidates.shape[0]), dtype=np.uint8)
-    budget = level * n + 1e-9
-    band = _cover_band(dmat, n)
-    # each half table as ranks of its distinct sums, ascending
-    left_vals, left_rank = np.unique(_half_table(dmat, h), return_inverse=True)
-    right_vals, right_rank = np.unique(_half_table(dmat, n - h), return_inverse=True)
-    rank_type = np.min_scalar_type(right_vals.size)
-    # per left sum, how many right sums keep the regrouped sum within each limit
-    sure_at = _prefix_counts(left_vals, right_vals, budget - band).astype(rank_type)
-    near_at = _prefix_counts(left_vals, right_vals, budget + band).astype(rank_type)
+    n_members = member_index.size
+    out = np.zeros((-(-n_members // 8), cand_index.size), dtype=np.uint8)
     # per half: rows indexed by candidate half, columns by member
-    left_rank = left_rank.reshape(kc**h, kx**h)
-    left_cols = lex_index(members[:, :h], kx)
-    sure_left = np.take(sure_at[left_rank], left_cols, axis=1)
-    near_left = np.take(near_at[left_rank], left_cols, axis=1) if (near_at != sure_at).any() else None
-    right_rank = right_rank.reshape(kc ** (n - h), kx ** (n - h)).astype(rank_type)
-    right = np.take(right_rank, lex_index(members[:, h:], kx), axis=1)
+    member_left, member_right = np.divmod(member_index, kernel.x_right)
+    sure_left = np.take(kernel.sure_left, member_left, axis=1)
+    near_left = None if kernel.near_left is None else np.take(kernel.near_left, member_left, axis=1)
+    right = np.take(kernel.right_rank, member_right, axis=1)
+    rank_type = right.dtype
     chunk = max(1, _CHUNK_CELLS // max(n_members, 1))
-    rows = min(chunk, candidates.shape[0])
+    rows = min(chunk, cand_index.size)
     thr_buf = np.empty((rows, n_members), dtype=rank_type)
     rank_buf = np.empty((rows, n_members), dtype=rank_type)
     sure_buf = np.empty((rows, n_members), dtype=bool)
     near_buf = np.empty((rows, n_members), dtype=bool)
-    for start in range(0, candidates.shape[0], chunk):
-        stop = min(start + chunk, candidates.shape[0])
+    for start in range(0, cand_index.size, chunk):
+        stop = min(start + chunk, cand_index.size)
         thr, r = thr_buf[: stop - start], rank_buf[: stop - start]
         sure, near = sure_buf[: stop - start], near_buf[: stop - start]
+        cand_left, cand_right = np.divmod(cand_index[start:stop], kernel.c_right)
         # indices are in range by construction; "clip" skips a buffered copy
-        cand_left = lex_index(candidates[start:stop, :h], kc)
-        np.take(right, lex_index(candidates[start:stop, h:], kc), axis=0, out=r, mode="clip")
+        np.take(right, cand_right, axis=0, out=r, mode="clip")
         np.take(sure_left, cand_left, axis=0, out=thr, mode="clip")
         np.less(r, thr, out=sure)
         if near_left is not None:
             np.take(near_left, cand_left, axis=0, out=thr, mode="clip")
             np.less(r, thr, out=near)
             ci, mi = np.nonzero(near ^ sure)
+            xs = lex_rows(member_index[mi], kernel.kx, kernel.n)
+            cs = lex_rows(cand_index[start + ci], kernel.kc, kernel.n)
             exact = np.zeros(ci.size)
-            for t in range(n):
-                exact += dmat[members[mi, t], candidates[start + ci, t]]
-            sure[ci, mi] = exact <= budget
+            for t in range(kernel.n):
+                exact += kernel.dmat[xs[:, t], cs[:, t]]
+            sure[ci, mi] = exact <= kernel.budget
         out[:, start:stop] = np.packbits(sure, axis=1).T
     return out
 
@@ -666,11 +698,14 @@ def build_codebook(
     :class:`CoverCodebook` constructor checks the budgets and the covering.
     A cover matrix over ``DEFAULT_COVER_CELLS`` cells raises CapExceededError.
 
+    Each layer's :class:`_CoverKernel` is built once and serves every type.
     Each cover is computed only against the candidates of the types that can
     cover a member of the class (:func:`_reachable`), and the layer-2 covers
     of one type are one matrix under each layer-1 codeword's member mask; the
     greedy picks, and so the codebook, are those of covers over every
-    candidate.
+    candidate.  A type's layer-1 rate is solved for only when its entropy
+    reaches ``R1 - 1e-9``: R(Q, D1) <= H(Q), so below that the rate is below
+    ``R1 - 1e-12`` and the check passes.
     """
     if n < 1:
         raise ValueError("blocklength must be positive")
@@ -692,37 +727,44 @@ def build_codebook(
 
     blocks: list[_Block] = []
     rows, ball = types_within(n, spec.source, spec.alpha + delta)
+    if ball.size:  # a build with no in-ball type needs no tables, which grow as kc^(n/2) x kx^(n/2)
+        kernel_y = _CoverKernel(spec.d1.matrix, spec.D1, n)
+        kernel_z = _CoverKernel(spec.d2.matrix, spec.D2, n)
     for type_id, counts in zip(ball.tolist(), rows[ball].tolist()):
         t = TypeClass(n, tuple(counts))
-        rd1 = model.rd(t.empirical(), 1)
-        if not rd1 < spec.R1 - 1e-12:
-            raise CodebookError(
-                f"type {t.counts} needs layer-1 rate {rd1:.6f}, which is not below R1={spec.R1}"
-            )
-        members = type_class_members(t)
-        live_y = _reachable(members, types_y, spec.d1.matrix, spec.D1, n)
-        live_z = _reachable(members, types_z, spec.d2.matrix, spec.D2, n)
+        q = t.empirical()
+        # R(Q, D1) <= H(Q): an entropy below R1 passes the check without the solver
+        if entropy(q) >= spec.R1 - 1e-9:
+            rd1 = model.rd(q, 1)
+            if not rd1 < spec.R1 - 1e-12:
+                raise CodebookError(
+                    f"type {t.counts} needs layer-1 rate {rd1:.6f}, which is not below R1={spec.R1}"
+                )
+        index = lex_index(type_class_members(t), kx)
+        m = index.size
+        live_y = _reachable(kernel_y, index, types_y)
+        live_z = _reachable(kernel_z, index, types_z)
         for name, live in (("cover matrix", live_y), ("layer-2 cover matrix", live_z)):
-            if members.shape[0] * live.size > DEFAULT_COVER_CELLS:
+            if m * live.size > DEFAULT_COVER_CELLS:
                 raise CapExceededError(f"{name} for type {t.counts} exceeds {DEFAULT_COVER_CELLS} cells")
-        cover1 = _cover_matrix(members, cand_y[live_y], spec.d1.matrix, spec.D1, n)
-        chrono_y, first_y = _greedy_cover(cover1, np.ones(members.shape[0], dtype=bool))
+        cover1 = _cover_matrix(kernel_y, index, live_y)
+        chrono_y, first_y = _greedy_cover(cover1, np.ones(m, dtype=bool))
 
         # lexicographic codeword order; members keep their chronological owner
         y_sel, y_pos = _lex_order(chrono_y)
         y_codes = cand_y[live_y[y_sel]]
         # per member: lexicographic index, y position, z position
-        assign = np.zeros((members.shape[0], 3), dtype=np.int64)
-        assign[:, 0] = lex_index(members, kx)
+        assign = np.zeros((m, 3), dtype=np.int64)
+        assign[:, 0] = index
         assign[:, 1] = y_pos[first_y]
         y_cols = cover1[:, y_sel]
         del cover1  # before the layer-2 matrix is allocated, to keep the peak down
         # one layer-2 matrix per type; a codeword's layer-2 cover is that matrix
         # under the codeword's member set, its column of the layer-1 matrix
-        cover2 = _cover_matrix(members, cand_z[live_z], spec.d2.matrix, spec.D2, n)
+        cover2 = _cover_matrix(kernel_z, index, live_z)
         z_codes: list[np.ndarray] = []
         for pos in range(y_sel.size):
-            wanted = np.unpackbits(y_cols[:, pos], count=members.shape[0]).view(bool)
+            wanted = np.unpackbits(y_cols[:, pos], count=m).view(bool)
             chrono_z, first_z = _greedy_cover(cover2, wanted)
             z_sel, z_pos = _lex_order(chrono_z)
             z_codes.append(cand_z[live_z[z_sel]])

@@ -1,6 +1,6 @@
 """Finite-n covering bounds shared by the leakage-trend tests, and the
 test-only oracles the library does not need: the exact minimum cover, a
-packed cover matrix as booleans and back, the type of one sequence, the
+cover matrix of sequence rows, a packed cover matrix as booleans and back, the type of one sequence, the
 binary Hamming closed forms, and a codebook's type blocks, as the
 constructor takes them and as a saved file lays them out.
 
@@ -19,8 +19,8 @@ import numpy as np
 from srleak.errors import CodebookError
 from srleak.exponents import SystemSpec
 from srleak.probcore import (TypeClass, binary_entropy, enumerate_types, kl_divergence,
-                             type_class_members)
-from srleak.typecodec import _cover_matrix, key_bits
+                             lex_index, type_class_members)
+from srleak.typecodec import _cover_matrix, _CoverKernel, key_bits
 
 
 def sequence_type(seq: Sequence[int], alphabet_size: int) -> TypeClass:
@@ -69,6 +69,14 @@ def binary_hamming_sum_rate(p: float, R1: float, D1: float, D2: float) -> float:
     if R1 < rd_binary_hamming(p, D1) - 1e-9:
         return math.inf
     return rd_binary_hamming(p, D2)
+
+
+def cover_matrix(members: np.ndarray, candidates: np.ndarray, dmat: np.ndarray, level: float,
+                 n: int) -> np.ndarray:
+    """:func:`_cover_matrix` of member and candidate rows, under the kernel of
+    ``(dmat, level, n)`` that ``build_codebook`` would build for their layer."""
+    kx, kc = np.shape(dmat)
+    return _cover_matrix(_CoverKernel(dmat, level, n), lex_index(members, kx), lex_index(candidates, kc))
 
 
 def unpack_cover(bits: np.ndarray, n_members: int) -> np.ndarray:
@@ -159,7 +167,7 @@ def largest_ball_in_type(spec: SystemSpec, t: TypeClass) -> int:
         [np.repeat(np.arange(spec.d1.cols), v.counts) for v in enumerate_types(t.n, spec.d1.cols)],
         dtype=np.int8,
     )
-    bits = _cover_matrix(type_class_members(t), reps, spec.d1.matrix, spec.D1, t.n)
+    bits = cover_matrix(type_class_members(t), reps, spec.d1.matrix, spec.D1, t.n)
     return int(np.bitwise_count(bits).sum(axis=0).max())
 
 

@@ -51,7 +51,6 @@ from srleak.rdsolver import (
 )
 from srleak.typecodec import (
     KeyPair,
-    _cover_matrix,
     ball_complement_probability,
     build_codebook,
     decode,
@@ -63,8 +62,8 @@ from srleak.typecodec import (
     leakage_oracle,
 )
 
-from conftest import (ceil_div, covering_count_bounds, inball_type_classes, minimum_cover_size,
-                      rd_binary_hamming, unpack_cover)
+from conftest import (ceil_div, cover_matrix, covering_count_bounds, inball_type_classes,
+                      minimum_cover_size, rd_binary_hamming, unpack_cover)
 
 H2 = DistortionMeasure.hamming(2)
 
@@ -269,7 +268,7 @@ def test_criterion_6_achievability_trend():
     minimum6 = int(out_of_ball6)
     for t in types6:
         members = type_class_members(t)
-        cover = unpack_cover(_cover_matrix(members, cand6, H2.matrix, spec.D1, 6), members.shape[0])
+        cover = unpack_cover(cover_matrix(members, cand6, H2.matrix, spec.D1, 6), members.shape[0])
         minimum6 += ceil_div(minimum_cover_size(cover), cap6)
     lower8 = counts[8][0]
     assert lower8**6 > minimum6**8, (lower8, minimum6)

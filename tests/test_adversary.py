@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -267,6 +268,40 @@ class TestEndToEnd:
         for tau, want in ((0.1, dict(flags, jep=float)), (1.0, flags)):
             bound = end_to_end_lower_bound(spec, 4, cb, tau, 0.5)
             assert {k: type(v) for k, v in bound.conditions.items()} == want
+
+    def test_invalid_chain_bound_solves_no_sum_rate(self, monkeypatch):
+        # validity is decided before the maximum over the ball: at n = 4 and
+        # tau = 0.1, half_ok needs n (tau - b3) >= 1 and fails, so no type's
+        # sum rate is asked for and the bound reads 0; a valid bound (alpha =
+        # 1.6, tau = 1.45) still takes the maximum over the two types within 0.15
+        calls = []
+        original = RateModel.sum_rate
+        monkeypatch.setattr(RateModel, "sum_rate", lambda model, q: calls.append(q) or original(model, q))
+        spec = make_spec(alpha=0.3)
+        cb = build_codebook(spec, 4, delta=0.3)
+        bound = end_to_end_lower_bound(spec, 4, cb, 0.1, 0.5)
+        assert bound.conditions["nonempty"] and not bound.conditions["half_ok"]
+        assert (bound.value, bound.valid, calls) == (0.0, False, [])
+        spec = make_spec(alpha=1.6)
+        cb = build_codebook(spec, 4, delta=0.7)
+        bound = end_to_end_lower_bound(spec, 4, cb, 1.45, 0.5)
+        assert bound.valid and bound.value > 0.0 and len(calls) == 2
+
+    def test_rate_filter_equals_the_solver_comparison(self):
+        # the attack's layer-1 rate filter answers from the entropy where
+        # H(Q) < R1 - 1e-9, and otherwise solves; either way it is the
+        # comparison R(Q, D1) <= R1 + 1e-9, here on every ternary type at
+        # n = 6 and R1 from 0.1 to 1.6.  At D1 = 0.02 each rate lies within
+        # 0.2 bit of its type's entropy, so a looser shortcut would pass a
+        # type whose rate exceeds R1
+        h3 = DistortionMeasure.hamming(3)
+        types = [t.empirical() for t in enumerate_types(6, 3)]
+        for D1 in (0.02, 0.3):
+            spec = SystemSpec(Distribution([0.4, 0.33, 0.27]), h3, h3, D1, 0.01, 1.6, 1.6, 0.0, 0.0, 0.5)
+            rates = [RateModel(spec).rd(q, 1) for q in types]
+            for R1 in np.linspace(0.1, 1.6, 16).tolist():
+                ctx = _GuessContext(RateModel(dataclasses.replace(spec, R1=R1)))
+                assert [ctx.rate_ok(q) for q in types] == [r <= R1 + 1e-9 for r in rates], (D1, R1)
 
     def test_chain_bound_rejects_nan_tau(self):
         spec = make_spec(alpha=0.3)

@@ -28,11 +28,14 @@ from srleak.probcore import (
     TypeClass,
     all_sequences,
     enumerate_types,
+    lex_index,
     type_class_members,
 )
 from srleak.typecodec import (
     _candidate_types,
+    _cover_band,
     _cover_matrix,
+    _CoverKernel,
     _greedy_cover,
     _half_table,
     _lex_order,
@@ -40,7 +43,7 @@ from srleak.typecodec import (
     build_codebook,
 )
 
-from conftest import pack_cover, unpack_cover
+from conftest import cover_matrix, pack_cover, unpack_cover
 
 
 def loop_cover_matrix(members, candidates, dmat, level, n):
@@ -55,6 +58,21 @@ def loop_cover_matrix(members, candidates, dmat, level, n):
             acc += dmat[members[:, t][None, :], candidates[sl, t][:, None]]
         out[sl] = acc <= budget
     return out
+
+
+def loop_rep_sums(members, reps, dmat, n):
+    """Distortion sums from each representative to each member, d(x_1, c_1) + d(x_2, c_2) + ... in order."""
+    sums = np.zeros((reps.shape[0], members.shape[0]))
+    for t in range(n):
+        sums += dmat[members[None, :, t], reps[:, t, None]]
+    return sums
+
+
+def loop_reachable(members, types, dmat, level, n):
+    """The candidate-type filter on the in-order sums of :func:`loop_rep_sums`."""
+    of, reps = types
+    live = loop_rep_sums(members, reps, dmat, n).min(axis=1) <= level * n + 1e-9 + _cover_band(dmat, n)
+    return np.flatnonzero(live[of])
 
 
 def rescan_greedy_cover(cover, wanted=None):
@@ -108,7 +126,7 @@ def cover_cases(draw):
 @given(cover_cases())
 def test_cover_matrix_equals_loop(case):
     members, candidates, dmat, level, n = case
-    got = _cover_matrix(members, candidates, dmat, level, n)
+    got = cover_matrix(members, candidates, dmat, level, n)
     want = loop_cover_matrix(members, candidates, dmat, level, n)
     assert got.shape == (-(-len(members) // 8), len(candidates)) and got.dtype == np.uint8
     assert np.array_equal(unpack_cover(got, len(members)), want)
@@ -133,7 +151,7 @@ def test_cover_matrix_on_sums_at_the_budget():
     for s in sorted(sums):
         level = (s - 1e-9) / n
         assert np.array_equal(
-            unpack_cover(_cover_matrix(members, candidates, dmat, level, n), len(members)),
+            unpack_cover(cover_matrix(members, candidates, dmat, level, n), len(members)),
             loop_cover_matrix(members, candidates, dmat, level, n),
         ), s
 
@@ -148,7 +166,7 @@ def test_cover_matrix_with_ranks_wider_than_a_byte():
     members, candidates = seqs[::11], seqs[::-13]
     for level in (0.2, 0.25, 0.3):
         assert np.array_equal(
-            unpack_cover(_cover_matrix(members, candidates, dmat, level, n), len(members)),
+            unpack_cover(cover_matrix(members, candidates, dmat, level, n), len(members)),
             loop_cover_matrix(members, candidates, dmat, level, n),
         ), level
 
@@ -156,9 +174,9 @@ def test_cover_matrix_with_ranks_wider_than_a_byte():
 def test_cover_matrix_empty_inputs():
     seqs = all_sequences(2, 4)
     dmat = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert _cover_matrix(seqs[:0], seqs, dmat, 0.25, 4).shape == (0, 16)
-    assert _cover_matrix(seqs, seqs[:0], dmat, 0.25, 4).shape == (2, 0)
-    assert _cover_matrix(seqs[:0], seqs[:0], dmat, 0.25, 4).shape == (0, 0)
+    assert cover_matrix(seqs[:0], seqs, dmat, 0.25, 4).shape == (0, 16)
+    assert cover_matrix(seqs, seqs[:0], dmat, 0.25, 4).shape == (2, 0)
+    assert cover_matrix(seqs[:0], seqs[:0], dmat, 0.25, 4).shape == (0, 0)
 
 
 @st.composite
@@ -190,10 +208,35 @@ def filter_cases(draw):
 @given(filter_cases())
 def test_type_filter_keeps_every_covering_candidate(case):
     cls, members, candidates, kc, dmat, level, n = case
-    live = _reachable(cls, _candidate_types(candidates, kc), dmat, level, n)
-    covering = np.flatnonzero(_cover_matrix(members, candidates, dmat, level, n).any(axis=0))
+    kernel = _CoverKernel(dmat, level, n)
+    live = _reachable(kernel, lex_index(cls, kernel.kx), _candidate_types(candidates, kc))
+    covering = np.flatnonzero(cover_matrix(members, candidates, dmat, level, n).any(axis=0))
     assert np.all(np.diff(live) > 0)
     assert np.isin(covering, live).all()
+
+
+@pytest.mark.parametrize("kx, dmat, level, ns", [
+    (2, [[0.0, 1.0], [1.0, 0.0]], 0.2, range(1, 13)),
+    (2, [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]], 0.3, range(1, 11)),
+    (3, [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], 0.3, range(1, 8)),
+    # non-dyadic entries, so the regrouped half sums round differently
+    (3, [[0.0, 0.1, 0.7], [0.1, 0.0, 0.3], [0.7, 0.3, 0.0]], 0.2, range(1, 8)),
+])
+def test_reachable_from_the_half_tables_equals_the_loop(kx, dmat, level, ns):
+    # every type class at each n, against every candidate: the kernel's two
+    # gathers keep exactly the candidates the per-position sums keep, at the
+    # point's level and at budgets that land on the class's own smallest
+    # in-order sums, where the rounding band decides
+    dmat = np.array(dmat)
+    for n in ns:
+        candidates = all_sequences(dmat.shape[1], n)
+        types = _candidate_types(candidates, dmat.shape[1])
+        for t in enumerate_types(n, kx):
+            members = type_class_members(t)
+            edges = np.unique(loop_rep_sums(members, types[1], dmat, n).min(axis=1))[:3]
+            for lv in [level, *((edges - 1e-9) / n).tolist()]:
+                got = _reachable(_CoverKernel(dmat, lv, n), lex_index(members, kx), types)
+                assert np.array_equal(got, loop_reachable(members, types, dmat, lv, n)), (n, t.counts, lv)
 
 
 def test_candidate_types_group_by_counts():
@@ -228,16 +271,18 @@ def test_layer2_column_slice_equals_per_codeword_matrix(spec, type_counts):
     cand_y, cand_z = all_sequences(ka, n), all_sequences(kb, n)
     members = type_class_members(TypeClass(n, type_counts))
     m = len(members)
-    live_y = _reachable(members, _candidate_types(cand_y, ka), spec.d1.matrix, spec.D1, n)
-    cover1 = _cover_matrix(members, cand_y[live_y], spec.d1.matrix, spec.D1, n)
+    index = lex_index(members, spec.source.alphabet_size)
+    kernel_y, kernel_z = _CoverKernel(spec.d1.matrix, spec.D1, n), _CoverKernel(spec.d2.matrix, spec.D2, n)
+    live_y = _reachable(kernel_y, index, _candidate_types(cand_y, ka))
+    cover1 = _cover_matrix(kernel_y, index, live_y)
     y_sel, _ = _lex_order(_greedy_cover(cover1, np.ones(m, dtype=bool))[0])
-    live_z = _reachable(members, _candidate_types(cand_z, kb), spec.d2.matrix, spec.D2, n)
-    whole = _cover_matrix(members, cand_z[live_z], spec.d2.matrix, spec.D2, n)
+    live_z = _reachable(kernel_z, index, _candidate_types(cand_z, kb))
+    whole = _cover_matrix(kernel_z, index, live_z)
     for c in y_sel:
         wanted = np.unpackbits(cover1[:, c], count=m).view(bool)
         rows = np.flatnonzero(wanted)
         per_codeword = unpack_cover(
-            _cover_matrix(members[rows], cand_z, spec.d2.matrix, spec.D2, n), rows.size)
+            cover_matrix(members[rows], cand_z, spec.d2.matrix, spec.D2, n), rows.size)
         assert np.array_equal(unpack_cover(whole, m)[:, rows], per_codeword[live_z])
         # no candidate outside the live types covers any of these members
         assert not np.delete(per_codeword, live_z, axis=0).any()

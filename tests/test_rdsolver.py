@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from srleak import rdsolver
 from srleak.errors import CapExceededError
 from srleak.exponents import RateModel, SystemSpec
-from srleak.probcore import Distribution, DistortionMeasure
+from srleak.probcore import Distribution, DistortionMeasure, entropy
 from srleak.rdsolver import (
     _LOG_FLOOR,
     _MIRROR_ETA0,
@@ -176,6 +176,29 @@ class TestRdBracket:
             q = rng.dirichlet(np.ones(k))
             D = float(rng.uniform(0.01, 1.0)) * (k - 1) * float(q.min())
             assert_certified(Distribution(q), DistortionMeasure.hamming(k), D, erokhin(q, D))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_rate_never_exceeds_the_entropy(self, k):
+        # R(Q, D) <= I(X; Y) of a zero-distortion channel <= H(Q): the build's
+        # layer-1 rate check and the attack's rate filter solve only where
+        # H(Q) reaches R1 - 1e-9, so the solver's value must keep this bound.
+        # Laws with empty letters (as types have), measures with 2-4 outputs,
+        # and levels from 0 to past the zero-rate point
+        rng = np.random.default_rng(70 + k)
+        for trial in range(40):
+            probs = rng.dirichlet(np.ones(k))
+            if trial % 2:
+                counts = rng.multinomial(int(rng.integers(2, 12)), probs)
+                probs = counts / counts.sum()
+            q = Distribution(probs)
+            cols = int(rng.integers(2, 5))
+            m = rng.uniform(0.0, 2.0, size=(k, cols))
+            if trial % 3 == 0:
+                m = np.round(m)
+            m[np.arange(k), rng.integers(cols, size=k)] = 0.0
+            d = DistortionMeasure(m)
+            D = 0.0 if trial % 5 == 0 else float(rng.uniform(0.0, 1.2)) * float((q.probs @ d.matrix).min())
+            assert rd_function(q, d, D).value <= entropy(q) + 1e-12, (trial, q.probs, m, D)
 
     def test_ordinal_measure_is_certified(self):
         rng = np.random.default_rng(8)

@@ -41,11 +41,10 @@ from srleak.typecodec import (
     sample_keys,
     save_codebook,
     simulate_jep,
-    _cover_matrix,
 )
 
-from conftest import (block_spans, codebook_blocks, covering_count_bounds, minimum_cover_size,
-                      per_letter_type_probability, unpack_cover)
+from conftest import (block_spans, codebook_blocks, cover_matrix, covering_count_bounds,
+                      minimum_cover_size, per_letter_type_probability, unpack_cover)
 
 H2 = DistortionMeasure.hamming(2)
 
@@ -81,7 +80,7 @@ class TestBuild:
         # weight-4 type at n=8, radius-2 covering
         members = type_class_members(TypeClass(8, (4, 4)))
         cands = all_sequences(2, 8)
-        bits = _cover_matrix(members, cands, H2.matrix, 0.25, 8)
+        bits = cover_matrix(members, cands, H2.matrix, 0.25, 8)
         from srleak.typecodec import _greedy_cover
 
         chrono, _ = _greedy_cover(bits, np.ones(members.shape[0], dtype=bool))
@@ -212,6 +211,49 @@ def test_pinned_builds_run_both_pick_loops(name, tmp_path, monkeypatch):
     save_codebook(build_codebook(spec, n, delta), str(path))
     assert calls["_int_picks"] > 0 and calls["_packed_picks"] > 0, calls
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    """Count calls of ``module.name`` under ``calls[name]``, still running the original."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("name", ["binary-erasure-d1-n10", "ternary-hamming-n8"])
+def test_pinned_builds_solve_no_rates_and_tabulate_halves_once(name, tmp_path, monkeypatch):
+    # every in-ball type's entropy is below R1 = 1.6 (log2 3 < 1.6), so its
+    # layer-1 rate check needs no solver; and each layer's half tables are
+    # built once per build (left and right: four calls), not once per type
+    spec, n, delta, digest = PINNED_CODEBOOKS[name]
+    calls = {"rd_function": 0, "_half_table": 0}
+    for module in (sys.modules["srleak.exponents"], sys.modules["srleak.rdsolver"]):
+        _count_calls(monkeypatch, module, "rd_function", calls)
+    _count_calls(monkeypatch, typecodec, "_half_table", calls)
+    cb = build_codebook(spec, n, delta)
+    assert cb.type_ids.size > 2
+    assert calls == {"rd_function": 0, "_half_table": 4}
+    path = tmp_path / "book.srcb"
+    save_codebook(cb, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_rate_overflow_is_solved_and_named(monkeypatch):
+    # R1 = 0.35 lies between the layer-1 rate (0.2779) and the entropy
+    # (1.4591) of the first three in-ball types at n = 6, so each is solved
+    # and passes; the balanced type needs 0.403672 and is named, as it was
+    # when every type was solved
+    spec = SystemSpec(Distribution([0.4, 0.33, 0.27]), DistortionMeasure.hamming(3),
+                      DistortionMeasure.hamming(3), 0.3, 0.1, 0.35, 1.6, 0.17, 0.17, 0.1)
+    calls = {"rd_function": 0}
+    _count_calls(monkeypatch, sys.modules["srleak.exponents"], "rd_function", calls)
+    with pytest.raises(CodebookError) as err:
+        build_codebook(spec, 6, 0.05)
+    assert str(err.value) == "type (2, 2, 2) needs layer-1 rate 0.403672, which is not below R1=0.35"
+    assert calls["rd_function"] == 4
 
 
 class TestCodebookChecks:
